@@ -70,6 +70,9 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
     check = getattr(args, "check", "jacobi")
     if suite == "linfty":
         suite = "vdata" if check == "vdata" else "linfty-jacobi"
+    max_freq = getattr(args, "max_freq", 1)
+    if max_freq < 0:
+        raise SuiteError(f"--max-freq must be >= 0, got {max_freq}")
     plane = getattr(args, "plane", "1,2,3")
     try:
         plane_idx = tuple(int(x) for x in str(plane).split(","))
@@ -79,7 +82,7 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
         suite=suite,
         seed=args.seed,
         samples=args.samples,
-        max_freq=getattr(args, "max_freq", 1),
+        max_freq=max_freq,
         degree=getattr(args, "degree", None),
         psi=getattr(args, "psi", "star-phi"),
         plane=plane_idx,

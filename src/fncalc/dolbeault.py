@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import CoefficientFunction, DifferentialForm, transform_terms
+from .exterior import CoefficientFunction, DifferentialForm, _add_term, transform_terms
 from .multiindex import merge_sign
 from .scalars import GaussianRational
 
@@ -74,13 +74,7 @@ def dc(a: DifferentialForm) -> DifferentialForm:
         if ms is None:
             return
         sign, merged = ms
-        val = coeff if sign > 0 else -coeff
-        new = out.get(merged)
-        new = val if new is None else new + val
-        if new:
-            out[merged] = new
-        else:
-            out.pop(merged, None)
+        _add_term(out, merged, coeff if sign > 0 else -coeff)
 
     for idx, coeff in cplx.items():
         for j in range(1, m + 1):

@@ -71,6 +71,17 @@ def _same_space(a, b) -> None:
         raise SpaceMismatch(f"mixed model spaces {a.space} and {b.space}")
 
 
+def _add_term(out: dict, key, val) -> None:
+    """Add val to out[key] in a sparse map, dropping the key when the sum is
+    zero so that sparse maps stay canonical."""
+    old = out.get(key)
+    new = val if old is None else old + val
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
 class CoefficientFunction:
     """Exact scalar function: finite monomial or Fourier sum.
 
@@ -131,12 +142,7 @@ class CoefficientFunction:
         _same_space(self, other)
         out = dict(self.terms)
         for key, val in other.terms.items():
-            new = out.get(key)
-            new = val if new is None else new + val
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            _add_term(out, key, val)
         return CoefficientFunction(self.space, out)
 
     def __neg__(self) -> "CoefficientFunction":
@@ -155,12 +161,7 @@ class CoefficientFunction:
             for k2, v2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
                 val = v1 * v2
-                new = out.get(key)
-                new = val if new is None else new + val
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                _add_term(out, key, val)
         return CoefficientFunction(self.space, out)
 
     def __rmul__(self, other):
@@ -186,11 +187,7 @@ class CoefficientFunction:
                 if e == 0:
                     continue
                 dkey = key[:pos] + (e - 1,) + key[pos + 1:]
-                new = val * e + out.get(dkey, GaussianRational(0))
-                if new:
-                    out[dkey] = new
-                else:
-                    out.pop(dkey, None)
+                _add_term(out, dkey, val * e)
         else:
             for key, val in self.terms.items():
                 kj = key[pos]
@@ -325,12 +322,7 @@ class DifferentialForm:
             raise DegreeError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            new = out.get(idx)
-            new = coeff if new is None else new + coeff
-            if new:
-                out[idx] = new
-            else:
-                out.pop(idx, None)
+            _add_term(out, idx, coeff)
         return DifferentialForm(self.space, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
@@ -546,20 +538,8 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             val = c1 * c2
             if sign < 0:
                 val = -val
-            new = out.get(merged)
-            new = val if new is None else new + val
-            if new:
-                out[merged] = new
-            else:
-                out.pop(merged, None)
+            _add_term(out, merged, val)
     return DifferentialForm(a.space, degree, out)
-
-
-def wedge_many(*forms: DifferentialForm) -> DifferentialForm:
-    result = forms[0]
-    for f in forms[1:]:
-        result = wedge(result, f)
-    return result
 
 
 def ext_deriv(a: DifferentialForm) -> DifferentialForm:
@@ -575,12 +555,7 @@ def ext_deriv(a: DifferentialForm) -> DifferentialForm:
                 continue
             sign, merged = ms
             val = dc if sign > 0 else -dc
-            new = out.get(merged)
-            new = val if new is None else new + val
-            if new:
-                out[merged] = new
-            else:
-                out.pop(merged, None)
+            _add_term(out, merged, val)
     return DifferentialForm(a.space, a.degree + 1, out)
 
 
@@ -598,12 +573,7 @@ def insert_vector(X: VectorField, a: DifferentialForm) -> DifferentialForm:
             val = coeff * xj
             if sign < 0:
                 val = -val
-            new = out.get(rest)
-            new = val if new is None else new + val
-            if new:
-                out[rest] = new
-            else:
-                out.pop(rest, None)
+            _add_term(out, rest, val)
     return DifferentialForm(a.space, a.degree - 1, out)
 
 
@@ -617,12 +587,7 @@ def insert_frame(i: int, a: DifferentialForm) -> DifferentialForm:
             if j != i:
                 continue
             val = coeff if sign > 0 else -coeff
-            new = out.get(rest)
-            new = val if new is None else new + val
-            if new:
-                out[rest] = new
-            else:
-                out.pop(rest, None)
+            _add_term(out, rest, val)
     return DifferentialForm(a.space, a.degree - 1, out)
 
 
@@ -771,18 +736,8 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
             if not det:
                 continue
             val = coeff * det
-            new = out.get(target)
-            new = val if new is None else new + val
-            if new:
-                out[target] = new
-            else:
-                out.pop(target, None)
+            _add_term(out, target, val)
     return out
-
-
-def coframe_transform(a: DifferentialForm, matrix) -> dict:
-    """Re-expand a form in a new constant coframe (see transform_terms)."""
-    return transform_terms(a.space, a.terms, matrix)
 
 
 def _minor_det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> GaussianRational:

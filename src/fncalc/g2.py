@@ -24,6 +24,7 @@ from .exterior import (
     DifferentialForm,
     ModelSpace,
     VectorValuedForm,
+    _add_term,
     affine_space,
     contract_metric,
     hodge_star,
@@ -137,9 +138,6 @@ def _det(M) -> GaussianRational:
     return det
 
 
-_SIX_IDENTITY = None
-
-
 def metric_from_3form(structure: G2Structure, point=(0,) * 7) -> PointwiseMetric:
     """Metric induced by a positive 3-form at a point.
 
@@ -193,8 +191,6 @@ def chi(structure: G2Structure) -> VectorValuedForm:
 def _form_to_tensor(coeffs: dict, degree: int) -> np.ndarray:
     """Antisymmetric ndarray from sparse index coefficients (float)."""
     T = np.zeros((7,) * degree)
-    from itertools import permutations
-
     for idx, val in coeffs.items():
         base = tuple(i - 1 for i in idx)
         for perm, sign in _perms_with_signs(degree):
@@ -521,9 +517,6 @@ def g2_type_project(a: DifferentialForm, component: str) -> DifferentialForm:
 
 def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> DifferentialForm:
     """Apply an exact constant operator matrix to a form's coefficients."""
-    from .exterior import CoefficientFunction
-
-    in_idx = all_indices(a.space.dim, a.degree)
     out_idx = all_indices(a.space.dim, degree_out)
     pos_in = index_position(a.space.dim, a.degree)
     out: dict = {}
@@ -533,13 +526,7 @@ def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> Diffe
             entry = matrix[r][c]
             if not entry:
                 continue
-            val = coeff * entry
-            new = out.get(target)
-            new = val if new is None else new + val
-            if new:
-                out[target] = new
-            else:
-                out.pop(target, None)
+            _add_term(out, target, coeff * entry)
     return DifferentialForm(a.space, degree_out, out)
 
 

@@ -13,10 +13,6 @@ from .scalars import GaussianRational
 Matrix = list  # list of rows; rows are lists of entries
 
 
-def zeros(m: int, n: int, zero=0) -> Matrix:
-    return [[zero] * n for _ in range(m)]
-
-
 def identity(n: int, one, zero) -> Matrix:
     out = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -124,20 +120,6 @@ def nullspace(M: Matrix) -> list[list[GaussianRational]]:
     return basis
 
 
-def solve(M: Matrix, rhs: list) -> list | None:
-    """One exact solution of M x = rhs, or None when inconsistent."""
-    m, n = shape(M)
-    aug = [list(M[i]) + [rhs[i]] for i in range(m)]
-    R, pivots = rref(aug)
-    zero = GaussianRational(0)
-    if n in pivots:
-        return None
-    x = [zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
-    return x
-
-
 def invert(M: Matrix) -> Matrix:
     """Exact inverse of a small square matrix."""
     m, n = shape(M)
@@ -150,21 +132,6 @@ def invert(M: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in R]
-
-
-def column_space_dims(*blocks: Matrix) -> int:
-    """Rank of the column-concatenation of the given blocks."""
-    mats = [B for B in blocks if B and B[0]]
-    if not mats:
-        return 0
-    rows = len(mats[0])
-    joined = []
-    for i in range(rows):
-        row = []
-        for B in mats:
-            row.extend(B[i])
-        joined.append(row)
-    return rank(joined)
 
 
 def columns_from_vectors(vectors: list[list]) -> Matrix:
@@ -182,38 +149,7 @@ def columns_from_vectors(vectors: list[list]) -> Matrix:
 
 def int_rank(M: Matrix) -> int:
     """Rank of an integer matrix by Bareiss fraction-free elimination."""
-    if not M or not M[0]:
-        return 0
-    rows = [list(r) for r in M]
-    m, n = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[c]
-            if f:
-                for j in range(c + 1, n):
-                    row[j] = (pv * row[j] - f * prow[j]) // prev
-                row[c] = 0
-            elif pv != prev:
-                for j in range(c + 1, n):
-                    row[j] = (pv * row[j]) // prev
-        prev = pv
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(int_row_echelon(M)[1])
 
 
 def int_row_echelon(M: Matrix) -> tuple[Matrix, list[int]]:

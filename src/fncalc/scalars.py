@@ -85,14 +85,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 
-    @property
-    def is_real(self) -> bool:
-        return self._b == 0
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self._a == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -173,6 +165,10 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
+        # equal values hash equally: a real value hashes like the int or
+        # Fraction it equals (those two already agree with each other)
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     # -- conversions -------------------------------------------------------

@@ -18,7 +18,9 @@ are compared in the test suite).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -221,6 +223,8 @@ class ModeTemplates:
 
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
+        if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
+            raise ValueError("mode templates need a constant 4-form on the 7-torus")
         self.psi = psi
         psi_hat = contract_metric(psi)
         self.L: dict[int, list] = {}       # Lambda^m -> Lambda^{m+3}
@@ -246,16 +250,16 @@ class ModeTemplates:
                 self.dstar[m] = [
                     _strip_i(mode_matrix(_unit(j), m, m - 1, codifferential)) for j in range(N)
                 ]
-        self.ad = [_strip_i(self._ad_matrix(psi_hat, j)) for j in range(N)]
+        self.ad = [_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)]
         self.adjoint_templates_ok = self._check_adjoint_templates()
         if not self.adjoint_templates_ok:
             raise AssertionError("printed adjoint sign contradicts per-mode adjointness")
 
     @staticmethod
-    def _ad_matrix(psi_hat: VectorValuedForm, j: int):
-        """Bracket differential on mode vector fields, as a matrix into
-        component-major coefficients of tangent-valued 3-forms."""
-        k = _unit(j)
+    def _ad_matrix(psi_hat: VectorValuedForm, k):
+        """Exact bracket differential on mode-k vector fields, as a matrix
+        into component-major coefficients of tangent-valued 3-forms."""
+        k = tuple(k)
         block = space_dim(N, STEP)
         pos = index_position(N, STEP)
         M = [[GaussianRational(0)] * N for _ in range(N * block)]
@@ -357,58 +361,6 @@ class ModeCalculus:
 
     def block(self, k, l: int) -> ModeBlock:
         return assemble_mode(k, l, self.psi)
-
-    def harmonic_dim(self, k, l: int) -> int:
-        """dim over C of ker(L on Lambda^l) cap ker(L* on Lambda^l)."""
-        S = self._harmonic_stack(k, l)
-        return space_dim(N, l) - linalg.int_rank(S)
-
-    def cohomology_dim(self, k, l: int) -> int:
-        """dim ker(L out of degree l) - rank(L into degree l)."""
-        out_rank = linalg.int_rank(self.templates.block("L", l, k))
-        in_rank = linalg.int_rank(self.templates.block("L", l - STEP, k))
-        return space_dim(N, l) - out_rank - in_rank
-
-    def regularity_check(self, k, l: int) -> bool:
-        """Whether Lambda^l = ker(L*_l) (+) Im(L_l) at mode k."""
-        dim = space_dim(N, l)
-        L_in = self.templates.block("L", l - STEP, k)
-        if not L_in or not L_in[0]:
-            # empty domain: the image is 0 and L* is the zero map
-            return True
-        Ls = self.templates.block("Lstar", l, k)
-        rank_L = linalg.int_rank(L_in)
-        rank_Ls = linalg.int_rank(Ls)
-        if (dim - rank_Ls) + rank_L != dim:
-            return False
-        # Im L cap ker L* = 0  iff  rank(L* L) = rank L
-        prod = linalg.int_matmul(Ls, L_in)
-        return linalg.int_rank(prod) == rank_L
-
-    def symbol_classification(self, k, l: int) -> str:
-        """Injective/surjective type of the map into degree l at frequency
-        k, which is the principal symbol direction for the first-order
-        operator."""
-        if not any(k):
-            raise ValueError("symbol classification needs a nonzero frequency")
-        L = self.templates.block("L", l - STEP, k)
-        rows = space_dim(N, l)
-        cols = space_dim(N, l - STEP)
-        r = linalg.int_rank(L)
-        inj = r == cols
-        surj = r == rows
-        if inj and surj:
-            return "bijective"
-        if inj:
-            return "injective"
-        if surj:
-            return "surjective"
-        return "neither"
-
-    def vector_kernel_dim(self, k) -> int:
-        """dim of the mode-k vector fields annihilated by the bracket
-        differential of the parallel form (totals the first Betti number)."""
-        return N - linalg.int_rank(self.templates.ad_block(k))
 
     def anticommutation_check(self, k) -> bool:
         """Exact per-mode identities L d = -d L, L d* = -d* L, L lap = lap L
@@ -524,16 +476,17 @@ class ModeCalculus:
         r_both = linalg.int_rank(linalg.int_vstack(lhs, rhs))
         return r_lhs == r_rhs == r_both
 
-    def decomposition_report(self, k, l: int) -> ModeCohomologyReport:
-        """Split the harmonic space at (k, l) into its Laplacian-harmonic,
-        exact, and coexact parts, with the bookkeeping checks."""
-        k = tuple(k)
-        dim = space_dim(N, l)
+    def decomposition_report(self, summary: dict, l: int) -> ModeCohomologyReport:
+        """Split the harmonic space at degree l of the mode of `summary` (a
+        `mode_summary` row, which supplies the L ranks) into its
+        Laplacian-harmonic, exact, and coexact parts, with the bookkeeping
+        checks."""
+        k = tuple(summary["k"])
+        rank_L = summary["rank_L"]
         harmonic_basis = self._harmonic_basis(k, l)
         h = len(harmonic_basis)
-        out_rank = linalg.int_rank(self.templates.block("L", l, k))
-        in_rank = linalg.int_rank(self.templates.block("L", l - STEP, k))
-        ker = dim - out_rank
+        in_rank = rank_L.get(l - STEP, 0)
+        ker = space_dim(N, l) - rank_L.get(l, 0)
         coh = ker - in_rank
         if any(k):
             harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
@@ -597,7 +550,10 @@ class ModeCalculus:
 
     def mode_summary(self, k) -> dict:
         """All sweep-relevant dimensions at one mode, computing each block
-        and rank once."""
+        and rank once: per degree l, the harmonic and cohomology dimensions
+        and the regularity split; the bracket kernel on vector fields; the
+        L ranks keyed by domain degree; and, at k != 0, the symbol type of
+        L into degrees 3, 4 and 7."""
         k = tuple(k)
         tpl = self.templates
         dims = [space_dim(N, l) for l in range(N + 1)]
@@ -625,6 +581,8 @@ class ModeCalculus:
             for l in range(N + 1)
         ]
 
+        # regularity: Lambda^l = ker(L*_l) (+) Im(L_l); an empty domain gives
+        # image 0 and L* = 0.  Im L cap ker L* = 0  iff  rank(L* L) = rank L
         regular = []
         for l in range(N + 1):
             m = l - STEP
@@ -643,10 +601,13 @@ class ModeCalculus:
             "cohomology": cohomology,
             "regular": regular,
             "vector_kernel": N - linalg.int_rank(tpl.ad_block(k)),
+            "rank_L": rank_L,
         }
         if any(k):
-            summary["symbol_3"] = _classify(rank_L[0], dims[3], dims[0])
-            summary["symbol_7"] = _classify(rank_L[4], dims[7], dims[4])
+            # injective/surjective type of L into degree l, the principal
+            # symbol of the first-order operator in the direction k
+            for l in (3, 4, 7):
+                summary[f"symbol_{l}"] = _classify(rank_L[l - STEP], dims[l], dims[l - STEP])
         return summary
 
     def sweep(self, max_freq: int = 1, jobs: int | None = None) -> list[dict]:
@@ -683,6 +644,7 @@ def _intersection_with_image(basis_vectors, block):
 # -- parallel sweep machinery (fork-shared templates) -----------------------
 
 _WORKER_CALC: ModeCalculus | None = None
+_CHUNK = 32  # modes per task sent to a worker
 
 
 def _worker_summary(k):
@@ -690,16 +652,18 @@ def _worker_summary(k):
 
 
 def sweep_modes(calc: ModeCalculus, modes, jobs: int | None = None) -> list[dict]:
+    """`mode_summary` of every mode, in order.  Workers are never more than
+    `jobs` (default: all CPUs), the CPUs, or the chunks of modes to share."""
     global _WORKER_CALC
-    if jobs is None:
-        jobs = multiprocessing.cpu_count()
-    if jobs <= 1 or len(modes) < 64:
+    cpus = os.cpu_count() or 1
+    jobs = min(cpus if jobs is None else jobs, cpus, math.ceil(len(modes) / _CHUNK))
+    if jobs <= 1:
         return [calc.mode_summary(k) for k in modes]
     _WORKER_CALC = calc
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
-            results = pool.map(_worker_summary, modes, chunksize=32)
+            results = pool.map(_worker_summary, modes, chunksize=_CHUNK)
     finally:
         _WORKER_CALC = None
     return results

@@ -144,7 +144,7 @@ def test_criterion_6_regularity_and_symbols(sweep_rows):
     for _ in range(20):
         k = tuple(rng.randint(-2, 2) for _ in range(7))
         if any(k):
-            ok = ok and calc.symbol_classification(k, 4) == "injective"
+            ok = ok and calc.mode_summary(k)["symbol_4"] == "injective"
     announce(
         6,
         "regularity split for all modes and degrees; symbol type injective at "

@@ -1,9 +1,11 @@
 """CLI contract: suites, determinism, exit codes, diagnostics."""
 
 import json
+import multiprocessing
 
 import pytest
 
+from fncalc import torus
 from fncalc.cli import main
 from fncalc.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -128,3 +130,67 @@ def test_torus_suite_small_slice(capsys):
     payload = json.loads(report.to_json())
     assert payload["totals"]["harmonic_zero_mode"]["3"] == 35
     assert len(payload["modes"]) == 1
+
+
+def test_negative_max_freq_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "torus-cohomology", "--max-freq", "-1", "--jobs", "1")
+    assert code == 2 and not out
+    assert err.strip().splitlines() == ["fncalc: error: --max-freq must be >= 0, got -1"]
+
+
+def test_torus_psi_must_be_a_constant_four_form(capsys):
+    for psi in ("toroidal:7:e{1,2}", "affine:7:e{1,2,3,4}"):
+        code, out, err = run_cli(capsys, "torus-cohomology", "--psi", psi, "--max-freq", "0")
+        assert code == 2 and not out, psi
+        assert err.strip().splitlines() == [
+            "fncalc: error: mode templates need a constant 4-form on the 7-torus"
+        ]
+
+
+def test_run_suite_leaves_the_callers_config_alone():
+    config = SuiteConfig(suite="vdata", check="jacobi", samples=2)
+    report = run_suite(config)
+    assert config.check == "jacobi"
+    assert report.config["check"] == "vdata"
+
+
+class _RecordingPool:
+    """Stands in for a process pool: records its size, maps in-process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(x) for x in items]
+
+
+class _EchoCalculus:
+    def mode_summary(self, k):
+        return k
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, n_modes, expected",
+    [
+        (10**6, 4, 2187, [4]),  # capped by the CPUs
+        (10**6, 64, 65, [3]),  # capped by the chunks of 32 modes
+        (3, 64, 2187, [3]),  # the request itself
+        (None, 2, 2187, [2]),  # default: all CPUs
+        (8, 8, 32, []),  # one chunk runs in-process
+        (1, 8, 2187, []),
+    ],
+)
+def test_sweep_workers_are_clamped(monkeypatch, jobs, cpus, n_modes, expected):
+    sizes = []
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))
+    monkeypatch.setattr(torus.os, "cpu_count", lambda: cpus)
+    modes = list(range(n_modes))
+    assert torus.sweep_modes(_EchoCalculus(), modes, jobs) == modes
+    assert sizes == expected

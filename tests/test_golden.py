@@ -1,0 +1,48 @@
+"""Golden reports: the SHA-256 of `fncalc` stdout for every suite at fast
+configs.  A refactor must leave every report byte-identical; a change that
+means to alter a report updates its hash here and says why.
+
+The unseeded invocations that the benchmark also runs (mc-check, the
+associative-plane classification, and g2-equivariance at its pinned seed)
+carry the same hashes as `perfbench/pins.json`.
+"""
+
+import hashlib
+
+import pytest
+
+from fncalc.cli import main
+
+GOLDEN = [
+    (("gla-axioms", "--samples", "4"), 0, "7d13fd2e5609bac1bc4cbe4de7b78df1abf0ac833f1baf9e40449e961f6cc576"),
+    (("gla-axioms", "--samples", "4", "--format", "table"), 0, "0086a0039f42f14ad554b163b54f8391e72426515499e5e47de707d1d9800320"),
+    (("fn-action", "--samples", "4"), 0, "579e4f63caee576f90439b2bc9410826fdf8d66f537353ab024e098696c86be0"),
+    (("kahler-dc", "--samples", "20"), 0, "68c5d0917488a7f99330a39bb430bb604630a9858f68afb1ee4b4ce2e00e7caa"),
+    (("g2-equivariance", "--seed", "1479188312"), 0, "2489b1fbe2869d90625a83a45e5456705b0567bf60226e3377f91977984a6cd4"),
+    (("mc-check", "--psi", "star-phi"), 0, "995ee3e312569b4e04ff62ca9eda2f0ff083648df799a295a24abb84b5afc128"),
+    (("mc-check", "--psi", "affine:2:1*x1 e{1,2}"), 1, "41dd61918693250e3738cc1d1c6b3cbc6aacd9e2385d1832c0c310d00595652c"),
+    (("mc-check", "--psi", "kahler-squared"), 0, "fe622e2b6587f51f66ac1d548afb41a64ac95608295892988edff9075617b831"),
+    (("linfty", "--plane", "1,2,4", "--check", "associative"), 0, "418588e1b4c9b034c5fc1b884b1f3237f2981c60ebc2dda6931e49075f58f440"),
+    (("linfty", "--plane", "1,2,4"), 0, "eb43f6a7cd380e830afdb53ee9ed2ac1751e56220fc0fdf931a7df186cd37226"),
+    (("linfty", "--check", "jacobi", "--samples", "40"), 0, "cc8e54deb2934adfbf0197bdc1db0e0bb9495aef13cf4c3bcc80c58ac227cba8"),
+    (("linfty", "--check", "brackets", "--samples", "40"), 0, "2b02dc84ca649137c797aebfd8c3290d3f412a34debaef25f3e686b8524b7ff5"),
+    (("linfty-jacobi", "--samples", "40", "--max-arity", "2"), 0, "6dc6dc8c838dc3468832be34b0af82e04ae69b463f679cc4288144d9a5c04919"),
+    (("vdata",), 0, "67591491b8ed991faaca761175152fbe4d2ad095f4b82f7dd9f7352b22fc28cb"),
+    (("torus-cohomology", "--max-freq", "0"), 0, "0f7bde43d4a8d3111e7be85d994db917e28387381e131651646d006df98c7d41"),
+    (("torus-cohomology", "--degree", "0", "--max-freq", "0"), 0, "e05bbd72580fc278f50063c8002d349f05aac364b3e4d5375088e1eacf93c699"),
+    (("torus-cohomology", "--degree", "1", "--max-freq", "0"), 0, "5a079b33d0d8d9ade7f2204117ccd84210613623c7e1fcb98553d6c218680d34"),
+    (("torus-cohomology", "--degree", "2", "--max-freq", "0"), 0, "b6ec51b79d129151726566e2d117e677c9e4caef66d9750a2321a71d9f295886"),
+    (("torus-cohomology", "--degree", "3", "--max-freq", "0"), 0, "025c552e080b14cb01d187b51fec227b1d8294d3d96c886338c91dbecb30b4f6"),
+    (("torus-cohomology", "--degree", "4", "--max-freq", "0"), 0, "d66219625ea46d483613520e3a8f1996e53a175af95fd9c1a77723361f4fcb37"),
+    (("torus-cohomology", "--degree", "5", "--max-freq", "0"), 0, "432c6ab06646c5c9f38fb39d65af1d585a7a58a6ed8233b9a16a0ce75eac2aa8"),
+    (("torus-cohomology", "--degree", "6", "--max-freq", "0"), 0, "09fa5e15e62f2334d6d757ae4f117a11dd8691ca3577d0e6548662dd44637fc3"),
+    (("torus-cohomology", "--degree", "7", "--max-freq", "0"), 0, "8a9346f145534c6d8e9f0e140588ca7c1530f8019e9267ffbfd632c2c0013b01"),
+    (("symbol-check", "--max-freq", "1", "--jobs", "2"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
+]
+
+
+@pytest.mark.parametrize("argv, status, sha256", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_stdout_is_byte_identical(capsys, argv, status, sha256):
+    assert main(list(argv)) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

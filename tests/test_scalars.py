@@ -28,6 +28,20 @@ def test_equality_is_canonical():
     assert gr(1, 2) != gr(1, 3)
 
 
+def test_hash_agrees_with_equality_across_types():
+    # equal values must hash equally, or sets and dicts keep duplicates
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        assert GaussianRational(value) == value
+        assert hash(GaussianRational(value)) == hash(value)
+        assert len({GaussianRational(value), value}) == 1
+    assert len({GaussianRational(1), 1, Fraction(1)}) == 1
+
+
+@given(scalars)
+def test_hash_of_equal_values(z):
+    assert hash(GaussianRational(z.re, z.im)) == hash(z)
+
+
 def test_basic_arithmetic():
     assert gr(1, 1) * gr(1, -1) == gr(2)
     assert imaginary(1) * imaginary(1) == rational(-1)

@@ -8,6 +8,7 @@ from fncalc import linalg, torus
 from fncalc.exterior import (
     CoefficientFunction,
     DifferentialForm,
+    contract_metric,
     wedge,
 )
 from fncalc.multiindex import space_dim
@@ -111,11 +112,52 @@ class TestAdjointness:
                 )
 
 
+def honest_summary(k):
+    """mode_summary's entries recomputed from directly assembled exact
+    blocks with the field-lane rank and product over Gaussian rationals."""
+    zero = GaussianRational(0)
+    blocks = [CALC.block(k, l) for l in range(8)]
+
+    def L_from(m):  # L out of degree m, or None past the top degree
+        return blocks[m + 3].L if m + 3 <= 7 else None
+
+    harmonic, cohomology, regular = [], [], []
+    for l in range(8):
+        dim = space_dim(7, l)
+        up, down = L_from(l), blocks[l].Lstar if l >= 3 else None
+        stack = (up or []) + (down or [])
+        harmonic.append(dim - linalg.rank(stack))
+        rank_in = linalg.rank(blocks[l].L) if l >= 3 else 0
+        cohomology.append(dim - (linalg.rank(up) if up else 0) - rank_in)
+        if l < 3:
+            regular.append(True)
+            continue
+        rank_Ls = linalg.rank(down)
+        ok = (dim - rank_Ls) + rank_in == dim
+        regular.append(
+            ok and linalg.rank(linalg.matmul(down, blocks[l].L, zero)) == rank_in
+        )
+    ad = torus.ModeTemplates._ad_matrix(contract_metric(CALC.psi), k)
+    out = {
+        "k": list(k),
+        "harmonic": harmonic,
+        "cohomology": cohomology,
+        "regular": regular,
+        "vector_kernel": 7 - linalg.rank(ad),
+        "rank_L": {m: linalg.rank(L_from(m)) for m in range(5)},
+    }
+    if any(k):
+        for l in (3, 4, 7):
+            r = out["rank_L"][l - 3]
+            out[f"symbol_{l}"] = torus._classify(r, space_dim(7, l), space_dim(7, l - 3))
+    return out
+
+
 class TestDimensions:
     def test_zero_mode_harmonics_are_all_constants(self):
-        for l in range(8):
-            assert CALC.harmonic_dim(K0, l) == space_dim(7, l)
-            assert CALC.cohomology_dim(K0, l) == space_dim(7, l)
+        s = CALC.mode_summary(K0)
+        dims = [space_dim(7, l) for l in range(8)]
+        assert s["harmonic"] == s["cohomology"] == dims
 
     def test_unit_mode_values(self):
         s = CALC.mode_summary(K1)
@@ -132,32 +174,28 @@ class TestDimensions:
             k = random_mode(rng)
             if not any(k):
                 continue
+            harmonic = CALC.mode_summary(k)["harmonic"]
             for l in (0, 1, 6, 7):
-                assert CALC.harmonic_dim(k, l) == 0
+                assert harmonic[l] == 0
 
     def test_middle_degree_positive_at_unit_mode(self):
-        assert CALC.harmonic_dim(K1, 2) > 0
+        assert CALC.mode_summary(K1)["harmonic"][2] > 0
 
-    def test_summary_matches_individual_operations(self):
+    def test_summary_matches_honest_lane(self):
+        # the integer-template lane against exact assembly with field ranks
         rng = random.Random(4)
         for _ in range(3):
             k = random_mode(rng, 2)
-            s = CALC.mode_summary(k)
-            for l in range(8):
-                assert s["harmonic"][l] == CALC.harmonic_dim(k, l)
-                assert s["cohomology"][l] == CALC.cohomology_dim(k, l)
-                assert s["regular"][l] == CALC.regularity_check(k, l)
-            assert s["vector_kernel"] == CALC.vector_kernel_dim(k)
+            assert CALC.mode_summary(k) == honest_summary(k), k
 
     def test_duality_and_conjugation_symmetry(self):
         rng = random.Random(5)
         for _ in range(5):
             k = random_mode(rng, 2)
-            minus = tuple(-x for x in k)
+            h = CALC.mode_summary(k)["harmonic"]
+            h_minus = CALC.mode_summary(tuple(-x for x in k))["harmonic"]
             for l in range(8):
-                h = CALC.harmonic_dim(k, l)
-                assert h == CALC.harmonic_dim(minus, 7 - l)
-                assert h == CALC.harmonic_dim(minus, l)
+                assert h[l] == h_minus[7 - l] == h_minus[l]
 
     def test_regularity_direct_subspace_route(self):
         # cross-check the product-rank shortcut against an explicit
@@ -165,6 +203,7 @@ class TestDimensions:
         rng = random.Random(6)
         for _ in range(3):
             k = random_mode(rng)
+            regular = CALC.mode_summary(k)["regular"]
             for l in (3, 4, 5, 6, 7):
                 L = CALC.templates.block("L", l - 3, k)
                 Ls = CALC.templates.block("Lstar", l, k)
@@ -174,7 +213,7 @@ class TestDimensions:
                     len(ker_basis) + linalg.int_rank(L) == dim
                     and torus._intersection_with_image(ker_basis, L) == 0
                 )
-                assert CALC.regularity_check(k, l) == expected
+                assert regular[l] == expected
 
 
 class TestStructuralChecks:
@@ -198,12 +237,12 @@ class TestStructuralChecks:
             assert CALC.one_form_kernel_check(random_mode(rng, 2))
 
     def test_vector_kernel_dims(self):
-        assert CALC.vector_kernel_dim(K0) == 7
+        assert CALC.mode_summary(K0)["vector_kernel"] == 7
         rng = random.Random(9)
         for _ in range(5):
             k = random_mode(rng)
             if any(k):
-                assert CALC.vector_kernel_dim(k) == 0
+                assert CALC.mode_summary(k)["vector_kernel"] == 0
 
     def test_symbol_classification_examples(self):
         rng = random.Random(10)
@@ -211,23 +250,25 @@ class TestStructuralChecks:
             k = random_mode(rng, 2)
             if not any(k):
                 continue
-            assert CALC.symbol_classification(k, 3) == "injective"
-            assert CALC.symbol_classification(k, 7) == "surjective"
-            assert CALC.symbol_classification(k, 4) == "injective"
-        with pytest.raises(ValueError):
-            CALC.symbol_classification(K0, 3)
+            s = CALC.mode_summary(k)
+            assert s["symbol_3"] == "injective"
+            assert s["symbol_7"] == "surjective"
+            assert s["symbol_4"] == "injective"
+        # the symbol is a direction: the zero mode has none
+        assert not any(key.startswith("symbol") for key in CALC.mode_summary(K0))
 
 
 class TestDecomposition:
     def test_zero_mode_is_all_harmonic_forms(self):
-        rep = CALC.decomposition_report(K0, 2)
+        rep = CALC.decomposition_report(CALC.mode_summary(K0), 2)
         assert rep.harmonic_form_part == rep.harmonic_dim == 21
         assert rep.d_part == rep.dstar_part == 0
         assert rep.split_consistent
 
     def test_nonzero_mode_splits(self):
+        summary = CALC.mode_summary(K1)
         for l in (2, 3, 4, 5):
-            rep = CALC.decomposition_report(K1, l)
+            rep = CALC.decomposition_report(summary, l)
             assert rep.harmonic_form_part == 0
             assert rep.split_consistent
             assert rep.d_iso_ok
@@ -240,7 +281,7 @@ class TestDecomposition:
             if not any(k):
                 continue
             for l in (2, 3):
-                rep = CALC.decomposition_report(k, l)
+                rep = CALC.decomposition_report(CALC.mode_summary(k), l)
                 assert rep.split_consistent and rep.d_iso_ok
 
 
@@ -263,8 +304,9 @@ class TestGrowthAndSymbols:
         # witnesses at |k|_inf = 2 add strictly positive dimensions on top
         # of the bound-1 total
         for k in ((2, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0), (1, 2, 0, -1, 0, 0, 2)):
+            harmonic = CALC.mode_summary(k)["harmonic"]
             for l in (2, 3, 4, 5):
-                assert CALC.harmonic_dim(k, l) > 0
+                assert harmonic[l] > 0
 
     def test_degree3_block_injective_for_all_low_frequencies(self):
         # the degree-3 map has a one-dimensional domain; injectivity means
@@ -291,10 +333,10 @@ class TestRealComplexBookkeeping:
             k = random_mode(rng)
             if not any(k):
                 continue
-            minus = tuple(-x for x in k)
+            h = CALC.mode_summary(k)["harmonic"]
+            h_minus = CALC.mode_summary(tuple(-x for x in k))["harmonic"]
             for l in (2, 3):
-                pair_real = CALC.harmonic_dim(k, l) + CALC.harmonic_dim(minus, l)
-                assert pair_real == 2 * CALC.harmonic_dim(k, l)
+                assert h[l] + h_minus[l] == 2 * h[l]
 
 
 def test_small_sweep_serial_equals_parallel():
