@@ -14,6 +14,17 @@ import time
 from .grammar import FormSyntaxError
 from .suites import SuiteConfig, SuiteError, run_suite
 
+# the exhaustive sweep lists all (2F+1)^7 modes first: 78,125 at F = 2
+MAX_FREQ = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors, `fncalc: error: <msg>` and exit
+    status 2; subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"fncalc: error: {message}\n")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
@@ -24,7 +35,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fncalc",
         description="exact exterior-calculus verification suites",
     )
@@ -73,6 +84,8 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
     max_freq = getattr(args, "max_freq", 1)
     if max_freq < 0:
         raise SuiteError(f"--max-freq must be >= 0, got {max_freq}")
+    if max_freq > MAX_FREQ:
+        raise SuiteError(f"--max-freq must be <= {MAX_FREQ}, got {max_freq}")
     plane = getattr(args, "plane", "1,2,3")
     try:
         plane_idx = tuple(int(x) for x in str(plane).split(","))

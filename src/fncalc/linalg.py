@@ -4,11 +4,25 @@ Two lanes: generic Gaussian elimination over the Gaussian-rational field
 (used by structure algebra and for kernel bases), and fraction-free Bareiss
 elimination over plain integers (used by the per-mode torus sweep, whose
 matrices are integral after a global unit factor is stripped).
+
+The integer lane has a per-matrix form on lists of Python ints
+(`int_row_echelon`, `int_rank`, `int_nullspace`) and a stacked form on
+numpy arrays (`int_ranks`, `int_matmul`) that works on many matrices at
+once.  The stacked kernels run in int64 behind explicit bounds and switch
+to Python-int (`object`) arrays when a bound fails, so both forms are
+exact.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .scalars import GaussianRational
+
+# |x|, |y| < 2**31 keeps x*y - u*v inside int64; a product whose bound
+# max|A| * max|B| * inner stays below 2**62 cannot overflow either
+_RANK_BOUND = 2**31
+_PRODUCT_BOUND = 2**62
 
 Matrix = list  # list of rows; rows are lists of entries
 
@@ -227,17 +241,74 @@ def int_nullspace(M: Matrix) -> list[list[int]]:
     return basis
 
 
-def int_matmul(A: Matrix, B: Matrix) -> Matrix:
-    ma, na = len(A), len(A[0]) if A else 0
-    mb, nb = len(B), len(B[0]) if B else 0
-    if na != mb:
-        raise ValueError(f"shape mismatch {ma}x{na} @ {mb}x{nb}")
-    Bt = [[B[k][j] for k in range(mb)] for j in range(nb)]
-    out = []
-    for i in range(ma):
-        row_a = A[i]
-        out.append([sum(x * y for x, y in zip(row_a, col)) for col in Bt])
-    return out
+def _max_abs(X: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    return max(-int(X.min()), int(X.max())) if X.size else 0
+
+
+def int_matmul(A, B) -> np.ndarray:
+    """Exact products A[i] @ B[i] of two integer stacks (arrays, or
+    sequences of matrices, of shapes (..., m, n) and (..., n, p)).
+
+    Runs in int64 when max|A| * max|B| * n < 2**62, and on Python ints
+    (dtype `object`) otherwise.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape[-1] != B.shape[-2]:
+        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+    if _max_abs(A) * _max_abs(B) * A.shape[-1] >= _PRODUCT_BOUND:
+        A, B = A.astype(object), B.astype(object)
+    return A @ B
+
+
+def int_ranks(stack) -> list[int]:
+    """Ranks of every matrix of an integer stack of shape (s, m, n), by
+    Bareiss fraction-free elimination vectorized over the leading axis.
+
+    Each matrix takes as pivot the first nonzero row of the current
+    column.  The elimination step that clears the column also zeroes the
+    pivot row beyond it, so the rows still free for later pivots are
+    exactly the nonzero ones, and a matrix without a pivot in a column
+    (pv = prev, no nonzero entry in it) is left as it is.  The stack runs
+    in int64 while every entry is below 2**31 in absolute value, and on
+    Python ints (dtype `object`) for the rest of the loop once one is not.
+    """
+    A = np.asarray(stack)
+    s, m, n = A.shape
+    # columns outermost, rows innermost: column c of every matrix is the
+    # contiguous (s, m) slice A[c], and the loop runs over the shorter side
+    # (rank(A) = rank(A^T))
+    A = A.transpose(2, 0, 1) if m >= n else A.transpose(1, 0, 2)
+    m, n = max(m, n), min(m, n)
+    A = np.array(A, dtype=object if A.dtype == object else np.int64, order="C")
+    ranks = np.zeros(s, dtype=np.int64)
+    if not (s and m and n):
+        return ranks.tolist()
+    if A.dtype != object and _max_abs(A) >= _RANK_BOUND:
+        A = A.astype(object)
+    work = np.empty_like(A)
+    prev = np.ones(s, dtype=A.dtype)
+    at = np.arange(s)
+    for c in range(n):
+        col = A[c]
+        p = (col != 0).argmax(axis=1)
+        pv = col[at, p]
+        has = pv != 0
+        if not has.any():
+            continue
+        ranks += has
+        pv = np.where(has, pv, prev)
+        rest = A[c + 1 :]
+        tmp = work[c + 1 :]
+        prow = rest[:, at, p]
+        rest *= pv[:, None]
+        np.multiply(prow[:, :, None], col, out=tmp)
+        rest -= tmp
+        rest //= prev[:, None]
+        prev = pv
+        if A.dtype != object and _max_abs(rest) >= _RANK_BOUND:
+            A, work, prev = A.astype(object), work.astype(object), prev.astype(object)
+    return ranks.tolist()
 
 
 def int_hstack(*blocks: Matrix) -> Matrix:

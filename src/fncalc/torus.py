@@ -14,16 +14,26 @@ sweep runs in fraction-free integer elimination.  Blocks are linear in k;
 the fast lane combines the seven unit-frequency templates, and the honest
 lane assembles any mode directly from the exact operators (the two lanes
 are compared in the test suite).
+
+The sweep works on stacks of `_CHUNK` modes at once.  The templates are
+int64 arrays of shape (7, rows, cols); one `np.tensordot` forms a block
+for every mode of the stack, `linalg.int_matmul` forms the regularity
+products L* L, and `linalg.int_ranks` runs one Bareiss elimination over
+the whole stack.  Both integer kernels stay in int64 only behind explicit
+bounds (entries below 2**31 before each elimination step; a product bound
+max|A| * max|B| * inner below 2**62) and otherwise continue on Python
+ints (dtype `object`), so a failed bound costs speed, never exactness.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from . import linalg
 from .bracket import fn_bracket, nijenhuis_lie
@@ -193,32 +203,16 @@ def _unit(j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(N))
 
 
-def _combine(mats, k):
-    """sum_j k_j mats[j] over the integers."""
-    first = mats[0]
-    rows = len(first)
-    cols = len(first[0]) if first else 0
-    out = [[0] * cols for _ in range(rows)]
-    for kj, M in zip(k, mats):
-        if not kj:
-            continue
-        for r in range(rows):
-            row = M[r]
-            orow = out[r]
-            for c in range(cols):
-                x = row[c]
-                if x:
-                    orow[c] += kj * x
-    return out
-
-
 class ModeTemplates:
     """Unit-frequency integer matrices of the sweep operators.
 
     Blocks are linear in the frequency with purely imaginary integer
     entries: block(k)/i = sum_j k_j T_j with T_j the stripped block at the
-    j-th unit frequency.  Maps are keyed by their domain degree; the
-    parallel-form differential maps degree m to m+3.
+    j-th unit frequency.  Each operator is stored as one int64 array of
+    shape (7, rows, cols), so the blocks of a whole stack of modes K (an
+    (s, 7) array) are the single contraction `np.tensordot(K, T, 1)`.  Maps
+    are keyed by their domain degree; the parallel-form differential maps
+    degree m to m+3.
     """
 
     def __init__(self, psi: DifferentialForm | None = None):
@@ -227,30 +221,32 @@ class ModeTemplates:
             raise ValueError("mode templates need a constant 4-form on the 7-torus")
         self.psi = psi
         psi_hat = contract_metric(psi)
-        self.L: dict[int, list] = {}       # Lambda^m -> Lambda^{m+3}
-        self.Lstar: dict[int, list] = {}   # Lambda^m -> Lambda^{m-3}
-        self.d: dict[int, list] = {}       # Lambda^m -> Lambda^{m+1}
-        self.dstar: dict[int, list] = {}   # Lambda^m -> Lambda^{m-1}
+
+        def templates(deg_in, deg_out, op):
+            return np.array(
+                [_strip_i(mode_matrix(_unit(j), deg_in, deg_out, op)) for j in range(N)],
+                dtype=np.int64,
+            )
+
+        self.L: dict[int, np.ndarray] = {}       # Lambda^m -> Lambda^{m+3}
+        self.Lstar: dict[int, np.ndarray] = {}   # Lambda^m -> Lambda^{m-3}
+        self.d: dict[int, np.ndarray] = {}       # Lambda^m -> Lambda^{m+1}
+        self.dstar: dict[int, np.ndarray] = {}   # Lambda^m -> Lambda^{m-1}
         for m in range(0, N + 1):
             if m + STEP <= N:
-                self.L[m] = [
-                    _strip_i(mode_matrix(_unit(j), m, m + STEP, lambda a: nijenhuis_lie(psi_hat, a)))
-                    for j in range(N)
-                ]
+                self.L[m] = templates(m, m + STEP, lambda a: nijenhuis_lie(psi_hat, a))
             if m - STEP >= 0:
-                self.Lstar[m] = [
-                    _strip_i(mode_matrix(_unit(j), m, m - STEP, lambda a: formal_adjoint_op(psi_hat, a)))
-                    for j in range(N)
-                ]
+                self.Lstar[m] = templates(m, m - STEP, lambda a: formal_adjoint_op(psi_hat, a))
             if m < N:
-                self.d[m] = [
-                    _strip_i(mode_matrix(_unit(j), m, m + 1, ext_deriv)) for j in range(N)
-                ]
+                self.d[m] = templates(m, m + 1, ext_deriv)
             if m > 0:
-                self.dstar[m] = [
-                    _strip_i(mode_matrix(_unit(j), m, m - 1, codifferential)) for j in range(N)
-                ]
-        self.ad = [_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)]
+                self.dstar[m] = templates(m, m - 1, codifferential)
+        self.ad = np.array(
+            [_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)], dtype=np.int64
+        )
+        # every block entry at k is at most N * max|k_j| * entry_bound
+        tables = (*self.L.values(), *self.Lstar.values(), *self.d.values(), *self.dstar.values())
+        self._entry_bound = max(int(np.abs(T).max()) for T in (*tables, self.ad))
         self.adjoint_templates_ok = self._check_adjoint_templates()
         if not self.adjoint_templates_ok:
             raise AssertionError("printed adjoint sign contradicts per-mode adjointness")
@@ -279,33 +275,27 @@ class ModeTemplates:
     def _check_adjoint_templates(self) -> bool:
         """Per-mode adjointness of the stripped blocks: L*(k) = -L(k)^T and
         d*(k) = -d(k)^T; linearity in k reduces this to the unit modes."""
-        for m, mats in self.L.items():
-            for j in range(N):
-                A = mats[j]
-                B = self.Lstar[m + STEP][j]
-                for r in range(len(A)):
-                    for c in range(len(A[0]) if A else 0):
-                        if B[c][r] != -A[r][c]:
-                            return False
-        for m, mats in self.d.items():
-            for j in range(N):
-                A = mats[j]
-                B = self.dstar[m + 1][j]
-                for r in range(len(A)):
-                    for c in range(len(A[0]) if A else 0):
-                        if B[c][r] != -A[r][c]:
-                            return False
-        return True
+        return all(
+            np.array_equal(down[m + shift], -T.swapaxes(1, 2))
+            for up, down, shift in ((self.L, self.Lstar, STEP), (self.d, self.dstar, 1))
+            for m, T in up.items()
+        )
+
+    def frequencies(self, modes) -> np.ndarray:
+        """The modes as the rows of an (s, 7) integer array: int64 when
+        every block entry at every mode fits in it, Python ints (dtype
+        `object`) otherwise."""
+        K = np.array([tuple(k) for k in modes], dtype=object).reshape(len(modes), N)
+        if max(map(abs, K.flat), default=0) * N * self._entry_bound < 2**62:
+            K = K.astype(np.int64)
+        return K
 
     def block(self, kind: str, m: int, k) -> list[list[int]]:
         """Stripped integer block of the domain-degree-m operator at k."""
         table = getattr(self, kind)
         if m not in table:
             return []
-        return _combine(table[m], tuple(k))
-
-    def ad_block(self, k) -> list[list[int]]:
-        return _combine(self.ad, tuple(k))
+        return np.tensordot(self.frequencies([k])[0], table[m], 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -417,31 +407,22 @@ class ModeCalculus:
         the symmetrized unit-mode products cancel for every pair (a, b)."""
         tpl = self.templates
 
-        def sym(left, right, a, b):
-            P = linalg.int_matmul(left[a], right[b])
-            if a == b:
-                return P
-            Q = linalg.int_matmul(left[b], right[a])
-            return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(P, Q)]
-
-        def neg(A, B):
-            return all(x == -y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+        def sym(left, right, a):
+            # left[a] right[b] + left[b] right[a] for every b, one stack
+            return linalg.int_matmul([left[a]], list(right)) + linalg.int_matmul(
+                list(left), [right[a]]
+            )
 
         for m in range(0, N + 1):
             for a in range(N):
-                for b in range(a, N):
-                    if m + 1 in tpl.L and m + STEP + 1 <= N and m in tpl.L:
-                        if not neg(
-                            sym(tpl.L[m + 1], tpl.d[m], a, b),
-                            sym(tpl.d[m + STEP], tpl.L[m], a, b),
-                        ):
-                            return False
-                    if m - 1 in tpl.L and m >= 1 and m in tpl.L:
-                        if not neg(
-                            sym(tpl.L[m - 1], tpl.dstar[m], a, b),
-                            sym(tpl.dstar[m + STEP], tpl.L[m], a, b),
-                        ):
-                            return False
+                if m + 1 in tpl.L and m + STEP + 1 <= N and m in tpl.L:
+                    if (sym(tpl.L[m + 1], tpl.d[m], a) + sym(tpl.d[m + STEP], tpl.L[m], a)).any():
+                        return False
+                if m - 1 in tpl.L and m >= 1 and m in tpl.L:
+                    if (
+                        sym(tpl.L[m - 1], tpl.dstar[m], a) + sym(tpl.dstar[m + STEP], tpl.L[m], a)
+                    ).any():
+                        return False
         return True
 
     def one_form_kernel_check(self, k) -> bool:
@@ -549,66 +530,69 @@ class ModeCalculus:
     # -- sweeps ---------------------------------------------------------------
 
     def mode_summary(self, k) -> dict:
-        """All sweep-relevant dimensions at one mode, computing each block
-        and rank once: per degree l, the harmonic and cohomology dimensions
-        and the regularity split; the bracket kernel on vector fields; the
-        L ranks keyed by domain degree; and, at k != 0, the symbol type of
-        L into degrees 3, 4 and 7."""
-        k = tuple(k)
+        """`mode_summaries` of the single mode k."""
+        return self.mode_summaries([k])[0]
+
+    def mode_summaries(self, modes) -> list[dict]:
+        """All sweep-relevant dimensions at each mode of a stack, computing
+        each block and rank once: per degree l, the harmonic and cohomology
+        dimensions and the regularity split; the bracket kernel on vector
+        fields; the L ranks keyed by domain degree; and, at k != 0, the
+        symbol type of L into degrees 3, 4 and 7.  The blocks of the whole
+        stack come from one contraction per operator, and each kind of rank
+        from one stacked elimination."""
+        modes = [tuple(k) for k in modes]
+        if not modes:
+            return []
         tpl = self.templates
+        K = tpl.frequencies(modes)
         dims = [space_dim(N, l) for l in range(N + 1)]
-        L = {m: tpl.block("L", m, k) for m in tpl.L}        # domain degree
-        Ls = {m: tpl.block("Lstar", m, k) for m in tpl.Lstar}
-        rank_L = {m: linalg.int_rank(M) for m, M in L.items()}
-        rank_Ls = {m: linalg.int_rank(M) for m, M in Ls.items()}
-
-        harmonic = []
-        for l in range(N + 1):
-            has_up = l in L
-            has_down = l in Ls
-            if has_up and has_down:
-                r = linalg.int_rank(linalg.int_vstack(L[l], Ls[l]))
-            elif has_up:
-                r = rank_L[l]
-            elif has_down:
-                r = rank_Ls[l]
-            else:
-                r = 0
-            harmonic.append(dims[l] - r)
-
-        cohomology = [
-            dims[l] - rank_L.get(l, 0) - rank_L.get(l - STEP, 0)
+        L = {m: np.tensordot(K, T, 1) for m, T in tpl.L.items()}  # domain degree
+        Ls = {m: np.tensordot(K, T, 1) for m, T in tpl.Lstar.items()}
+        rank_L = {m: linalg.int_ranks(S) for m, S in L.items()}
+        rank_Ls = {m: linalg.int_ranks(S) for m, S in Ls.items()}
+        # harmonic: dim Lambda^l minus the rank of L and L* out of degree l
+        rank_out = [
+            linalg.int_ranks(np.concatenate((L[l], Ls[l]), axis=1))
+            if l in L and l in Ls
+            else rank_L[l] if l in L else rank_Ls[l]
             for l in range(N + 1)
         ]
-
-        # regularity: Lambda^l = ker(L*_l) (+) Im(L_l); an empty domain gives
-        # image 0 and L* = 0.  Im L cap ker L* = 0  iff  rank(L* L) = rank L
-        regular = []
-        for l in range(N + 1):
-            m = l - STEP
-            if m not in L or not L[m] or not L[m][0]:
-                regular.append(True)
-                continue
-            ok = (dims[l] - rank_Ls[l]) + rank_L[m] == dims[l]
-            if ok:
-                prod = linalg.int_matmul(Ls[l], L[m])
-                ok = linalg.int_rank(prod) == rank_L[m]
-            regular.append(ok)
-
-        summary = {
-            "k": list(k),
-            "harmonic": harmonic,
-            "cohomology": cohomology,
-            "regular": regular,
-            "vector_kernel": N - linalg.int_rank(tpl.ad_block(k)),
-            "rank_L": rank_L,
+        # regularity: Lambda^l = ker(L*_l) (+) Im(L_{l-3}); an empty domain
+        # (l < 3) gives image 0 and L* = 0.  Im L cap ker L* = 0 iff
+        # rank(L* L) = rank L.  The factors go to `int_matmul` as lists of
+        # matrices, which perfbench's tracer can size with len().
+        rank_LsL = {
+            l: linalg.int_ranks(linalg.int_matmul(list(Ls[l]), list(L[l - STEP])))
+            for l in Ls
         }
-        if any(k):
-            # injective/surjective type of L into degree l, the principal
-            # symbol of the first-order operator in the direction k
-            for l in (3, 4, 7):
-                summary[f"symbol_{l}"] = _classify(rank_L[l - STEP], dims[l], dims[l - STEP])
-        return summary
+        rank_ad = linalg.int_ranks(np.tensordot(K, tpl.ad, 1))
+
+        summaries = []
+        for i, k in enumerate(modes):
+            ranks = {m: r[i] for m, r in rank_L.items()}
+            regular = [
+                l not in Ls
+                or rank_Ls[l][i] == rank_LsL[l][i] == ranks[l - STEP]
+                for l in range(N + 1)
+            ]
+            summary = {
+                "k": list(k),
+                "harmonic": [dims[l] - rank_out[l][i] for l in range(N + 1)],
+                "cohomology": [
+                    dims[l] - ranks.get(l, 0) - ranks.get(l - STEP, 0) for l in range(N + 1)
+                ],
+                "regular": regular,
+                "vector_kernel": N - rank_ad[i],
+                "rank_L": ranks,
+            }
+            if any(k):
+                # injective/surjective type of L into degree l, the principal
+                # symbol of the first-order operator in the direction k
+                for l in (3, 4, 7):
+                    summary[f"symbol_{l}"] = _classify(ranks[l - STEP], dims[l], dims[l - STEP])
+            summaries.append(summary)
+        return summaries
 
     def sweep(self, max_freq: int = 1, jobs: int | None = None) -> list[dict]:
         """Summaries for every mode with |k|_inf <= max_freq, deterministic
@@ -644,29 +628,32 @@ def _intersection_with_image(basis_vectors, block):
 # -- parallel sweep machinery (fork-shared templates) -----------------------
 
 _WORKER_CALC: ModeCalculus | None = None
-_CHUNK = 32  # modes per task sent to a worker
+_CHUNK = 16  # modes per stack, and per task sent to a worker
 
 
-def _worker_summary(k):
-    return _WORKER_CALC.mode_summary(k)
+def _worker_summaries(chunk):
+    return _WORKER_CALC.mode_summaries(chunk)
 
 
 def sweep_modes(calc: ModeCalculus, modes, jobs: int | None = None) -> list[dict]:
-    """`mode_summary` of every mode, in order.  Workers are never more than
-    `jobs` (default: all CPUs), the CPUs, or the chunks of modes to share."""
+    """`mode_summary` of every mode, in order, computed by `mode_summaries`
+    on stacks of `_CHUNK` modes.  Workers are never more than `jobs`
+    (default: all CPUs), the CPUs, or the stacks to share."""
     global _WORKER_CALC
+    modes = list(modes)
+    chunks = [modes[i : i + _CHUNK] for i in range(0, len(modes), _CHUNK)]
     cpus = os.cpu_count() or 1
-    jobs = min(cpus if jobs is None else jobs, cpus, math.ceil(len(modes) / _CHUNK))
+    jobs = min(cpus if jobs is None else jobs, cpus, len(chunks))
     if jobs <= 1:
-        return [calc.mode_summary(k) for k in modes]
+        return [s for chunk in chunks for s in calc.mode_summaries(chunk)]
     _WORKER_CALC = calc
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
-            results = pool.map(_worker_summary, modes, chunksize=_CHUNK)
+            results = pool.map(_worker_summaries, chunks, chunksize=1)
     finally:
         _WORKER_CALC = None
-    return results
+    return [s for part in results for s in part]
 
 
 @lru_cache(maxsize=2)

@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from fncalc import torus
+from fncalc import cli, torus
 from fncalc.cli import main
 from fncalc.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -138,6 +138,42 @@ def test_negative_max_freq_is_a_usage_error(capsys):
     assert err.strip().splitlines() == ["fncalc: error: --max-freq must be >= 0, got -1"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("torus-cohomology", "--degree", "9"), "argument --degree: invalid choice: "),
+        ((), "the following arguments are required: suite"),
+    ],
+)
+def test_argparse_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"fncalc: error: {message}")
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["torus-cohomology", "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: fncalc torus-cohomology") and "--max-freq" in out
+
+
+@pytest.mark.parametrize("suite", ["torus-cohomology", "symbol-check"])
+@pytest.mark.parametrize("max_freq", ["3", "1000000000"])
+def test_max_freq_above_two_is_rejected_before_the_sweep(monkeypatch, capsys, suite, max_freq):
+    def no_run(config):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    code, out, err = run_cli(capsys, suite, "--max-freq", max_freq)
+    assert code == 2 and not out
+    assert err.splitlines() == [f"fncalc: error: --max-freq must be <= 2, got {max_freq}"]
+
+
 def test_torus_psi_must_be_a_constant_four_form(capsys):
     for psi in ("toroidal:7:e{1,2}", "affine:7:e{1,2,3,4}"):
         code, out, err = run_cli(capsys, "torus-cohomology", "--psi", psi, "--max-freq", "0")
@@ -171,22 +207,24 @@ class _RecordingPool:
 
 
 class _EchoCalculus:
-    def mode_summary(self, k):
-        return k
+    def mode_summaries(self, chunk):
+        return list(chunk)
 
 
 @pytest.mark.parametrize(
     "jobs, cpus, n_modes, expected",
-    [
+    [  # pool sizes for stacks of _CHUNK = 16 modes: ceil(n_modes / 16) stacks
         (10**6, 4, 2187, [4]),  # capped by the CPUs
-        (10**6, 64, 65, [3]),  # capped by the chunks of 32 modes
+        (10**6, 64, 65, [5]),  # capped by the 5 stacks
         (3, 64, 2187, [3]),  # the request itself
         (None, 2, 2187, [2]),  # default: all CPUs
-        (8, 8, 32, []),  # one chunk runs in-process
+        (8, 8, 32, [2]),  # capped by the 2 stacks
         (1, 8, 2187, []),
+        (8, 8, 16, []),  # one stack runs in-process
     ],
 )
 def test_sweep_workers_are_clamped(monkeypatch, jobs, cpus, n_modes, expected):
+    assert torus._CHUNK == 16
     sizes = []
     ctx = multiprocessing.get_context("fork")
     monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))

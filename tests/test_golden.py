@@ -3,8 +3,9 @@ configs.  A refactor must leave every report byte-identical; a change that
 means to alter a report updates its hash here and says why.
 
 The unseeded invocations that the benchmark also runs (mc-check, the
-associative-plane classification, and g2-equivariance at its pinned seed)
-carry the same hashes as `perfbench/pins.json`.
+associative-plane classification, g2-equivariance at its pinned seed, and
+the |k|_inf <= 1 torus sweep) carry the same hashes as
+`perfbench/pins.json`.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ GOLDEN = [
     (("linfty-jacobi", "--samples", "40", "--max-arity", "2"), 0, "6dc6dc8c838dc3468832be34b0af82e04ae69b463f679cc4288144d9a5c04919"),
     (("vdata",), 0, "67591491b8ed991faaca761175152fbe4d2ad095f4b82f7dd9f7352b22fc28cb"),
     (("torus-cohomology", "--max-freq", "0"), 0, "0f7bde43d4a8d3111e7be85d994db917e28387381e131651646d006df98c7d41"),
+    (("torus-cohomology", "--max-freq", "1", "--jobs", "1"), 0, "b897141c631f82803554c4718f0619631472fc4df7c6eab4c5e57f646fc79858"),
     (("torus-cohomology", "--degree", "0", "--max-freq", "0"), 0, "e05bbd72580fc278f50063c8002d349f05aac364b3e4d5375088e1eacf93c699"),
     (("torus-cohomology", "--degree", "1", "--max-freq", "0"), 0, "5a079b33d0d8d9ade7f2204117ccd84210613623c7e1fcb98553d6c218680d34"),
     (("torus-cohomology", "--degree", "2", "--max-freq", "0"), 0, "b6ec51b79d129151726566e2d117e677c9e4caef66d9750a2321a71d9f295886"),

@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from fncalc import linalg
 from fncalc.scalars import GaussianRational
 
@@ -96,3 +100,107 @@ def test_empty_shapes():
     assert linalg.int_rank([[]]) == 0
     assert linalg.rank([]) == 0
     assert linalg.int_nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+
+
+# -- stacked kernels against the per-matrix lane ------------------------------
+
+
+def py_matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@st.composite
+def int_stacks(draw, entries=st.integers(-4, 4)):
+    """Up to 6 matrices of one shape, at most 8x8."""
+    s, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    flat = draw(st.lists(entries, min_size=s * m * n, max_size=s * m * n))
+    return [[flat[(i * m + r) * n : (i * m + r + 1) * n] for r in range(m)] for i in range(s)]
+
+
+@st.composite
+def deficient_stacks(draw):
+    """Products U V with an inner dimension below both sides: rank-deficient."""
+    s, m, n = draw(st.integers(1, 6)), draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    r = draw(st.integers(1, min(m, n) - 1))
+    entries = st.integers(-3, 3)
+    stack = []
+    for _ in range(s):
+        U = [draw(st.lists(entries, min_size=r, max_size=r)) for _ in range(m)]
+        V = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(r)]
+        stack.append(py_matmul(U, V))
+    return stack
+
+
+def ranks_with_guard_record(stack):
+    """int_ranks of the stack, and every |entry| bound its guard read."""
+    seen = []
+    original = linalg._max_abs
+
+    def spy(X):
+        seen.append(original(X))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_max_abs", spy)
+        ranks = linalg.int_ranks(np.array(stack))
+    return ranks, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(int_stacks(), deficient_stacks()))
+def test_stacked_ranks_match_bareiss(stack):
+    assert linalg.int_ranks(np.array(stack)) == [linalg.int_rank(M) for M in stack]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_stacks(st.integers(-4, 4).map(lambda x: x * 2**40 + x)))
+def test_stacked_ranks_near_2_40_take_the_object_lane(stack):
+    ranks, seen = ranks_with_guard_record(stack)
+    assert ranks == [linalg.int_rank(M) for M in stack]
+    if any(any(row) for M in stack for row in M):
+        assert seen[0] >= linalg._RANK_BOUND  # the first check moves to Python ints
+
+
+def test_stacked_ranks_leave_int64_mid_elimination():
+    # entries start below 2**31; the first step makes 2**40 - 1
+    stack = [[[2**20, 1, 0], [1, 2**20, 1], [0, 1, 2**20]], [[2**20, 2**20, 1]] * 3]
+    ranks, seen = ranks_with_guard_record(stack)
+    assert ranks == [linalg.int_rank(M) for M in stack] == [3, 1]
+    assert seen[0] < linalg._RANK_BOUND <= max(seen)
+
+
+def test_stacked_ranks_of_empty_shapes():
+    assert linalg.int_ranks(np.zeros((3, 0, 4), dtype=np.int64)) == [0, 0, 0]
+    assert linalg.int_ranks(np.zeros((0, 5, 4), dtype=np.int64)) == []
+    assert linalg.int_ranks(np.zeros((2, 4, 5), dtype=np.int64)) == [0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_stacks(st.integers(-(2**40), 2**40)), st.integers(1, 8), st.data())
+def test_stacked_products_match_python_ints(stack, p, data):
+    n = len(stack[0][0])
+    right = data.draw(
+        st.lists(
+            st.lists(st.lists(st.integers(-(2**40), 2**40), min_size=p, max_size=p), min_size=n, max_size=n),
+            min_size=len(stack),
+            max_size=len(stack),
+        )
+    )
+    P = linalg.int_matmul(stack, right)
+    assert P.tolist() == [py_matmul(A, B) for A, B in zip(stack, right)]
+
+
+@pytest.mark.parametrize(
+    "a, b, dtype",
+    [
+        (2**31, 2**30, object),  # max|A| max|B| inner = 2**62: the guard moves to Python ints
+        (2**31 - 1, 2**30, np.int64),  # just below the bound
+        (2**40, 2**40, object),  # far past it, where int64 would wrap
+    ],
+)
+def test_int_matmul_guard_boundary(a, b, dtype):
+    A = [[a, -a], [a, a]]
+    B = [[b, b], [b, -b]]
+    P = linalg.int_matmul([A], [B])
+    assert P.dtype == dtype
+    assert P[0].tolist() == py_matmul(A, B)

@@ -1,6 +1,8 @@
 """Per-mode blocks and dimension bookkeeping on the 7-torus."""
 
+import multiprocessing
 import random
+from itertools import product
 
 import pytest
 
@@ -188,6 +190,15 @@ class TestDimensions:
             k = random_mode(rng, 2)
             assert CALC.mode_summary(k) == honest_summary(k), k
 
+    def test_large_frequencies_stay_exact(self):
+        # blocks are homogeneous in k, so every rank at c*k equals the rank
+        # at k: c = 2**40 trips the int64 guards of the rank and the
+        # product, and c = 2**61 forms the blocks on Python ints
+        k = (1, -1, 0, 1, 0, 0, 1)
+        base = CALC.mode_summary(k)
+        for c in (2**40, 2**61):
+            assert {**CALC.mode_summary(tuple(c * x for x in k)), "k": base["k"]} == base
+
     def test_duality_and_conjugation_symmetry(self):
         rng = random.Random(5)
         for _ in range(5):
@@ -339,7 +350,18 @@ class TestRealComplexBookkeeping:
                 assert h[l] + h_minus[l] == 2 * h[l]
 
 
-def test_small_sweep_serial_equals_parallel():
-    modes = [K0, K1, (0, 1, 0, 0, 0, 0, -1)]
+def test_small_sweep_serial_equals_parallel(monkeypatch):
+    # 40 shuffled modes span three stacks; the serial stacked sweep, a fork
+    # pool of two workers and one-mode summaries give equal rows, in order
+    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 40)
+    assert len(modes) > 2 * torus._CHUNK
+    sizes = []
+    ctx = multiprocessing.get_context("fork")
+    real_pool = ctx.Pool
+    monkeypatch.setattr(ctx, "Pool", lambda processes: sizes.append(processes) or real_pool(processes))
+    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
     serial = torus.sweep_modes(CALC, modes, jobs=1)
+    parallel = torus.sweep_modes(CALC, modes, jobs=2)
+    assert sizes == [2]
+    assert serial == parallel == [CALC.mode_summary(k) for k in modes]
     assert [s["k"] for s in serial] == [list(k) for k in modes]
