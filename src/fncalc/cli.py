@@ -2,7 +2,8 @@
 
 Reports are deterministic: identical configurations give byte-identical
 JSON on stdout (wall-clock timing goes to stderr only).  Exit status is 0
-exactly when every check passes.
+exactly when every check passes and 1 when a check fails; malformed input
+exits 2 and an internal error 3, each with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -115,9 +116,13 @@ def main(argv: list[str] | None = None) -> int:
         started = time.monotonic()
         report = run_suite(config)
         elapsed = time.monotonic() - started
-    except (SuiteError, FormSyntaxError, ValueError) as exc:
+    except (SuiteError, FormSyntaxError) as exc:
         print(f"fncalc: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a broken invariant, never a usage error
+        message = " ".join(str(exc).split())
+        print(f"fncalc: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     if config.fmt == "json":
         print(report.to_json())
     else:

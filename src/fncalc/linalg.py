@@ -6,7 +6,7 @@ elimination over plain integers (used by the per-mode torus sweep, whose
 matrices are integral after a global unit factor is stripped).
 
 The integer lane has a per-matrix form on lists of Python ints
-(`int_row_echelon`, `int_rank`, `int_nullspace`) and a stacked form on
+(`int_row_echelon`, `int_rank`) and a stacked form on
 numpy arrays (`int_ranks`, `int_matmul`) that works on many matrices at
 once.  The stacked kernels run in int64 behind explicit bounds and switch
 to Python-int (`object`) arrays when a bound fails, so both forms are
@@ -202,45 +202,6 @@ def int_row_echelon(M: Matrix) -> tuple[Matrix, list[int]]:
     return rows[:r], pivots
 
 
-def int_nullspace(M: Matrix) -> list[list[int]]:
-    """Integer-scaled basis of the right kernel of an integer matrix."""
-    from fractions import Fraction
-    from math import gcd
-
-    m, n = len(M), len(M[0]) if M else 0
-    if n == 0:
-        return []
-    if m == 0 or all(not any(row) for row in M):
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    ech, pivots = int_row_echelon(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        # back substitution over the echelon rows
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            acc = Fraction(0)
-            row = ech[r]
-            for c in range(pc + 1, n):
-                if row[c] and vec[c]:
-                    acc += Fraction(row[c]) * vec[c]
-            vec[pc] = -acc / row[pc]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        basis.append(ints)
-    return basis
-
-
 def _max_abs(X: np.ndarray) -> int:
     """Largest absolute entry of an integer array, as a Python int."""
     return max(-int(X.min()), int(X.max())) if X.size else 0
@@ -309,17 +270,6 @@ def int_ranks(stack) -> list[int]:
         if A.dtype != object and _max_abs(rest) >= _RANK_BOUND:
             A, work, prev = A.astype(object), work.astype(object), prev.astype(object)
     return ranks.tolist()
-
-
-def int_hstack(*blocks: Matrix) -> Matrix:
-    rows = len(blocks[0])
-    out = []
-    for i in range(rows):
-        row: list[int] = []
-        for B in blocks:
-            row.extend(B[i])
-        out.append(row)
-    return out
 
 
 def int_vstack(*blocks: Matrix) -> Matrix:

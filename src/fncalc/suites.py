@@ -228,8 +228,11 @@ def named_psi(name: str) -> DifferentialForm:
     if name == "spin7":
         return g2.spin7_form()
     if ":" in name:
-        flavor, dim, text = name.split(":", 2)
-        space = ModelSpace(int(dim), flavor)
+        try:
+            flavor, dim, text = name.split(":", 2)
+            space = ModelSpace(int(dim), flavor)
+        except ValueError as exc:
+            raise SuiteError(f"bad psi {name!r}: {exc}") from exc
         return parse_form(text, space)
     raise SuiteError(
         f"unknown psi {name!r}; use star-phi, kahler, kahler-r6, kahler-squared,"
@@ -239,6 +242,8 @@ def named_psi(name: str) -> DifferentialForm:
 
 def _suite_mc(config: SuiteConfig, report: SuiteReport) -> None:
     psi = named_psi(config.psi)
+    if psi.degree % 2 or psi.degree < 2:
+        raise SuiteError(f"Maurer-Cartan check needs even degree >= 2, got {psi.degree}")
     result = mc_check(psi)
     witness = serialize_vvform(result.witness) if result.witness else None
     report.add(f"maurer-cartan[{config.psi}]", result.holds, witness)
@@ -344,7 +349,10 @@ def _suite_g2_equivariance(config: SuiteConfig, report: SuiteReport) -> None:
 def _torus_calculus(psi_name: str) -> torus.ModeCalculus:
     if psi_name in ("star-phi", "star-phi-t7"):
         return torus.default_calculus()
-    return torus.ModeCalculus(named_psi(psi_name))
+    psi = named_psi(psi_name)
+    if psi.space != torus.T7 or psi.degree != torus.STEP + 1 or not psi.is_constant():
+        raise SuiteError("mode templates need a constant 4-form on the 7-torus")
+    return torus.ModeCalculus(psi)
 
 
 def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
@@ -374,18 +382,15 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     report.add(
         "linear-anticommutation-identities", calc.anticommutation_linear_check()
     )
-    modes_payload = []
-    for r in rows:
-        entry = {"k": r["k"]}
-        if config.degree is None:
-            entry["harmonic"] = r["harmonic"]
-            entry["cohomology"] = r["cohomology"]
-        else:
-            l = config.degree
-            rep = calc.decomposition_report(r, l)
-            entry["degree"] = l
-            entry["dims"] = rep.dims_dict()
-        modes_payload.append(entry)
+    if config.degree is None:
+        modes_payload = [
+            {"k": r["k"], "harmonic": r["harmonic"], "cohomology": r["cohomology"]} for r in rows
+        ]
+    else:
+        modes_payload = [
+            {"k": r["k"], "degree": config.degree, "dims": rep.dims_dict()}
+            for r, rep in zip(rows, calc.decomposition_reports(rows, config.degree))
+        ]
     report.extras["psi"] = config.psi
     report.extras["max_freq"] = config.max_freq
     report.extras["modes"] = modes_payload
@@ -422,7 +427,10 @@ def _suite_symbol_check(config: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _plane_model(config: SuiteConfig) -> linfty.FlatAssociativeModel:
-    return linfty.FlatAssociativeModel.from_plane(config.plane)
+    try:
+        return linfty.FlatAssociativeModel.from_plane(config.plane)
+    except ValueError as exc:
+        raise SuiteError(str(exc)) from exc
 
 
 def _linfty_samples(model, rng: Random, count: int, degrees=(0, 0, 0, 1, 2)):

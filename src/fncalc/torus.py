@@ -23,6 +23,12 @@ the whole stack.  Both integer kernels stay in int64 only behind explicit
 bounds (entries below 2**31 before each elimination step; a product bound
 max|A| * max|B| * inner below 2**62) and otherwise continue on Python
 ints (dtype `object`), so a failed bound costs speed, never exactness.
+
+The split of the harmonic space at degree l into its exact and coexact
+parts needs no kernel basis: for the harmonic stack S = [L_l ; L*_l] and
+a block D, dim(ker S cap Im D) = rank D - rank(S D).  So each part is two
+ranks, of a block and of a product, and they stack over modes the same
+way the sweep's ranks do.
 """
 
 from __future__ import annotations
@@ -458,74 +464,69 @@ class ModeCalculus:
         return r_lhs == r_rhs == r_both
 
     def decomposition_report(self, summary: dict, l: int) -> ModeCohomologyReport:
-        """Split the harmonic space at degree l of the mode of `summary` (a
-        `mode_summary` row, which supplies the L ranks) into its
-        Laplacian-harmonic, exact, and coexact parts, with the bookkeeping
-        checks."""
-        k = tuple(summary["k"])
-        rank_L = summary["rank_L"]
-        harmonic_basis = self._harmonic_basis(k, l)
-        h = len(harmonic_basis)
-        in_rank = rank_L.get(l - STEP, 0)
-        ker = space_dim(N, l) - rank_L.get(l, 0)
-        coh = ker - in_rank
-        if any(k):
-            harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
-            d_part = _intersection_with_image(
-                harmonic_basis, self.templates.block("d", l - 1, k)
-            )
-            dstar_part = _intersection_with_image(
-                harmonic_basis, self.templates.block("dstar", l + 1, k)
-            )
-        else:
-            harmonic_forms = h
-            d_part = 0
-            dstar_part = 0
-        split_ok = harmonic_forms + d_part + dstar_part == h
-        if any(k) and l + 1 <= N:
-            up_basis = self._harmonic_basis(k, l + 1)
-            up_d_part = _intersection_with_image(
-                up_basis, self.templates.block("d", l, k)
-            )
-            d_iso_ok = up_d_part == dstar_part
-        else:
-            d_iso_ok = True
-        return ModeCohomologyReport(
-            frequency=k,
-            degree=l,
-            kernel_dim=ker,
-            image_dim=in_rank,
-            harmonic_dim=h,
-            cohomology_dim=coh,
-            harmonic_form_part=harmonic_forms,
-            d_part=d_part,
-            dstar_part=dstar_part,
-            split_consistent=split_ok,
-            d_iso_ok=d_iso_ok,
-        )
+        """`decomposition_reports` of the single row `summary`."""
+        return self.decomposition_reports([summary], l)[0]
 
-    # -- internals ------------------------------------------------------------
+    def decomposition_reports(self, summaries, l: int) -> list[ModeCohomologyReport]:
+        """Split the harmonic space at degree l of the mode of each row of
+        `summaries` (`mode_summary` rows, which supply the harmonic
+        dimension and the L ranks) into its Laplacian-harmonic, exact, and
+        coexact parts, with the bookkeeping checks.
 
-    def _harmonic_stack(self, k, l: int):
-        blocks = []
-        up = self.templates.block("L", l, k)
-        if up:
-            blocks.append(up)
-        down = self.templates.block("Lstar", l, k)
-        if down:
-            blocks.append(down)
-        if not blocks:
-            return []
-        if len(blocks) == 1:
-            return blocks[0]
-        return linalg.int_vstack(*blocks)
-
-    def _harmonic_basis(self, k, l: int):
-        dim = space_dim(N, l)
-        S = self._harmonic_stack(k, l)
-        if not S:
-            return [[1 if j == i else 0 for j in range(dim)] for i in range(dim)]
-        return linalg.int_nullspace(S)
+        For the harmonic stack S_j = [L_j ; L*_j] and a block D into degree
+        j, dim(ker S_j cap Im D) = rank D - rank(S_j D).  The exact part
+        takes D = d_{l-1} and the coexact part D = d*_{l+1} (with j = l);
+        the d-isomorphism check compares the coexact part with D = d_l at
+        j = l + 1.  Per stack of `_CHUNK` modes each block comes from one
+        contraction, each product from one `int_matmul`, and each kind of
+        rank from one stacked elimination."""
+        tpl = self.templates
+        summaries = list(summaries)
+        reports = []
+        for i in range(0, len(summaries), _CHUNK):
+            rows = summaries[i : i + _CHUNK]
+            K = tpl.frequencies([r["k"] for r in rows])
+            S = {
+                j: np.concatenate(
+                    [np.tensordot(K, T[j], 1) for T in (tpl.L, tpl.Lstar) if j in T], axis=1
+                )
+                for j in (l, l + 1)
+                if j <= N
+            }
+            parts = []  # d_part, dstar_part, up_d_part at each mode
+            for j, table, m in ((l, tpl.d, l - 1), (l, tpl.dstar, l + 1), (l + 1, tpl.d, l)):
+                if m not in table:
+                    parts.append([0] * len(rows))
+                    continue
+                D = np.tensordot(K, table[m], 1)
+                SD = linalg.int_matmul(list(S[j]), list(D))
+                parts.append([a - b for a, b in zip(linalg.int_ranks(D), linalg.int_ranks(SD))])
+            for r, d_part, dstar_part, up_d_part in zip(rows, *parts):
+                k = tuple(r["k"])
+                h = r["harmonic"][l]
+                in_rank = r["rank_L"].get(l - STEP, 0)
+                ker = space_dim(N, l) - r["rank_L"].get(l, 0)
+                if any(k):
+                    harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
+                    d_iso_ok = up_d_part == dstar_part
+                else:
+                    harmonic_forms, d_part, dstar_part, d_iso_ok = h, 0, 0, True
+                reports.append(
+                    ModeCohomologyReport(
+                        frequency=k,
+                        degree=l,
+                        kernel_dim=ker,
+                        image_dim=in_rank,
+                        harmonic_dim=h,
+                        cohomology_dim=ker - in_rank,
+                        harmonic_form_part=harmonic_forms,
+                        d_part=d_part,
+                        dstar_part=dstar_part,
+                        split_consistent=harmonic_forms + d_part + dstar_part == h,
+                        d_iso_ok=d_iso_ok,
+                    )
+                )
+        return reports
 
     # -- sweeps ---------------------------------------------------------------
 
@@ -611,18 +612,6 @@ def _classify(r: int, rows: int, cols: int) -> str:
     if surj:
         return "surjective"
     return "neither"
-
-
-def _intersection_with_image(basis_vectors, block):
-    """dim( span(basis) cap column-space(block) ) over the rationals."""
-    if not basis_vectors:
-        return 0
-    if not block or not block[0] or not any(any(r) for r in block):
-        return 0
-    A = [[v[i] for v in basis_vectors] for i in range(len(basis_vectors[0]))]
-    rank_b = linalg.int_rank(block)
-    joined = linalg.int_hstack(A, block)
-    return len(basis_vectors) + rank_b - linalg.int_rank(joined)
 
 
 # -- parallel sweep machinery (fork-shared templates) -----------------------

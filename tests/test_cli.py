@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from fncalc import cli, torus
+from fncalc import cli, linalg, torus
 from fncalc.cli import main
 from fncalc.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -181,6 +181,69 @@ def test_torus_psi_must_be_a_constant_four_form(capsys):
         assert err.strip().splitlines() == [
             "fncalc: error: mode templates need a constant 4-form on the 7-torus"
         ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("mc-check", "--psi", "affine:2:1"), "Maurer-Cartan check needs even degree >= 2, got 0"),
+        (("mc-check", "--psi", "affine:2"), "bad psi 'affine:2': "),
+        (("mc-check", "--psi", "foo:2:e{1}"), "bad psi 'foo:2:e{1}': unknown flavor 'foo'"),
+        (("mc-check", "--psi", "affine:0:e{1}"), "bad psi 'affine:0:e{1}': "),
+        (("linfty", "--plane", "1,1,2"), "plane and normal frame must partition 1..7"),
+        (("vdata", "--plane", "1,2,3,4"), "the plane is spanned by three basis directions"),
+    ],
+)
+def test_malformed_inputs_exit_two_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"fncalc: error: {message}")
+
+
+def _inconsistent_reports(self, summaries, l):
+    # kernel 1, image 0, cohomology 0
+    return [
+        torus.ModeCohomologyReport(tuple(s["k"]), l, 1, 0, 0, 0, 0, 0, 0, True, True)
+        for s in summaries
+    ]
+
+
+def _no_adjointness(self):
+    return False
+
+
+def _mismatched_matmul(A, B, real=linalg.int_matmul):
+    return real(A, A)
+
+
+@pytest.mark.parametrize(
+    "target, name, stub, argv, line",
+    [
+        (
+            torus.ModeCalculus, "decomposition_reports", _inconsistent_reports,
+            ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1"),
+            "fncalc: internal error: ValueError: cohomology must equal kernel minus image",
+        ),
+        (
+            torus.ModeTemplates, "_check_adjoint_templates", _no_adjointness,
+            ("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4}", "--max-freq", "0"),
+            "fncalc: internal error: AssertionError: printed adjoint sign contradicts"
+            " per-mode adjointness",
+        ),
+        (
+            linalg, "int_matmul", _mismatched_matmul,
+            ("symbol-check", "--max-freq", "0", "--jobs", "1"),
+            "fncalc: internal error: ValueError: shape mismatch (1, 1, 35) @ (1, 1, 35)",
+        ),
+    ],
+)
+def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, name, stub, argv, line):
+    # a broken invariant is neither a failed check (1) nor malformed input (2)
+    monkeypatch.setattr(target, name, stub)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert err.splitlines() == [line]
 
 
 def test_run_suite_leaves_the_callers_config_alone():

@@ -4,8 +4,8 @@ means to alter a report updates its hash here and says why.
 
 The unseeded invocations that the benchmark also runs (mc-check, the
 associative-plane classification, g2-equivariance at its pinned seed, and
-the |k|_inf <= 1 torus sweep) carry the same hashes as
-`perfbench/pins.json`.
+the |k|_inf <= 1 torus sweep and its degree-2 split) carry the same hashes
+as `perfbench/pins.json`.
 """
 
 import hashlib
@@ -39,6 +39,8 @@ GOLDEN = [
     (("torus-cohomology", "--degree", "5", "--max-freq", "0"), 0, "432c6ab06646c5c9f38fb39d65af1d585a7a58a6ed8233b9a16a0ce75eac2aa8"),
     (("torus-cohomology", "--degree", "6", "--max-freq", "0"), 0, "09fa5e15e62f2334d6d757ae4f117a11dd8691ca3577d0e6548662dd44637fc3"),
     (("torus-cohomology", "--degree", "7", "--max-freq", "0"), 0, "8a9346f145534c6d8e9f0e140588ca7c1530f8019e9267ffbfd632c2c0013b01"),
+    (("torus-cohomology", "--degree", "2", "--max-freq", "1", "--jobs", "2"), 0, "3ebb6189033ac8ff83c7f82276856d776c27142bd03f71561c5bfb969d7ab21c"),
+    (("torus-cohomology", "--degree", "4", "--max-freq", "1", "--jobs", "2"), 0, "8b50dedacb4ea8b90f26d5f8cf9af8fc1458767d5a0cec305dc8707856cc15f1"),
     (("symbol-check", "--max-freq", "1", "--jobs", "2"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
 ]
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -155,6 +156,39 @@ def honest_summary(k):
     return out
 
 
+def image_in_span(basis, D):
+    """dim(span(basis) cap Im D) in the field lane: dim span(basis) +
+    rank D - rank [basis | D]."""
+    if not basis or not D:
+        return 0
+    B = linalg.columns_from_vectors(basis)
+    return len(basis) + linalg.rank(D) - linalg.rank([b + d for b, d in zip(B, D)])
+
+
+def honest_decomposition(k):
+    """decomposition_report's split at every degree, recomputed from
+    directly assembled exact blocks: kernel bases of the harmonic stacks by
+    field-lane elimination, intersected with the images of d and d*."""
+    blocks = [CALC.block(k, m) for m in range(8)]
+    bases = [  # ker [L out of degree m ; L* out of degree m]
+        linalg.nullspace(
+            (blocks[m + 3].L if m + 3 <= 7 else []) + (blocks[m].Lstar if m >= 3 else [])
+        )
+        for m in range(8)
+    ]
+    out = []
+    for l in range(8):
+        dstar_part = image_in_span(bases[l], blocks[l + 1].dstar) if l <= 6 else 0
+        up_d_part = image_in_span(bases[l + 1], blocks[l].d) if l <= 6 else 0
+        out.append({
+            "harmonic_dim": len(bases[l]),
+            "d_part": image_in_span(bases[l], blocks[l - 1].d) if l >= 1 else 0,
+            "dstar_part": dstar_part,
+            "d_iso_ok": up_d_part == dstar_part,
+        })
+    return out
+
+
 class TestDimensions:
     def test_zero_mode_harmonics_are_all_constants(self):
         s = CALC.mode_summary(K0)
@@ -210,19 +244,18 @@ class TestDimensions:
 
     def test_regularity_direct_subspace_route(self):
         # cross-check the product-rank shortcut against an explicit
-        # kernel-basis intersection computation
+        # kernel-basis intersection computation in the field lane
         rng = random.Random(6)
         for _ in range(3):
             k = random_mode(rng)
             regular = CALC.mode_summary(k)["regular"]
             for l in (3, 4, 5, 6, 7):
-                L = CALC.templates.block("L", l - 3, k)
-                Ls = CALC.templates.block("Lstar", l, k)
+                blk = CALC.block(k, l)
                 dim = space_dim(7, l)
-                ker_basis = linalg.int_nullspace(Ls)
+                ker_basis = linalg.nullspace(blk.Lstar)
                 expected = (
-                    len(ker_basis) + linalg.int_rank(L) == dim
-                    and torus._intersection_with_image(ker_basis, L) == 0
+                    len(ker_basis) + linalg.rank(blk.L) == dim
+                    and image_in_span(ker_basis, blk.L) == 0
                 )
                 assert regular[l] == expected
 
@@ -294,6 +327,32 @@ class TestDecomposition:
             for l in (2, 3):
                 rep = CALC.decomposition_report(CALC.mode_summary(k), l)
                 assert rep.split_consistent and rep.d_iso_ok
+
+    def test_stacked_split_matches_honest_lane(self):
+        rng = random.Random(14)
+        modes = [K0] + [torus._unit(j) for j in range(7)]
+        modes += [random_mode(rng, 2) for _ in range(3)]
+        summaries = [CALC.mode_summary(k) for k in modes]
+        honest = [honest_decomposition(k) for k in modes]
+        fields = ("harmonic_dim", "d_part", "dstar_part", "d_iso_ok")
+        # the repeated mixed stack spans two stacks of _CHUNK modes
+        assert len(summaries * 2) > torus._CHUNK
+        for l in range(8):
+            stacked = CALC.decomposition_reports(summaries * 2, l)
+            assert stacked == [CALC.decomposition_report(s, l) for s in summaries * 2]
+            for k, rep, expected in zip(modes, stacked, honest):
+                assert {f: getattr(rep, f) for f in fields} == expected[l], (k, l)
+
+    def test_large_frequency_splits_stay_exact(self):
+        # c = 2**40 trips the guards of the product and the rank, and
+        # c = 2**61 forms the blocks on Python ints
+        k = (1, -1, 0, 1, 0, 0, 1)
+        for l in range(8):
+            base = CALC.decomposition_report(CALC.mode_summary(k), l)
+            for c in (2**40, 2**61):
+                big = tuple(c * x for x in k)
+                rep = CALC.decomposition_report(CALC.mode_summary(big), l)
+                assert replace(rep, frequency=k) == base, (c, l)
 
 
 class TestModeArithmetic:
