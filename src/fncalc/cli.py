@@ -9,6 +9,7 @@ exits 2 and an internal error 3, each with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -83,8 +84,17 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
     if suite == "linfty":
         suite = "vdata" if check == "vdata" else "linfty-jacobi"
     max_freq = getattr(args, "max_freq", 1)
-    if max_freq < 0:
-        raise SuiteError(f"--max-freq must be >= 0, got {max_freq}")
+    max_arity = getattr(args, "max_arity", 3)
+    for flag, value, low in (
+        ("--max-freq", max_freq, 0),
+        ("--samples", args.samples, 0),
+        ("--max-arity", max_arity, 0),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value is not None and value < low:
+            raise SuiteError(f"{flag} must be >= {low}, got {value}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise SuiteError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if max_freq > MAX_FREQ:
         raise SuiteError(f"--max-freq must be <= {MAX_FREQ}, got {max_freq}")
     plane = getattr(args, "plane", "1,2,3")
@@ -101,7 +111,7 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
         psi=getattr(args, "psi", "star-phi"),
         plane=plane_idx,
         check=check,
-        max_arity=getattr(args, "max_arity", 3),
+        max_arity=max_arity,
         tolerance=args.tolerance,
         jobs=args.jobs,
         fmt=args.format,

@@ -522,24 +522,50 @@ class VectorValuedForm:
 # ---------------------------------------------------------------------------
 
 
+def _wedge_terms(a: dict, b: dict) -> dict:
+    """Exterior product of sparse {multi-index: scalar} maps.
+
+    The scalars need only +, *, unary - and truth, so the same kernel serves
+    coefficient functions, constant exact scalars and floats.
+    """
+    out: dict = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            ms = merge_sign(i1, i2)
+            if ms is None:
+                continue
+            sign, merged = ms
+            val = c1 * c2
+            _add_term(out, merged, val if sign > 0 else -val)
+    return out
+
+
+def _insert_frame_terms(i: int, terms: dict) -> dict:
+    """Interior product iota_{e_i} of a sparse {multi-index: scalar} map."""
+    out: dict = {}
+    for idx, val in terms.items():
+        for j, sign, rest in insertion_terms(idx):
+            if j == i:
+                _add_term(out, rest, val if sign > 0 else -val)
+    return out
+
+
+def _star_terms(terms: dict, n: int) -> dict:
+    """Hodge star of a sparse {multi-index: scalar} map on R^n or T^n."""
+    out: dict = {}
+    for idx, val in terms.items():
+        sign, comp = complement_sign(idx, n)
+        _add_term(out, comp, val if sign > 0 else -val)
+    return out
+
+
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Graded-commutative exterior product."""
     _same_space(a, b)
     degree = a.degree + b.degree
     if degree > a.space.dim:
         return DifferentialForm.zero(a.space, degree)
-    out: dict = {}
-    for i1, c1 in a.terms.items():
-        for i2, c2 in b.terms.items():
-            ms = merge_sign(i1, i2)
-            if ms is None:
-                continue
-            sign, merged = ms
-            val = c1 * c2
-            if sign < 0:
-                val = -val
-            _add_term(out, merged, val)
-    return DifferentialForm(a.space, degree, out)
+    return DifferentialForm(a.space, degree, _wedge_terms(a.terms, b.terms))
 
 
 def ext_deriv(a: DifferentialForm) -> DifferentialForm:
@@ -581,14 +607,7 @@ def insert_frame(i: int, a: DifferentialForm) -> DifferentialForm:
     """iota_{e_i} for a constant frame direction (fast path)."""
     if a.degree == 0:
         return DifferentialForm.zero(a.space, 0)
-    out: dict = {}
-    for idx, coeff in a.terms.items():
-        for j, sign, rest in insertion_terms(idx):
-            if j != i:
-                continue
-            val = coeff if sign > 0 else -coeff
-            _add_term(out, rest, val)
-    return DifferentialForm(a.space, a.degree - 1, out)
+    return DifferentialForm(a.space, a.degree - 1, _insert_frame_terms(i, a.terms))
 
 
 def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
@@ -639,11 +658,7 @@ def hodge_star(a: DifferentialForm) -> DifferentialForm:
     n = a.space.dim
     if a.degree > n:
         raise DegreeError(f"cannot star a degree-{a.degree} form on {a.space}")
-    out = {}
-    for idx, coeff in a.terms.items():
-        sign, comp = complement_sign(idx, n)
-        out[comp] = coeff if sign > 0 else -coeff
-    return DifferentialForm(a.space, n - a.degree, out)
+    return DifferentialForm(a.space, n - a.degree, _star_terms(a.terms, n))
 
 
 def codifferential(a: DifferentialForm) -> DifferentialForm:

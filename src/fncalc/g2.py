@@ -8,6 +8,11 @@ and its Hodge dual is always computed, never hand-entered.  The induced
 metric follows the classical density construction: B(x,y) vol = i_x phi ^
 i_y phi ^ phi, then g = c (det B)^{-1/9} B with the constant c pinned so
 the standard form yields the identity metric (c = 6^{-2/9}).
+
+The pointwise numeric lane (cayley_map, numeric_bracket_of_chi) runs the
+exterior module's sparse kernels (_wedge_terms, _insert_frame_terms,
+_star_terms) on float coefficient maps, and gram_matrix runs them on
+constant exact scalars; only the scalar type differs from the exact lane.
 """
 
 from __future__ import annotations
@@ -20,18 +25,23 @@ import numpy as np
 
 from . import linalg
 from .exterior import (
+    CoefficientFunction,
     DegreeError,
     DifferentialForm,
     ModelSpace,
     VectorValuedForm,
     _add_term,
+    _insert_frame_terms,
+    _star_terms,
+    _wedge_terms,
     affine_space,
     contract_metric,
     hodge_star,
     insert_frame,
+    transform_terms,
     wedge,
 )
-from .multiindex import all_indices, complement_sign, index_position, insertion_terms, space_dim
+from .multiindex import all_indices, index_position, space_dim
 from .scalars import GaussianRational
 
 PHI_TERMS = (
@@ -86,36 +96,26 @@ def standard_phi(space: ModelSpace | None = None) -> G2Structure:
 
 
 def _const(space, value):
-    from .exterior import CoefficientFunction
-
     return CoefficientFunction.constant(space, value)
 
 
-def _eval_at_point(form: DifferentialForm, point) -> DifferentialForm:
-    """Freeze a form to constant coefficients at a rational point."""
-    out = {}
-    for idx, coeff in form.terms.items():
-        val = coeff.eval_exact(point)
-        if val:
-            out[idx] = _const(form.space, val)
-    return DifferentialForm(form.space, form.degree, out)
-
-
 def gram_matrix(phi: DifferentialForm, point) -> list[list[GaussianRational]]:
-    """Exact density matrix B with B(x,y) vol = i_x phi ^ i_y phi ^ phi."""
-    space = phi.space
-    pt = _eval_at_point(phi, point) if not phi.is_constant() else phi
-    contractions = [insert_frame(i, pt) for i in range(1, 8)]
+    """Exact density matrix B with B(x,y) vol = i_x phi ^ i_y phi ^ phi.
+
+    phi is frozen once to constant exact scalars at the (rational) point,
+    and all 49 entries are formed on those scalars.
+    """
+    if phi.is_constant():
+        pt = {idx: c.constant_value() for idx, c in phi.terms.items()}
+    else:
+        pt = {idx: c.eval_exact(point) for idx, c in phi.terms.items()}
+    contractions = [_insert_frame_terms(i, pt) for i in range(1, 8)]
     vol_idx = tuple(range(1, 8))
-    B = []
-    for i in range(7):
-        row = []
-        for j in range(7):
-            w = wedge(wedge(contractions[i], contractions[j]), pt)
-            coeff = w.terms.get(vol_idx)
-            row.append(coeff.constant_value() if coeff else GaussianRational(0))
-        B.append(row)
-    return B
+    zero = GaussianRational(0)
+    return [
+        [_wedge_terms(_wedge_terms(ci, cj), pt).get(vol_idx, zero) for cj in contractions]
+        for ci in contractions
+    ]
 
 
 def _det(M) -> GaussianRational:
@@ -215,26 +215,13 @@ def _perms_with_signs(degree: int):
 
 
 def _tensor_to_coeffs(T: np.ndarray, degree: int) -> dict:
+    """Sparse index coefficients (float, zeros dropped) of an antisymmetric
+    ndarray."""
     out = {}
     for idx in all_indices(7, degree):
-        out[idx] = float(T[tuple(i - 1 for i in idx)])
-    return out
-
-
-def _star_coeffs(coeffs: dict, degree: int) -> dict:
-    out = {}
-    for idx, val in coeffs.items():
-        sign, comp = complement_sign(idx, 7)
-        out[comp] = out.get(comp, 0.0) + sign * val
-    return out
-
-
-def _insert_coeffs(coeffs: dict, i: int) -> dict:
-    out: dict = {}
-    for idx, val in coeffs.items():
-        for j, sign, rest in insertion_terms(idx):
-            if j == i:
-                out[rest] = out.get(rest, 0.0) + sign * val
+        val = float(T[tuple(i - 1 for i in idx)])
+        if val:
+            out[idx] = val
     return out
 
 
@@ -255,15 +242,11 @@ def cayley_map(structure: G2Structure, point=(0.0,) * 7) -> np.ndarray:
 
     P = _form_to_tensor(phi_pt, 3)
     PF = np.einsum("pa,qb,rc,pqr->abc", F, F, F, P)
-    phiF = _tensor_to_coeffs(PF, 3)
-    starF = _star_coeffs(phiF, 3)
-    # contraction with the metric: identity in the orthonormal frame
-    chiF = {}
-    for i in range(1, 8):
-        chiF[i] = _insert_coeffs(starF, i)
+    starF = _star_terms(_tensor_to_coeffs(PF, 3), 7)
     C = np.zeros((7, 7, 7, 7))
     for s in range(1, 8):
-        C[:, :, :, s - 1] = _form_to_tensor(chiF[s], 3)
+        # contraction with the metric: identity in the orthonormal frame
+        C[:, :, :, s - 1] = _form_to_tensor(_insert_frame_terms(s, starF), 3)
     Finv = np.linalg.inv(F)
     T1 = np.einsum("pqrs,ds->pqrd", C, F)
     return np.einsum("pa,qb,rc,pqrd->abcd", Finv, Finv, Finv, T1)
@@ -286,9 +269,6 @@ def pullback_3form(A: np.ndarray, structure: G2Structure) -> G2Structure:
     rows = [
         [GaussianRational(Fraction(A[i][j])) for j in range(7)] for i in range(7)
     ]
-    # e^i = sum_b A[i][b] f^b expresses the old coframe in the pulled-back one
-    from .exterior import transform_terms
-
     # pullback on the coframe: A*(e^i) = sum_a A[i][a] e^a, i.e. substitute
     terms = transform_terms(space, structure.phi.terms, rows)
     return G2Structure(space, DifferentialForm(space, 3, terms))
@@ -308,89 +288,50 @@ def _chi_field_coeffs(structure: G2Structure, point) -> list[dict]:
     return [_tensor_to_coeffs(T[:, :, :, s], 3) for s in range(7)]
 
 
-def _wedge_coeffs(a: dict, b: dict) -> dict:
-    from .multiindex import merge_sign
-
-    out: dict = {}
-    for i1, v1 in a.items():
-        if not v1:
-            continue
-        for i2, v2 in b.items():
-            if not v2:
-                continue
-            ms = merge_sign(i1, i2)
-            if ms is None:
-                continue
-            sign, merged = ms
-            out[merged] = out.get(merged, 0.0) + sign * v1 * v2
-    return out
-
-
 def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> float:
     """Largest component of [chi, chi] at a point, with derivatives taken by
     central finite differences.  A falsification probe: nonzero for
     structures that are not torsion-free."""
     point = tuple(float(x) for x in point)
 
-    def field(p):
-        return _chi_field_coeffs(structure, p)
+    def field(m=None, step=0.0):
+        p = list(point)
+        if m is not None:
+            p[m] += step
+        return _chi_field_coeffs(structure, tuple(p))
 
-    center = field(point)
-    plus = []
-    minus = []
-    for m in range(7):
-        pp = list(point)
-        pp[m] += h
-        plus.append(field(tuple(pp)))
-        pm = list(point)
-        pm[m] -= h
-        minus.append(field(tuple(pm)))
+    center = field()
+    plus = [field(m, h) for m in range(7)]
+    minus = [field(m, -h) for m in range(7)]
 
     def partial(m, comp):
         a, b = plus[m][comp], minus[m][comp]
         keys = set(a) | set(b)
         return {key: (a.get(key, 0.0) - b.get(key, 0.0)) / (2 * h) for key in keys}
 
-    total: dict = {}
+    def add_into(target: dict, terms: dict, sign=1.0):
+        for key, val in terms.items():
+            _add_term(target, key, sign * val)
 
-    def add_into(target_comp, coeffs, sign=1.0):
-        bucket = total.setdefault(target_comp, {})
-        for key, val in coeffs.items():
-            bucket[key] = bucket.get(key, 0.0) + sign * val
-
-    from .multiindex import merge_sign
-
-    d_alpha = []
+    # d alpha = sum_m e^m ^ d_m alpha
+    d_alpha = [{} for _ in range(7)]
     for i in range(7):
-        acc: dict = {}
         for m in range(7):
-            for idx, val in partial(m, i).items():
-                if not val:
-                    continue
-                ms = merge_sign((m + 1,), idx)
-                if ms is None:
-                    continue
-                sgn, merged = ms
-                acc[merged] = acc.get(merged, 0.0) + sgn * val
-        d_alpha.append(acc)
+            add_into(d_alpha[i], _wedge_terms({(m + 1,): 1.0}, partial(m, i)))
 
+    total = [{} for _ in range(7)]
     for i in range(7):
         alpha = center[i]
         for j in range(7):
             beta = center[j]
             # alpha_i ^ (d_i beta_j) into component j
-            add_into(j, _wedge_coeffs(alpha, partial(i, j)))
+            add_into(total[j], _wedge_terms(alpha, partial(i, j)))
             # -(d_j alpha_i) ^ beta_j into component i
-            add_into(i, _wedge_coeffs(partial(j, i), beta), sign=-1.0)
+            add_into(total[i], _wedge_terms(partial(j, i), beta), -1.0)
             # odd degree: -(d alpha_i ^ iota_i beta_j) into j, -(iota_j alpha_i ^ d beta_j) into i
-            add_into(j, _wedge_coeffs(d_alpha[i], _insert_coeffs(beta, i + 1)), sign=-1.0)
-            add_into(i, _wedge_coeffs(_insert_coeffs(alpha, j + 1), d_alpha[j]), sign=-1.0)
-
-    worst = 0.0
-    for bucket in total.values():
-        for val in bucket.values():
-            worst = max(worst, abs(val))
-    return worst
+            add_into(total[j], _wedge_terms(d_alpha[i], _insert_frame_terms(i + 1, beta)), -1.0)
+            add_into(total[i], _wedge_terms(_insert_frame_terms(j + 1, alpha), d_alpha[j]), -1.0)
+    return max((abs(val) for bucket in total for val in bucket.values()), default=0.0)
 
 
 def chi_tensor_exact(structure: G2Structure) -> np.ndarray:

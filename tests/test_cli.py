@@ -1,9 +1,12 @@
 """CLI contract: suites, determinism, exit codes, diagnostics."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fncalc import cli, linalg, torus
 from fncalc.cli import main
@@ -172,6 +175,93 @@ def test_max_freq_above_two_is_rejected_before_the_sweep(monkeypatch, capsys, su
     code, out, err = run_cli(capsys, suite, "--max-freq", max_freq)
     assert code == 2 and not out
     assert err.splitlines() == [f"fncalc: error: --max-freq must be <= 2, got {max_freq}"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("gla-axioms", "--samples", "-1"), "--samples must be >= 0, got -1"),
+        (("linfty", "--max-arity", "-2"), "--max-arity must be >= 0, got -2"),
+        (("vdata", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+        (("g2-equivariance", "--tolerance", "nan"), "--tolerance must be finite and >= 0, got nan"),
+        (("g2-equivariance", "--tolerance", "inf"), "--tolerance must be finite and >= 0, got inf"),
+        (("g2-equivariance", "--tolerance=-1e-3"), "--tolerance must be finite and >= 0, got -0.001"),
+    ],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(monkeypatch, capsys, argv, line):
+    def no_run(config):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.splitlines() == [f"fncalc: error: {line}"]
+
+
+_PSI = st.one_of(
+    st.sampled_from(("star-phi", "kahler", "kahler-r6", "kahler-squared", "spin7", "nope")),
+    st.text(alphabet="afinetoruidl:2347e{,}x1*+-/ ", max_size=16),
+    st.builds(
+        "{}:{}:{}".format,
+        st.sampled_from(("affine", "toroidal")),
+        st.integers(0, 4),
+        st.sampled_from(("e{1,2}", "x1 e{1,2}", "1*x1 e{1,2}", "e{2,1}", "3", "e{1,2,3,4}")),
+    ),
+)
+_COUNT = st.integers(-2, 2).map(str)
+_TOLERANCE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr), st.sampled_from(("x", ""))
+)
+
+
+@st.composite
+def _argv(draw):
+    """Small argv lists over the cheap configurations of every flag kind."""
+    kind = draw(st.sampled_from(("mc", "plane", "torus", "counts")))
+    if kind == "mc":
+        argv = ["mc-check", "--psi", draw(_PSI)]
+    elif kind == "plane":
+        plane = draw(
+            st.one_of(
+                st.permutations(range(1, 8)).map(lambda p: p[:3]),
+                st.lists(st.integers(-1, 8), min_size=1, max_size=4),
+            )
+        )
+        plane = ",".join(map(str, plane))
+        suite = draw(st.sampled_from((("linfty", "--check", "associative"), ("vdata",))))
+        argv = [*suite, f"--plane={plane}", "--samples", draw(st.sampled_from(("0", "1")))]
+    elif kind == "torus":
+        suite = draw(st.sampled_from(("torus-cohomology", "symbol-check")))
+        freq = draw(st.one_of(st.integers(-2, 0), st.integers(3, 10**12)))
+        argv = [suite, "--max-freq", str(freq), "--jobs", draw(_COUNT)]
+        if suite == "torus-cohomology" and draw(st.booleans()):
+            argv += ["--degree", str(draw(st.integers(-1, 8)))]
+    else:
+        suite = draw(st.sampled_from(("gla-axioms", "fn-action", "kahler-dc", "vdata", "linfty-jacobi")))
+        argv = [suite, "--samples", draw(_COUNT), f"--tolerance={draw(_TOLERANCE)}"]
+        if suite == "linfty-jacobi":
+            argv += ["--max-arity", draw(st.integers(-2, 2).map(str))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-5, 5)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_cli_contract_holds_on_small_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors, and only those
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert not out.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert json.loads(out.getvalue())["status"] == ("pass" if code == 0 else "fail")
 
 
 def test_torus_psi_must_be_a_constant_four_form(capsys):

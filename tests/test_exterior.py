@@ -26,7 +26,14 @@ from fncalc.exterior import (
     volume_form,
     wedge,
 )
-from fncalc.exterior import VectorValuedForm, insert_frame
+from fncalc.exterior import (
+    VectorValuedForm,
+    _insert_frame_terms,
+    _star_terms,
+    _wedge_terms,
+    insert_frame,
+)
+from fncalc.multiindex import all_indices
 from fncalc.sampling import random_form, random_vector_field
 from fncalc.scalars import GaussianRational
 
@@ -205,6 +212,38 @@ class TestHodgeStar:
         f = CoefficientFunction.fourier(T2, (1, -1))
         a = DifferentialForm(T2, 1, {(1,): f})
         assert hodge_star(a) == DifferentialForm(T2, 1, {(2,): f})
+
+
+def constant_form(space, degree, rng):
+    """Random constant form with small Gaussian-integer coefficients, whose
+    float products and sums are exact."""
+    terms = {}
+    for idx in all_indices(space.dim, degree):
+        val = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        if val and rng.random() < 0.5:
+            terms[idx] = CoefficientFunction.constant(space, val)
+    return DifferentialForm(space, degree, terms)
+
+
+def float_image(form):
+    return {idx: complex(c.constant_value()) for idx, c in form.terms.items()}
+
+
+class TestSparseKernels:
+    def test_float_kernels_match_exact_operators(self):
+        # the pointwise lane runs the same kernels on floats: their value on
+        # the float images must be the float image of the exact operator
+        rng = random.Random(12)
+        for _ in range(40):
+            space = rng.choice((R4, R7))
+            p = rng.randint(0, space.dim)
+            q = rng.randint(0, space.dim - p)
+            a, b = constant_form(space, p, rng), constant_form(space, q, rng)
+            fa, fb = float_image(a), float_image(b)
+            assert _wedge_terms(fa, fb) == float_image(wedge(a, b))
+            assert _star_terms(fa, space.dim) == float_image(hodge_star(a))
+            for i in range(1, space.dim + 1):
+                assert _insert_frame_terms(i, fa) == float_image(insert_frame(i, a))
 
 
 class TestCodifferentialLaplacian:

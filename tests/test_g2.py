@@ -86,6 +86,55 @@ class TestInducedMetric:
             g2.metric_from_3form(g2.G2Structure(R7, bad))
 
 
+def honest_gram(phi, point):
+    """B(x,y) vol = i_x phi ^ i_y phi ^ phi from the public form operators,
+    evaluated at the point after the products."""
+    vol = tuple(range(1, 8))
+    B = []
+    for i in range(1, 8):
+        row = []
+        for j in range(1, 8):
+            w = wedge(wedge(insert_frame(i, phi), insert_frame(j, phi)), phi)
+            coeff = w.terms.get(vol, CoefficientFunction.zero(R7))
+            row.append(coeff.eval_exact(point))
+        B.append(row)
+    return B
+
+
+class TestGramMatrix:
+    def test_standard_form(self):
+        B = g2.gram_matrix(STANDARD.phi, (0,) * 7)
+        assert B == honest_gram(STANDARD.phi, (0,) * 7)
+        assert B == [[GaussianRational(6 if i == j else 0) for j in range(7)] for i in range(7)]
+
+    def test_seeded_pullbacks(self):
+        from fncalc.suites import random_glplus
+
+        rng = random.Random(5)
+        for _ in range(3):
+            A, _ = random_glplus(rng)
+            phi = g2.pullback_3form(A, STANDARD).phi
+            B = g2.gram_matrix(phi, (0,) * 7)
+            assert B == honest_gram(phi, (0,) * 7)
+            assert any(B[i][j] for i in range(7) for j in range(7) if i != j)
+
+    def test_non_constant_form_at_a_rational_point(self):
+        # a non-constant phi is frozen with eval_exact before the products
+        terms = dict(STANDARD.phi.terms)
+        terms[(1, 2, 7)] = CoefficientFunction.coordinate(R7, 1).scale(
+            GaussianRational(Fraction(1, 2))
+        )
+        terms[(2, 4, 6)] = terms[(2, 4, 6)] + CoefficientFunction.coordinate(
+            R7, 3
+        ) * CoefficientFunction.coordinate(R7, 5)
+        phi = DifferentialForm(R7, 3, terms)
+        assert not phi.is_constant()
+        pt = (Fraction(1, 3), -2, Fraction(5, 7), 1, 0, Fraction(-1, 2), 3)
+        B = g2.gram_matrix(phi, pt)
+        assert B == honest_gram(phi, pt)
+        assert B != g2.gram_matrix(phi, (0,) * 7)
+
+
 class TestCrossProductTensor:
     def test_vanishes_on_coordinate_associative_plane(self):
         X = g2.chi(STANDARD)
