@@ -398,10 +398,6 @@ class VectorField:
         comps[i - 1] = CoefficientFunction.constant(space, 1)
         return cls(space, comps)
 
-    @classmethod
-    def from_constant(cls, space: ModelSpace, values) -> "VectorField":
-        return cls(space, [CoefficientFunction.constant(space, v) for v in values])
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_space(self, other)
         return VectorField(

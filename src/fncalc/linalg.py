@@ -5,12 +5,11 @@ Two lanes: generic Gaussian elimination over the Gaussian-rational field
 elimination over plain integers (used by the per-mode torus sweep, whose
 matrices are integral after a global unit factor is stripped).
 
-The integer lane has a per-matrix form on lists of Python ints
-(`int_row_echelon`, `int_rank`) and a stacked form on
-numpy arrays (`int_ranks`, `int_matmul`) that works on many matrices at
-once.  The stacked kernels run in int64 behind explicit bounds and switch
-to Python-int (`object`) arrays when a bound fails, so both forms are
-exact.
+The integer lane works on stacks: `int_ranks` runs one Bareiss elimination
+vectorized over many matrices at once, and `int_matmul` forms their
+products.  Both run in int64 behind explicit bounds and switch to
+Python-int (`object`) arrays when a bound fails, so both are exact.  Its
+reference in the tests is the field lane here and a Fraction elimination.
 """
 
 from __future__ import annotations
@@ -161,50 +160,17 @@ def columns_from_vectors(vectors: list[list]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def int_rank(M: Matrix) -> int:
-    """Rank of an integer matrix by Bareiss fraction-free elimination."""
-    return len(int_row_echelon(M)[1])
-
-
-def int_row_echelon(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Fraction-free row echelon form; returns (rows, pivot columns)."""
-    rows = [list(r) for r in M]
-    m, n = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[c]
-            if f:
-                for j in range(c + 1, n):
-                    row[j] = (pv * row[j] - f * prow[j]) // prev
-                row[c] = 0
-            elif pv != prev:
-                for j in range(c + 1, n):
-                    row[j] = (pv * row[j]) // prev
-        prev = pv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
 def _max_abs(X: np.ndarray) -> int:
     """Largest absolute entry of an integer array, as a Python int."""
     return max(-int(X.min()), int(X.max())) if X.size else 0
+
+
+def _int_array(X) -> np.ndarray:
+    """X as an exact integer array.  numpy reads nested lists holding
+    Python ints past 2**63 as uint64 or float64, which the int64 lane would
+    wrap or round, so such input becomes a Python-int (`object`) array."""
+    A = np.asarray(X)
+    return A if A.dtype.kind in "iO" else np.array(X, dtype=object)
 
 
 def int_matmul(A, B) -> np.ndarray:
@@ -214,7 +180,7 @@ def int_matmul(A, B) -> np.ndarray:
     Runs in int64 when max|A| * max|B| * n < 2**62, and on Python ints
     (dtype `object`) otherwise.
     """
-    A, B = np.asarray(A), np.asarray(B)
+    A, B = _int_array(A), _int_array(B)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     if _max_abs(A) * _max_abs(B) * A.shape[-1] >= _PRODUCT_BOUND:
@@ -234,7 +200,7 @@ def int_ranks(stack) -> list[int]:
     in int64 while every entry is below 2**31 in absolute value, and on
     Python ints (dtype `object`) for the rest of the loop once one is not.
     """
-    A = np.asarray(stack)
+    A = _int_array(stack)
     s, m, n = A.shape
     # columns outermost, rows innermost: column c of every matrix is the
     # contiguous (s, m) slice A[c], and the loop runs over the shorter side
@@ -270,10 +236,3 @@ def int_ranks(stack) -> list[int]:
         if A.dtype != object and _max_abs(rest) >= _RANK_BOUND:
             A, work, prev = A.astype(object), work.astype(object), prev.astype(object)
     return ranks.tolist()
-
-
-def int_vstack(*blocks: Matrix) -> Matrix:
-    out = []
-    for B in blocks:
-        out.extend(list(r) for r in B)
-    return out

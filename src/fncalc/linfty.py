@@ -64,10 +64,6 @@ class FlatAssociativeModel:
     def ambient(self) -> ModelSpace:
         return AMBIENT
 
-    @property
-    def plane_space(self) -> ModelSpace:
-        return PLANE_SPACE
-
 
 class NormalValuedForm:
     """Element of Omega^p(L, NL): one form on the plane per normal

@@ -226,7 +226,6 @@ def _coerce(x):
     return None
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 

@@ -209,6 +209,11 @@ def _suite_fn_action(config: SuiteConfig, report: SuiteReport) -> None:
 # ---------------------------------------------------------------------------
 
 
+# largest dimension of a 'flavor:dim:form' psi: twice the largest structure
+# a suite builds (Spin(7) on R^8); work and memory grow with it
+MAX_PSI_DIM = 16
+
+
 def named_psi(name: str) -> DifferentialForm:
     """Resolve a --psi value: a named parallel form or a form string
     written as 'flavor:dim:form'."""
@@ -230,7 +235,10 @@ def named_psi(name: str) -> DifferentialForm:
     if ":" in name:
         try:
             flavor, dim, text = name.split(":", 2)
-            space = ModelSpace(int(dim), flavor)
+            dim = int(dim)
+            if dim > MAX_PSI_DIM:
+                raise ValueError(f"dimension must be <= {MAX_PSI_DIM}, got {dim}")
+            space = ModelSpace(dim, flavor)
         except ValueError as exc:
             raise SuiteError(f"bad psi {name!r}: {exc}") from exc
         return parse_form(text, space)

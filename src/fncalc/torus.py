@@ -46,7 +46,6 @@ from .bracket import fn_bracket, nijenhuis_lie
 from .exterior import (
     CoefficientFunction,
     DifferentialForm,
-    VectorField,
     VectorValuedForm,
     codifferential,
     contract_metric,
@@ -54,6 +53,7 @@ from .exterior import (
     hodge_star,
     laplacian,
     lie_vector_form,
+    sharp,
     torus_space,
 )
 from .g2 import standard_phi
@@ -84,6 +84,16 @@ def mode_form(k: tuple[int, ...], idx: tuple[int, ...]) -> DifferentialForm:
     return DifferentialForm(T7, len(idx), {idx: CoefficientFunction.fourier(T7, k)})
 
 
+def _mode_entries(k: tuple[int, ...], form: DifferentialForm):
+    """(frame index, value) of every term of a mode-k image; an image term
+    at any other frequency raises AssertionError."""
+    for idx, coeff in form.terms.items():
+        for freq, val in coeff.terms.items():
+            if freq != k:
+                raise AssertionError(f"operator moved mode {k} to {freq}; not mode-diagonal")
+            yield idx, val
+
+
 def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]]:
     """Exact matrix of a mode-preserving operator on the mode-k basis."""
     cols_idx = all_indices(N, deg_in)
@@ -94,14 +104,8 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
     M = [[GaussianRational(0)] * len(cols_idx) for _ in range(rows)]
     k = tuple(k)
     for c, idx in enumerate(cols_idx):
-        image = op(mode_form(k, idx))
-        for out_idx, coeff in image.terms.items():
-            for freq, val in coeff.terms.items():
-                if freq != k:
-                    raise AssertionError(
-                        f"operator moved mode {k} to {freq}; not mode-diagonal"
-                    )
-                M[pos[out_idx]][c] = val
+        for out_idx, val in _mode_entries(k, op(mode_form(k, idx))):
+            M[pos[out_idx]][c] = val
     return M
 
 
@@ -253,8 +257,7 @@ class ModeTemplates:
         # every block entry at k is at most N * max|k_j| * entry_bound
         tables = (*self.L.values(), *self.Lstar.values(), *self.d.values(), *self.dstar.values())
         self._entry_bound = max(int(np.abs(T).max()) for T in (*tables, self.ad))
-        self.adjoint_templates_ok = self._check_adjoint_templates()
-        if not self.adjoint_templates_ok:
+        if not self._check_adjoint_templates():
             raise AssertionError("printed adjoint sign contradicts per-mode adjointness")
 
     @staticmethod
@@ -266,16 +269,11 @@ class ModeTemplates:
         pos = index_position(N, STEP)
         M = [[GaussianRational(0)] * N for _ in range(N * block)]
         for c in range(N):
-            comps = [CoefficientFunction.zero(T7)] * N
-            comps[c] = CoefficientFunction.fourier(T7, k)
-            X = VectorField(T7, comps)
+            X = sharp(mode_form(k, (c + 1,)))
             image = fn_bracket(psi_hat, VectorValuedForm.from_vector_field(X))
-            for s in range(N):
-                for idx, coeff in image.components[s].terms.items():
-                    for freq, val in coeff.terms.items():
-                        if freq != k:
-                            raise AssertionError("bracket moved the mode")
-                        M[s * block + pos[idx]][c] = val
+            for s, comp in enumerate(image.components):
+                for idx, val in _mode_entries(k, comp):
+                    M[s * block + pos[idx]][c] = val
         return M
 
     def _check_adjoint_templates(self) -> bool:
@@ -361,50 +359,28 @@ class ModeCalculus:
     def anticommutation_check(self, k) -> bool:
         """Exact per-mode identities L d = -d L, L d* = -d* L, L lap = lap L
         from direct matrix products of honestly assembled blocks."""
-        k = tuple(k)
-        psi_hat = contract_metric(self.psi)
         zero = GaussianRational(0)
-        L = {
-            m: mode_matrix(k, m, m + STEP, lambda a: nijenhuis_lie(psi_hat, a))
-            for m in range(0, N - STEP + 1)
-        }
-        d = {m: mode_matrix(k, m, m + 1, ext_deriv) for m in range(0, N)}
-        ds = {m: mode_matrix(k, m, m - 1, codifferential) for m in range(1, N + 1)}
-        lap = {m: mode_matrix(k, m, m, laplacian) for m in range(0, N + 1)}
+        blk = [self.block(k, l) for l in range(N + 1)]
 
-        def is_neg(A, B):
-            return all(x == -y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+        def prod(A, B):
+            return linalg.matmul(A, B, zero)
 
-        def is_eq(A, B):
-            return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+        def vanishes(*terms):  # the sum of equally shaped matrices is 0
+            return not any(sum(xs, zero) for rows in zip(*terms) for xs in zip(*rows))
 
-        for m in range(0, N + 1):
-            # L d = -d L on Lambda^m (target m+4)
-            if m + 1 in L and m + STEP + 1 <= N:
-                lhs = linalg.matmul(L[m + 1], d[m], zero)
-                rhs = (
-                    linalg.matmul(d[m + STEP], L[m], zero)
-                    if m in L
-                    else [[zero] * len(lhs[0]) for _ in range(len(lhs))]
-                )
-                if not is_neg(lhs, rhs):
-                    return False
-            # L d* = -d* L on Lambda^m (target m+2)
-            if m - 1 in L and m >= 1:
-                lhs = linalg.matmul(L[m - 1], ds[m], zero)
-                rhs = (
-                    linalg.matmul(ds[m + STEP], L[m], zero)
-                    if m in L
-                    else [[zero] * len(lhs[0]) for _ in range(len(lhs))]
-                )
-                if not is_neg(lhs, rhs):
-                    return False
+        for m in range(0, N - STEP + 1):
+            # the degree-j block holds L_{j-3}, so up.L = L_m and below.L = L_{m-1};
+            # above is [the block of L_{m+1}], or [] when m + 1 > N - 3
+            up, below, above = blk[m + STEP], blk[m + STEP - 1], blk[m + STEP + 1 : m + STEP + 2]
             # L lap = lap L on Lambda^m
-            if m in L:
-                lhs = linalg.matmul(L[m], lap[m], zero)
-                rhs = linalg.matmul(lap[m + STEP], L[m], zero)
-                if not is_eq(lhs, rhs):
-                    return False
+            if prod(up.L, blk[m].lap) != prod(up.lap, up.L):
+                return False
+            # L d = -d L on Lambda^{m-1}
+            if m > 0 and not vanishes(prod(up.L, blk[m - 1].d), prod(below.d, below.L)):
+                return False
+            # L d* = -d* L on Lambda^{m+1}
+            if not vanishes(prod(up.L, blk[m + 1].dstar), *(prod(b.dstar, b.L) for b in above)):
+                return False
         return True
 
     def anticommutation_linear_check(self) -> bool:
@@ -438,29 +414,11 @@ class ModeCalculus:
         if not any(k):
             return True  # both sides are all of Lambda^1 at the zero mode
         lhs = self.templates.block("L", 1, k)
-        pos = index_position(N, STEP)
-        dim3 = space_dim(N, STEP)
-        cols = []
-        for c in range(N):
-            comps = [CoefficientFunction.zero(T7)] * N
-            comps[c] = CoefficientFunction.fourier(T7, k)
-            X = VectorField(T7, comps)
-            image = lie_vector_form(X, self._star_psi)
-            col = [GaussianRational(0)] * (dim3 + 1)
-            for idx, coeff in image.terms.items():
-                for freq, val in coeff.terms.items():
-                    assert freq == k
-                    col[pos[idx]] = val
-            dstar = codifferential(mode_form(k, (c + 1,)))
-            for _, coeff in dstar.terms.items():
-                for freq, val in coeff.terms.items():
-                    assert freq == k
-                    col[-1] = val
-            cols.append(col)
-        rhs = _strip_i([[cols[c][r] for c in range(N)] for r in range(dim3 + 1)])
-        r_lhs = linalg.int_rank(lhs)
-        r_rhs = linalg.int_rank(rhs)
-        r_both = linalg.int_rank(linalg.int_vstack(lhs, rhs))
+        lie = mode_matrix(
+            k, 1, self._star_psi.degree, lambda a: lie_vector_form(sharp(a), self._star_psi)
+        )
+        rhs = _strip_i(lie + mode_matrix(k, 1, 0, codifferential))
+        r_lhs, r_rhs, r_both = (linalg.int_ranks([M])[0] for M in (lhs, rhs, lhs + rhs))
         return r_lhs == r_rhs == r_both
 
     def decomposition_report(self, summary: dict, l: int) -> ModeCohomologyReport:

@@ -1,14 +1,16 @@
 """CLI contract: suites, determinism, exit codes, diagnostics."""
 
+import ast
 import contextlib
 import io
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fncalc import cli, linalg, torus
+from fncalc import cli, linalg, suites, torus
 from fncalc.cli import main
 from fncalc.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -204,7 +206,7 @@ _PSI = st.one_of(
     st.builds(
         "{}:{}:{}".format,
         st.sampled_from(("affine", "toroidal")),
-        st.integers(0, 4),
+        st.one_of(st.integers(0, 4), st.integers(suites.MAX_PSI_DIM + 1, 10**12)),
         st.sampled_from(("e{1,2}", "x1 e{1,2}", "1*x1 e{1,2}", "e{2,1}", "3", "e{1,2,3,4}")),
     ),
 )
@@ -282,6 +284,10 @@ def test_torus_psi_must_be_a_constant_four_form(capsys):
         (("mc-check", "--psi", "affine:0:e{1}"), "bad psi 'affine:0:e{1}': "),
         (("linfty", "--plane", "1,1,2"), "plane and normal frame must partition 1..7"),
         (("vdata", "--plane", "1,2,3,4"), "the plane is spanned by three basis directions"),
+        (
+            ("mc-check", "--psi", "toroidal:17:e{1}"),
+            "bad psi 'toroidal:17:e{1}': dimension must be <= 16, got 17",
+        ),
     ],
 )
 def test_malformed_inputs_exit_two_with_one_line(capsys, argv, message):
@@ -289,6 +295,27 @@ def test_malformed_inputs_exit_two_with_one_line(capsys, argv, message):
     assert code == 2 and not out
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"fncalc: error: {message}")
+
+
+def test_psi_dimension_is_bounded_before_any_space_is_built(monkeypatch, capsys):
+    # each frame direction costs memory, so 10**9 directions would need
+    # about 170 GB; the stub turns a missing bound into exit 3, not that
+    def no_space(*args):
+        raise AssertionError("a model space was built")
+
+    monkeypatch.setattr(suites, "ModelSpace", no_space)
+    code, out, err = run_cli(capsys, "mc-check", "--psi", "affine:1000000000:1 e{1,2}")
+    assert code == 2 and not out
+    assert err.splitlines() == [
+        "fncalc: error: bad psi 'affine:1000000000:1 e{1,2}': dimension must be <= 16,"
+        " got 1000000000"
+    ]
+
+
+def test_psi_at_the_dimension_bound_runs(capsys):
+    assert suites.MAX_PSI_DIM == 16
+    code, out, _ = run_cli(capsys, "mc-check", "--psi", "affine:16:e{15,16}")
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def _inconsistent_reports(self, summaries, l):
@@ -334,6 +361,18 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
     assert err.splitlines() == [line]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips them, and a broken invariant must still exit 3
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_run_suite_leaves_the_callers_config_alone():

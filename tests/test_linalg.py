@@ -1,4 +1,5 @@
-"""Cross-validation of the two exact elimination lanes."""
+"""Cross-validation of the exact elimination lanes: the field lane, the
+stacked integer lane and a Fraction reference."""
 
 import random
 from fractions import Fraction
@@ -42,7 +43,7 @@ def test_bareiss_rank_matches_field_elimination():
         ]
         if rng.random() < 0.4 and m >= 2:
             M[rng.randrange(m)] = [3 * x for x in M[rng.randrange(m)]]
-        assert linalg.int_rank(M) == reference_rank(M)
+        assert linalg.int_ranks([M]) == [reference_rank(M)]
 
 
 def test_integer_nullspace_annihilates():
@@ -52,7 +53,7 @@ def test_integer_nullspace_annihilates():
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         basis = linalg.nullspace([[GaussianRational(x) for x in row] for row in M])
-        assert len(basis) == n - linalg.int_rank(M)
+        assert len(basis) == n - linalg.int_ranks([M])[0]
         for v in basis:
             assert any(v)
             for row in M:
@@ -97,14 +98,12 @@ def test_exact_inverse_round_trip():
 
 
 def test_empty_shapes():
-    assert linalg.int_rank([]) == 0
-    assert linalg.int_rank([[]]) == 0
     assert linalg.rank([]) == 0
     assert linalg.nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
     assert linalg.nullspace([[], []]) == []
 
 
-# -- stacked kernels against the per-matrix lane ------------------------------
+# -- stacked kernels against the Fraction reference ---------------------------
 
 
 def py_matmul(A, B):
@@ -151,14 +150,14 @@ def ranks_with_guard_record(stack):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(int_stacks(), deficient_stacks()))
 def test_stacked_ranks_match_bareiss(stack):
-    assert linalg.int_ranks(np.array(stack)) == [linalg.int_rank(M) for M in stack]
+    assert linalg.int_ranks(np.array(stack)) == [reference_rank(M) for M in stack]
 
 
 @settings(max_examples=60, deadline=None)
 @given(int_stacks(st.integers(-4, 4).map(lambda x: x * 2**40 + x)))
 def test_stacked_ranks_near_2_40_take_the_object_lane(stack):
     ranks, seen = ranks_with_guard_record(stack)
-    assert ranks == [linalg.int_rank(M) for M in stack]
+    assert ranks == [reference_rank(M) for M in stack]
     if any(any(row) for M in stack for row in M):
         assert seen[0] >= linalg._RANK_BOUND  # the first check moves to Python ints
 
@@ -167,8 +166,17 @@ def test_stacked_ranks_leave_int64_mid_elimination():
     # entries start below 2**31; the first step makes 2**40 - 1
     stack = [[[2**20, 1, 0], [1, 2**20, 1], [0, 1, 2**20]], [[2**20, 2**20, 1]] * 3]
     ranks, seen = ranks_with_guard_record(stack)
-    assert ranks == [linalg.int_rank(M) for M in stack] == [3, 1]
+    assert ranks == [reference_rank(M) for M in stack] == [3, 1]
     assert seen[0] < linalg._RANK_BOUND <= max(seen)
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64])
+def test_integer_kernels_read_nested_lists_past_int64_exactly(big):
+    # numpy reads [[big, big + 1], ...] as float64 or uint64 unless the
+    # kernels ask for Python ints; det M = -1
+    M = [[big, big + 1], [1, 1]]
+    assert linalg.int_ranks([M]) == [reference_rank(M)] == [2]
+    assert linalg.int_matmul([M], [[[1], [-1]]]).tolist() == [py_matmul(M, [[1], [-1]])]
 
 
 def test_stacked_ranks_of_empty_shapes():

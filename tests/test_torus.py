@@ -75,7 +75,7 @@ class TestAdjointness:
     def test_unit_templates_certify_all_modes(self):
         # blocks are linear in the frequency, so the unit-mode identities
         # L*(k) = -L(k)^T and d*(k) = -d(k)^T extend to every k
-        assert CALC.templates.adjoint_templates_ok
+        assert CALC.templates._check_adjoint_templates()
 
     def test_direct_conjugate_transpose_at_sampled_modes(self):
         rng = random.Random(2)
@@ -273,12 +273,43 @@ class TestStructuralChecks:
     def test_anticommutation_linear_identity_all_frequencies(self):
         assert CALC.anticommutation_linear_check()
 
+    def test_anticommutation_fails_on_a_changed_L_entry(self, monkeypatch):
+        # L lap = lap L cannot see it (lap = |k|^2 id); L d = -d L and
+        # L d* = -d* L can
+        honest = torus.ModeCalculus.block
+
+        def changed(self, k, l):
+            blk = honest(self, k, l)
+            if l != 4:
+                return blk
+            L = [list(row) for row in blk.L]
+            L[0][0] += GaussianRational(1)
+            return replace(blk, L=L)
+
+        monkeypatch.setattr(torus.ModeCalculus, "block", changed)
+        assert not CALC.anticommutation_check(K1)
+        assert not CALC.anticommutation_check((1, -1, 0, 2, 0, 0, 1))
+
     def test_one_form_kernel_characterization(self):
         assert CALC.one_form_kernel_check(K0)
         assert CALC.one_form_kernel_check(K1)
         rng = random.Random(8)
         for _ in range(3):
             assert CALC.one_form_kernel_check(random_mode(rng, 2))
+
+    def test_one_form_kernel_check_stays_exact_at_large_frequencies(self):
+        # c = 2**40 puts the stripped blocks past the int64 rank bound, and
+        # c = 2**61 forms them on Python ints
+        k = (1, -1, 0, 1, 0, 0, 1)
+        for c in (1, 2**40, 2**61):
+            assert CALC.one_form_kernel_check(tuple(c * x for x in k)), c
+
+    @pytest.mark.parametrize("c", [1, 2**40, 2**61])
+    def test_one_form_kernel_check_fails_for_a_wrong_dual_form(self, monkeypatch, c):
+        wrong = DifferentialForm.coframe(torus.T7, (1, 2, 3))
+        monkeypatch.setattr(CALC, "_star_psi", wrong)
+        for k in (K1, (1, -1, 0, 2, 0, 0, 1)):
+            assert not CALC.one_form_kernel_check(tuple(c * x for x in k)), k
 
     def test_vector_kernel_dims(self):
         assert CALC.mode_summary(K0)["vector_kernel"] == 7
