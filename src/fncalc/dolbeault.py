@@ -14,14 +14,11 @@ from fractions import Fraction
 
 from .exterior import CoefficientFunction, DifferentialForm, _add_term, transform_terms
 from .multiindex import merge_sign
-from .scalars import GaussianRational
+from .scalars import GaussianRational, I, ONE
 
 HALF = GaussianRational(Fraction(1, 2))
 MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))
 I_HALF = GaussianRational(0, Fraction(1, 2))
-I_UNIT = GaussianRational(0, 1)
-ONE = GaussianRational(1)
-MINUS_I = GaussianRational(0, -1)
 
 
 def _real_to_complex_matrix(m: int):
@@ -44,9 +41,9 @@ def _complex_to_real_matrix(m: int):
     M = [[zero] * n for _ in range(n)]
     for j in range(1, m + 1):
         M[j - 1][2 * j - 2] = ONE
-        M[j - 1][2 * j - 1] = I_UNIT
+        M[j - 1][2 * j - 1] = I
         M[m + j - 1][2 * j - 2] = ONE
-        M[m + j - 1][2 * j - 1] = MINUS_I
+        M[m + j - 1][2 * j - 1] = -I
     return M
 
 
@@ -81,10 +78,10 @@ def dc(a: DifferentialForm) -> DifferentialForm:
             # dbar contributes +, del contributes -, overall factor i
             dbar = _wirtinger(coeff, j, conjugate=True)
             if dbar:
-                accumulate(m + j, dbar.scale(I_UNIT), idx)
+                accumulate(m + j, dbar.scale(I), idx)
             ddel = _wirtinger(coeff, j, conjugate=False)
             if ddel:
-                accumulate(j, ddel.scale(GaussianRational(0, -1)), idx)
+                accumulate(j, ddel.scale(-I), idx)
 
     real_terms = transform_terms(space, out, _complex_to_real_matrix(m))
     return DifferentialForm(space, a.degree + 1, real_terms)

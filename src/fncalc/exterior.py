@@ -657,17 +657,22 @@ def hodge_star(a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.space, n - a.degree, _star_terms(a.terms, n))
 
 
-def codifferential(a: DifferentialForm) -> DifferentialForm:
-    """Formal adjoint of d: d* = (-1)^{n(l+1)+1} * d * on l-forms."""
+def formal_adjoint(op, a: DifferentialForm) -> DifferentialForm:
+    """(-1)^{n(l+1)+1} * op * on l-forms: the formal adjoint of d, and of
+    a parallel-form differential L of degree 3, whose printed sign
+    (-1)^{n(n-l)+1} is the same since n(l+1) - n(n-l) = n(2l+1-n) is even."""
     n, l = a.space.dim, a.degree
-    if l == 0:
+    out = hodge_star(op(hodge_star(a)))
+    return -out if (n * (l + 1) + 1) % 2 else out
+
+
+def codifferential(a: DifferentialForm) -> DifferentialForm:
+    """Formal adjoint of d on l-forms."""
+    if a.degree == 0:
         return DifferentialForm.zero(a.space, 0)
-    if l > n:
-        return DifferentialForm.zero(a.space, l - 1)
-    result = hodge_star(ext_deriv(hodge_star(a)))
-    if (n * (l + 1) + 1) % 2:
-        result = -result
-    return result
+    if a.degree > a.space.dim:
+        return DifferentialForm.zero(a.space, a.degree - 1)
+    return formal_adjoint(ext_deriv, a)
 
 
 def laplacian(a: DifferentialForm) -> DifferentialForm:

@@ -358,8 +358,10 @@ def _torus_calculus(psi_name: str) -> torus.ModeCalculus:
     if psi_name in ("star-phi", "star-phi-t7"):
         return torus.default_calculus()
     psi = named_psi(psi_name)
-    if psi.space != torus.T7 or psi.degree != torus.STEP + 1 or not psi.is_constant():
-        raise SuiteError("mode templates need a constant 4-form on the 7-torus")
+    try:
+        torus.check_psi(psi)
+    except ValueError as exc:
+        raise SuiteError(str(exc)) from None
     return torus.ModeCalculus(psi)
 
 

@@ -10,10 +10,13 @@ computes harmonic, cohomology, and regularity data per mode.
 
 Exactness and speed: every block entry is i times an integer linear form
 in k, so after stripping the global unit i (asserted entry by entry) the
-sweep runs in fraction-free integer elimination.  Blocks are linear in k;
-the fast lane combines the seven unit-frequency templates, and the honest
-lane assembles any mode directly from the exact operators (the two lanes
-are compared in the test suite).
+sweep runs in fraction-free integer elimination.  `operators` lists each
+per-mode operator once, as a degree shift and an exact map on forms, and
+both lanes are built from that table and keyed alike by (kind, domain
+degree): `ModeTemplates.block` combines the seven unit-frequency integer
+templates (the fast lane), and `ModeCalculus.block` assembles any mode
+directly from the exact map (the honest lane).  The test suite compares
+the two lanes on every templated operator.
 
 The sweep works on stacks of `_CHUNK` modes at once.  The templates are
 int64 arrays of shape (7, rows, cols); one `np.tensordot` forms a block
@@ -36,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -50,6 +53,7 @@ from .exterior import (
     codifferential,
     contract_metric,
     ext_deriv,
+    formal_adjoint,
     hodge_star,
     laplacian,
     lie_vector_form,
@@ -67,16 +71,37 @@ STEP = 3  # a parallel 4-form's differential raises degree by 3
 
 def star_phi_on_torus() -> DifferentialForm:
     """The parallel 4-form dual to the standard G2 form, on T^7."""
-    phi = standard_phi().phi
-    dual = hodge_star(phi)
-    return DifferentialForm(
-        T7,
-        4,
-        {
-            idx: CoefficientFunction.constant(T7, c.constant_value())
-            for idx, c in dual.terms.items()
-        },
-    )
+    return hodge_star(standard_phi(T7).phi)
+
+
+def check_psi(psi: DifferentialForm) -> None:
+    """Raise ValueError unless psi is a constant 4-form on T^7, the forms
+    whose per-mode blocks this module computes."""
+    if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
+        raise ValueError("mode templates need a constant 4-form on the 7-torus")
+
+
+def operators(psi_hat: VectorValuedForm) -> dict:
+    """Each per-mode operator once, as kind -> (degree shift, exact map on
+    forms), with L the Nijenhuis-Lie derivative along psi_hat.  The
+    Laplacian is quadratic in k, so it has no integer template and serves
+    the exact lane only."""
+    L = partial(nijenhuis_lie, psi_hat)
+    return {
+        "d": (1, ext_deriv),
+        "dstar": (-1, codifferential),
+        "L": (STEP, L),
+        "Lstar": (-STEP, partial(formal_adjoint, L)),
+        "lap": (0, laplacian),
+    }
+
+
+_TEMPLATED = ("L", "Lstar", "d", "dstar")
+
+
+def _domain(shift: int) -> range:
+    """The degrees m with both Lambda^m and Lambda^{m+shift} in range."""
+    return range(max(0, -shift), N + 1 - max(0, shift))
 
 
 def mode_form(k: tuple[int, ...], idx: tuple[int, ...]) -> DifferentialForm:
@@ -98,8 +123,6 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
     """Exact matrix of a mode-preserving operator on the mode-k basis."""
     cols_idx = all_indices(N, deg_in)
     rows = space_dim(N, deg_out)
-    if rows == 0 or not cols_idx:
-        return [[] for _ in range(rows)] if rows else []
     pos = index_position(N, deg_out)
     M = [[GaussianRational(0)] * len(cols_idx) for _ in range(rows)]
     k = tuple(k)
@@ -107,87 +130,6 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
         for out_idx, val in _mode_entries(k, op(mode_form(k, idx))):
             M[pos[out_idx]][c] = val
     return M
-
-
-def formal_adjoint_op(psi_hat: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
-    """L* on l-forms via the printed sign: (-1)^{n(n-l)+1} * L *."""
-    l = a.degree
-    out = hodge_star(nijenhuis_lie(psi_hat, hodge_star(a)))
-    if (N * (N - l) + 1) % 2:
-        out = -out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact mode blocks (the honest lane)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeBlock:
-    """Exact matrices of the mode-k operators at degree l.
-
-    d maps Lambda^l -> Lambda^{l+1}; lap acts on Lambda^l; the parallel-form
-    differential enters as the degree-indexed map L: Lambda^{l-3} ->
-    Lambda^l with formal adjoint Lstar: Lambda^l -> Lambda^{l-3}.
-    """
-
-    frequency: tuple[int, ...]
-    degree: int
-    d: list
-    dstar: list
-    lap: list
-    L: list
-    Lstar: list
-
-    def __post_init__(self):
-        l = self.degree
-        expect = {
-            "d": (space_dim(N, l + 1), space_dim(N, l)),
-            "dstar": (space_dim(N, l - 1), space_dim(N, l)),
-            "lap": (space_dim(N, l), space_dim(N, l)),
-            "L": (space_dim(N, l), space_dim(N, l - STEP)),
-            "Lstar": (space_dim(N, l - STEP), space_dim(N, l)),
-        }
-        for name, (m, n) in expect.items():
-            M = getattr(self, name)
-            rows = len(M)
-            cols = len(M[0]) if M else 0
-            if rows != m or (rows and cols != n):
-                raise ValueError(f"{name}-block shape {rows}x{cols}, expected {m}x{n}")
-
-    def validate(self) -> None:
-        """Spot invariants: d o d = 0 and lap = |k|^2 id at this mode."""
-        zero = GaussianRational(0)
-        d_next = mode_matrix(self.frequency, self.degree + 1, self.degree + 2, ext_deriv)
-        if self.d and d_next:
-            comp = linalg.matmul(d_next, self.d, zero)
-            for row in comp:
-                if any(row):
-                    raise AssertionError("d composed with d is nonzero at this mode")
-        k2 = GaussianRational(sum(x * x for x in self.frequency))
-        for i, row in enumerate(self.lap):
-            for j, x in enumerate(row):
-                if x != (k2 if i == j else zero):
-                    raise AssertionError("Laplacian block is not |k|^2 id")
-
-
-def assemble_mode(k, l: int, psi: DifferentialForm | None = None) -> ModeBlock:
-    """Direct exact assembly of all mode-(k, l) operator blocks."""
-    psi = star_phi_on_torus() if psi is None else psi
-    if not psi.is_constant():
-        raise ValueError("per-mode blocks need a constant-coefficient parallel form")
-    psi_hat = contract_metric(psi)
-    k = tuple(k)
-    return ModeBlock(
-        frequency=k,
-        degree=l,
-        d=mode_matrix(k, l, l + 1, ext_deriv),
-        dstar=mode_matrix(k, l, l - 1, codifferential),
-        lap=mode_matrix(k, l, l, laplacian),
-        L=mode_matrix(k, l - STEP, l, lambda a: nijenhuis_lie(psi_hat, a)),
-        Lstar=mode_matrix(k, l, l - STEP, lambda a: formal_adjoint_op(psi_hat, a)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +162,28 @@ class ModeTemplates:
     entries: block(k)/i = sum_j k_j T_j with T_j the stripped block at the
     j-th unit frequency.  Each operator is stored as one int64 array of
     shape (7, rows, cols), so the blocks of a whole stack of modes K (an
-    (s, 7) array) are the single contraction `np.tensordot(K, T, 1)`.  Maps
-    are keyed by their domain degree; the parallel-form differential maps
-    degree m to m+3.
+    (s, 7) array) are the single contraction `np.tensordot(K, T, 1)`.
+    `L`, `Lstar`, `d` and `dstar` map a domain degree m to the array of
+    the operator on Lambda^m.
     """
 
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
-        if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
-            raise ValueError("mode templates need a constant 4-form on the 7-torus")
-        self.psi = psi
+        check_psi(psi)
         psi_hat = contract_metric(psi)
+        ops = operators(psi_hat)
 
-        def templates(deg_in, deg_out, op):
-            return np.array(
-                [_strip_i(mode_matrix(_unit(j), deg_in, deg_out, op)) for j in range(N)],
-                dtype=np.int64,
-            )
+        def templates(kind):
+            shift, op = ops[kind]
+            return {
+                m: np.array(
+                    [_strip_i(mode_matrix(_unit(j), m, m + shift, op)) for j in range(N)],
+                    dtype=np.int64,
+                )
+                for m in _domain(shift)
+            }
 
-        self.L: dict[int, np.ndarray] = {}       # Lambda^m -> Lambda^{m+3}
-        self.Lstar: dict[int, np.ndarray] = {}   # Lambda^m -> Lambda^{m-3}
-        self.d: dict[int, np.ndarray] = {}       # Lambda^m -> Lambda^{m+1}
-        self.dstar: dict[int, np.ndarray] = {}   # Lambda^m -> Lambda^{m-1}
-        for m in range(0, N + 1):
-            if m + STEP <= N:
-                self.L[m] = templates(m, m + STEP, lambda a: nijenhuis_lie(psi_hat, a))
-            if m - STEP >= 0:
-                self.Lstar[m] = templates(m, m - STEP, lambda a: formal_adjoint_op(psi_hat, a))
-            if m < N:
-                self.d[m] = templates(m, m + 1, ext_deriv)
-            if m > 0:
-                self.dstar[m] = templates(m, m - 1, codifferential)
+        self.L, self.Lstar, self.d, self.dstar = map(templates, _TEMPLATED)
         self.ad = np.array(
             [_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)], dtype=np.int64
         )
@@ -295,7 +228,8 @@ class ModeTemplates:
         return K
 
     def block(self, kind: str, m: int, k) -> list[list[int]]:
-        """Stripped integer block of the domain-degree-m operator at k."""
+        """Stripped integer block of `kind` on Lambda^m at k; [] out of
+        range."""
         table = getattr(self, kind)
         if m not in table:
             return []
@@ -349,38 +283,39 @@ class ModeCalculus:
     def __init__(self, psi: DifferentialForm | None = None):
         self.psi = star_phi_on_torus() if psi is None else psi
         self.templates = ModeTemplates(self.psi)
+        self._operators = operators(contract_metric(self.psi))
         self._star_psi = hodge_star(self.psi)  # enters the 1-form kernel check
 
     # -- spec-level operations ----------------------------------------------
 
-    def block(self, k, l: int) -> ModeBlock:
-        return assemble_mode(k, l, self.psi)
+    def block(self, kind: str, m: int, k) -> list[list[GaussianRational]]:
+        """Exact block of `kind` on Lambda^m at k, assembled from the map on
+        forms (the honest lane); [] out of range."""
+        shift, op = self._operators[kind]
+        return mode_matrix(k, m, m + shift, op) if m in _domain(shift) else []
 
     def anticommutation_check(self, k) -> bool:
-        """Exact per-mode identities L d = -d L, L d* = -d* L, L lap = lap L
-        from direct matrix products of honestly assembled blocks."""
+        """Exact per-mode identities L d = -d L, L d* = -d* L and
+        L lap = lap L on every Lambda^m, from direct matrix products of the
+        honest blocks; a block out of range is the zero map."""
         zero = GaussianRational(0)
-        blk = [self.block(k, l) for l in range(N + 1)]
 
-        def prod(A, B):
-            return linalg.matmul(A, B, zero)
+        @cache
+        def blk(kind, m):
+            return self.block(kind, m, k)
 
-        def vanishes(*terms):  # the sum of equally shaped matrices is 0
-            return not any(sum(xs, zero) for rows in zip(*terms) for xs in zip(*rows))
+        def prod(outer, inner, c=1):  # c * outer inner; [] when either is a zero map
+            A, B = blk(*outer), blk(*inner)
+            return [[c * x for x in row] for row in linalg.matmul(A, B, zero)] if A and B else []
 
-        for m in range(0, N - STEP + 1):
-            # the degree-j block holds L_{j-3}, so up.L = L_m and below.L = L_{m-1};
-            # above is [the block of L_{m+1}], or [] when m + 1 > N - 3
-            up, below, above = blk[m + STEP], blk[m + STEP - 1], blk[m + STEP + 1 : m + STEP + 2]
-            # L lap = lap L on Lambda^m
-            if prod(up.L, blk[m].lap) != prod(up.lap, up.L):
-                return False
-            # L d = -d L on Lambda^{m-1}
-            if m > 0 and not vanishes(prod(up.L, blk[m - 1].d), prod(below.d, below.L)):
-                return False
-            # L d* = -d* L on Lambda^{m+1}
-            if not vanishes(prod(up.L, blk[m + 1].dstar), *(prod(b.dstar, b.L) for b in above)):
-                return False
+        for kind, c in (("d", 1), ("dstar", 1), ("lap", -1)):  # L X + c X L = 0
+            shift = self._operators[kind][0]
+            for m in range(N + 1):
+                terms = (prod(("L", m + shift), (kind, m)), prod((kind, m + STEP), ("L", m), c))
+                terms = [M for M in terms if M]
+                # the sum of the equally shaped nonzero terms must vanish
+                if any(sum(xs, zero) for rows in zip(*terms) for xs in zip(*rows)):
+                    return False
         return True
 
     def anticommutation_linear_check(self) -> bool:
@@ -417,7 +352,7 @@ class ModeCalculus:
         lie = mode_matrix(
             k, 1, self._star_psi.degree, lambda a: lie_vector_form(sharp(a), self._star_psi)
         )
-        rhs = _strip_i(lie + mode_matrix(k, 1, 0, codifferential))
+        rhs = _strip_i(lie + self.block("dstar", 1, k))
         r_lhs, r_rhs, r_both = (linalg.int_ranks([M])[0] for M in (lhs, rhs, lhs + rhs))
         return r_lhs == r_rhs == r_both
 

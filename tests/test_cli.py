@@ -334,6 +334,10 @@ def _mismatched_matmul(A, B, real=linalg.int_matmul):
     return real(A, A)
 
 
+def _broken_operators(psi_hat):
+    raise ValueError("operator table broke")
+
+
 @pytest.mark.parametrize(
     "target, name, stub, argv, line",
     [
@@ -352,6 +356,12 @@ def _mismatched_matmul(A, B, real=linalg.int_matmul):
             linalg, "int_matmul", _mismatched_matmul,
             ("symbol-check", "--max-freq", "0", "--jobs", "1"),
             "fncalc: internal error: ValueError: shape mismatch (1, 1, 35) @ (1, 1, 35)",
+        ),
+        (
+            # a ValueError past the psi check is a bug, not malformed input
+            torus, "operators", _broken_operators,
+            ("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4}", "--max-freq", "0"),
+            "fncalc: internal error: ValueError: operator table broke",
         ),
     ],
 )

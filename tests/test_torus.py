@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -28,47 +29,63 @@ def random_mode(rng, bound=1):
 
 class TestModeBlocks:
     def test_shapes(self):
-        blk = CALC.block(K1, 3)
-        assert len(blk.L) == 35 and len(blk.L[0]) == 1
-        assert len(blk.Lstar) == 1 and len(blk.Lstar[0]) == 35
-        assert len(blk.d) == 35 and len(blk.d[0]) == 35
-        with pytest.raises(ValueError):
-            torus.ModeBlock(K1, 3, blk.d, blk.dstar, blk.lap, blk.Lstar, blk.L)
+        assert linalg.shape(CALC.block("L", 0, K1)) == (35, 1)
+        assert linalg.shape(CALC.block("Lstar", 3, K1)) == (1, 35)
+        assert linalg.shape(CALC.block("d", 3, K1)) == (35, 35)
+        assert linalg.shape(CALC.block("lap", 3, K1)) == (35, 35)
+        # a degree out of range has no block in either lane
+        for kind, m in (("L", 5), ("Lstar", 2), ("d", 7), ("dstar", 0)):
+            assert CALC.block(kind, m, K1) == CALC.templates.block(kind, m, K1) == []
 
     def test_invariants_on_sampled_modes(self):
+        # d o d = 0 and lap = |k|^2 id at sampled modes and degrees
         rng = random.Random(0)
+        zero = GaussianRational(0)
         for _ in range(3):
-            k = random_mode(rng, bound=2)
-            CALC.block(k, rng.randint(0, 5)).validate()
+            k, l = random_mode(rng, bound=2), rng.randint(0, 5)
+            comp = linalg.matmul(CALC.block("d", l + 1, k), CALC.block("d", l, k), zero)
+            assert not any(map(any, comp))
+            k2 = GaussianRational(sum(x * x for x in k))
+            lap = CALC.block("lap", l, k)
+            assert lap == [[k2 if i == j else zero for j in range(len(lap))] for i in range(len(lap))]
 
     def test_d_block_is_wedge_with_frequency(self):
-        blk = CALC.block(K1, 0)
         # d(exp(i x^1)) = i exp(i x^1) e^1: single entry i in the row of e^1
-        col = [blk.d[r][0] for r in range(7)]
+        col = [row[0] for row in CALC.block("d", 0, K1)]
         assert col[0] == GaussianRational(0, 1)
         assert not any(col[1:])
 
     def test_zero_mode_blocks_vanish(self):
-        blk = CALC.block(K0, 3)
-        assert not any(any(row) for row in blk.L)
-        assert not any(any(row) for row in blk.d)
+        assert not any(any(row) for row in CALC.block("L", 0, K0))
+        assert not any(any(row) for row in CALC.block("d", 3, K0))
 
     def test_template_combination_equals_direct_assembly(self):
+        # the fast and honest lanes agree on every templated operator
+        tpl = CALC.templates
         rng = random.Random(1)
-        for _ in range(4):
-            k = random_mode(rng, bound=2)
-            for l in (3, 4, 5, 6):
-                blk = CALC.block(k, l)
-                assert torus._strip_i(blk.L) == CALC.templates.block("L", l - 3, k)
-                assert torus._strip_i(blk.Lstar) == CALC.templates.block("Lstar", l, k)
-                assert torus._strip_i(blk.d) == CALC.templates.block("d", l, k)
+        for k in [random_mode(rng, bound=2) for _ in range(4)]:
+            for kind in torus._TEMPLATED:
+                for m in getattr(tpl, kind):
+                    assert torus._strip_i(CALC.block(kind, m, k)) == tpl.block(kind, m, k), (kind, m)
+
+    def test_templates_read_each_operator_once_per_unit_mode(self, monkeypatch):
+        # 24 (kind, domain degree) pairs at each of the 7 unit modes
+        calls = []
+        real = torus.mode_matrix
+        monkeypatch.setattr(torus, "mode_matrix", lambda *a: calls.append(a[1:3]) or real(*a))
+        tpl = torus.ModeTemplates()
+        assert sum(len(getattr(tpl, kind)) for kind in torus._TEMPLATED) == 24
+        assert len(calls) == 168
+        assert sorted(Counter(calls).values()) == [7] * 24  # (degree in, degree out)
 
     def test_nonconstant_psi_rejected(self):
         psi = DifferentialForm(
             torus.T7, 4, {(1, 2, 3, 4): CoefficientFunction.fourier(torus.T7, K1)}
         )
         with pytest.raises(ValueError):
-            torus.assemble_mode(K1, 3, psi)
+            torus.check_psi(psi)
+        with pytest.raises(ValueError):
+            torus.ModeCalculus(psi)
 
 
 class TestAdjointness:
@@ -81,16 +98,10 @@ class TestAdjointness:
         rng = random.Random(2)
         modes = [random_mode(rng, 2) for _ in range(4)] + [K1]
         for k in modes:
-            for l in range(8):
-                blk = CALC.block(k, l)
-                dstar_next = CALC.block(k, l + 1).dstar if l + 1 <= 7 else []
-                D = blk.d
-                if D and dstar_next:
-                    H = linalg.conjugate_transpose(D)
-                    assert H == dstar_next
-                if blk.L:
-                    H = linalg.conjugate_transpose(blk.L)
-                    assert H == blk.Lstar
+            for up, down, shift in (("d", "dstar", 1), ("L", "Lstar", 3)):
+                for m in range(8 - shift):
+                    H = linalg.conjugate_transpose(CALC.block(up, m, k))
+                    assert H == CALC.block(down, m + shift, k), (up, m)
 
     def test_exhaustive_low_frequency_adjointness(self):
         from itertools import product
@@ -119,26 +130,23 @@ def honest_summary(k):
     """mode_summary's entries recomputed from directly assembled exact
     blocks with the field-lane rank and product over Gaussian rationals."""
     zero = GaussianRational(0)
-    blocks = [CALC.block(k, l) for l in range(8)]
-
-    def L_from(m):  # L out of degree m, or None past the top degree
-        return blocks[m + 3].L if m + 3 <= 7 else None
+    L = [CALC.block("L", m, k) for m in range(8)]  # [] past degree 4
+    Ls = [CALC.block("Lstar", m, k) for m in range(8)]  # [] below degree 3
 
     harmonic, cohomology, regular = [], [], []
     for l in range(8):
         dim = space_dim(7, l)
-        up, down = L_from(l), blocks[l].Lstar if l >= 3 else None
-        stack = (up or []) + (down or [])
-        harmonic.append(dim - linalg.rank(stack))
-        rank_in = linalg.rank(blocks[l].L) if l >= 3 else 0
-        cohomology.append(dim - (linalg.rank(up) if up else 0) - rank_in)
+        up, down = L[l], Ls[l]
+        harmonic.append(dim - linalg.rank(up + down))
+        rank_in = linalg.rank(L[l - 3]) if l >= 3 else 0
+        cohomology.append(dim - linalg.rank(up) - rank_in)
         if l < 3:
             regular.append(True)
             continue
         rank_Ls = linalg.rank(down)
         ok = (dim - rank_Ls) + rank_in == dim
         regular.append(
-            ok and linalg.rank(linalg.matmul(down, blocks[l].L, zero)) == rank_in
+            ok and linalg.rank(linalg.matmul(down, L[l - 3], zero)) == rank_in
         )
     ad = torus.ModeTemplates._ad_matrix(contract_metric(CALC.psi), k)
     out = {
@@ -147,7 +155,7 @@ def honest_summary(k):
         "cohomology": cohomology,
         "regular": regular,
         "vector_kernel": 7 - linalg.rank(ad),
-        "rank_L": {m: linalg.rank(L_from(m)) for m in range(5)},
+        "rank_L": {m: linalg.rank(L[m]) for m in range(5)},
     }
     if any(k):
         for l in (3, 4, 7):
@@ -169,20 +177,19 @@ def honest_decomposition(k):
     """decomposition_report's split at every degree, recomputed from
     directly assembled exact blocks: kernel bases of the harmonic stacks by
     field-lane elimination, intersected with the images of d and d*."""
-    blocks = [CALC.block(k, m) for m in range(8)]
+    def blk(kind, m):  # [] out of range
+        return CALC.block(kind, m, k)
+
     bases = [  # ker [L out of degree m ; L* out of degree m]
-        linalg.nullspace(
-            (blocks[m + 3].L if m + 3 <= 7 else []) + (blocks[m].Lstar if m >= 3 else [])
-        )
-        for m in range(8)
+        linalg.nullspace(blk("L", m) + blk("Lstar", m)) for m in range(8)
     ]
     out = []
     for l in range(8):
-        dstar_part = image_in_span(bases[l], blocks[l + 1].dstar) if l <= 6 else 0
-        up_d_part = image_in_span(bases[l + 1], blocks[l].d) if l <= 6 else 0
+        dstar_part = image_in_span(bases[l], blk("dstar", l + 1))
+        up_d_part = image_in_span(bases[l + 1], blk("d", l)) if l <= 6 else 0
         out.append({
             "harmonic_dim": len(bases[l]),
-            "d_part": image_in_span(bases[l], blocks[l - 1].d) if l >= 1 else 0,
+            "d_part": image_in_span(bases[l], blk("d", l - 1)),
             "dstar_part": dstar_part,
             "d_iso_ok": up_d_part == dstar_part,
         })
@@ -250,12 +257,12 @@ class TestDimensions:
             k = random_mode(rng)
             regular = CALC.mode_summary(k)["regular"]
             for l in (3, 4, 5, 6, 7):
-                blk = CALC.block(k, l)
+                L, Lstar = CALC.block("L", l - 3, k), CALC.block("Lstar", l, k)
                 dim = space_dim(7, l)
-                ker_basis = linalg.nullspace(blk.Lstar)
+                ker_basis = linalg.nullspace(Lstar)
                 expected = (
-                    len(ker_basis) + linalg.rank(blk.L) == dim
-                    and image_in_span(ker_basis, blk.L) == 0
+                    len(ker_basis) + linalg.rank(L) == dim
+                    and image_in_span(ker_basis, L) == 0
                 )
                 assert regular[l] == expected
 
@@ -273,18 +280,23 @@ class TestStructuralChecks:
     def test_anticommutation_linear_identity_all_frequencies(self):
         assert CALC.anticommutation_linear_check()
 
-    def test_anticommutation_fails_on_a_changed_L_entry(self, monkeypatch):
-        # L lap = lap L cannot see it (lap = |k|^2 id); L d = -d L and
-        # L d* = -d* L can
+    @pytest.mark.parametrize(
+        "kind, m, entry",
+        [("L", 1, (0, 0)), ("d", 1, (0, 0)), ("dstar", 3, (0, 0)), ("lap", 2, (0, 1))],
+        ids=["L", "d", "dstar", "lap"],
+    )
+    def test_anticommutation_fails_on_a_changed_entry(self, monkeypatch, kind, m, entry):
+        # a changed d, d* or lap entry breaks only its own identity (L d =
+        # -d L, L d* = -d* L, L lap = lap L), so each identity is needed;
+        # a changed L entry breaks the first two, never L lap = lap L
         honest = torus.ModeCalculus.block
 
-        def changed(self, k, l):
-            blk = honest(self, k, l)
-            if l != 4:
-                return blk
-            L = [list(row) for row in blk.L]
-            L[0][0] += GaussianRational(1)
-            return replace(blk, L=L)
+        def changed(self, kind_, m_, k):
+            M = honest(self, kind_, m_, k)
+            if (kind_, m_) == (kind, m):
+                M = [list(row) for row in M]
+                M[entry[0]][entry[1]] += GaussianRational(1)
+            return M
 
         monkeypatch.setattr(torus.ModeCalculus, "block", changed)
         assert not CALC.anticommutation_check(K1)
