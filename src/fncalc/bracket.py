@@ -28,6 +28,7 @@ from .exterior import (
     insert_frame,
     insert_vvform,
     wedge,
+    _add_term,
     _same_space,
 )
 
@@ -105,8 +106,13 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
     space = K.space
     n = space.dim
     degree = K.degree + L.degree
-    comps = [DifferentialForm.zero(space, degree)] * n
-    sign_k = -1 if K.degree % 2 else 1
+    # one sparse {multi-index: coefficient} accumulator per frame direction
+    comps = [{} for _ in range(n)]
+    odd_k = K.degree % 2
+
+    def collect(out: dict, t: DifferentialForm, negate: bool) -> None:
+        for idx, coeff in t.terms.items():
+            _add_term(out, idx, -coeff if negate else coeff)
 
     d_alpha = [ext_deriv(a) if a else None for a in K.components]
     d_beta = [ext_deriv(b) if b else None for b in L.components]
@@ -120,24 +126,17 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
             if not beta:
                 continue
             # [e_i, e_j] = 0, so the bracket term of the formula drops out
-            t = wedge(alpha, coefficient_deriv(beta, i))
-            if t:
-                comps[j - 1] = comps[j - 1] + t
-            t = wedge(coefficient_deriv(alpha, j), beta)
-            if t:
-                comps[i - 1] = comps[i - 1] - t
+            collect(comps[j - 1], wedge(alpha, coefficient_deriv(beta, i)), False)
+            collect(comps[i - 1], wedge(coefficient_deriv(alpha, j), beta), True)
             da = d_alpha[i - 1]
             ib = insert_frame(i, beta)
             if da and ib:
-                t = wedge(da, ib)
-                if t:
-                    comps[j - 1] = comps[j - 1] + (t if sign_k > 0 else -t)
+                collect(comps[j - 1], wedge(da, ib), odd_k)
             ia = insert_frame(j, alpha)
             db = d_beta[j - 1]
             if ia and db:
-                t = wedge(ia, db)
-                if t:
-                    comps[i - 1] = comps[i - 1] + (t if sign_k > 0 else -t)
+                collect(comps[i - 1], wedge(ia, db), odd_k)
+    comps = [DifferentialForm._of(space, degree, c) for c in comps]
     return VectorValuedForm(space, degree, comps)
 
 

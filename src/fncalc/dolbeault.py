@@ -84,4 +84,4 @@ def dc(a: DifferentialForm) -> DifferentialForm:
                 accumulate(j, ddel.scale(-I), idx)
 
     real_terms = transform_terms(space, out, _complex_to_real_matrix(m))
-    return DifferentialForm(space, a.degree + 1, real_terms)
+    return DifferentialForm._of(space, a.degree + 1, real_terms)

@@ -7,6 +7,9 @@ such coefficient functions; tangent-valued forms are tuples of component
 forms K = sum_i alpha_i (x) e_i in the global orthonormal frame.
 
 All values are immutable after construction and all operations are pure.
+The public constructors validate their input and prune zero coefficients;
+kernels build their outputs from checked operands through the trusted
+constructors `CoefficientFunction._of` and `DifferentialForm._of`.
 """
 
 from __future__ import annotations
@@ -108,6 +111,14 @@ class CoefficientFunction:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", pruned)
 
+    @classmethod
+    def _of(cls, space: ModelSpace, terms: dict) -> "CoefficientFunction":
+        """Trusted constructor: terms are stored as given, already canonical."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "space", space)
+        object.__setattr__(f, "terms", terms)
+        return f
+
     def __setattr__(self, *_):
         raise AttributeError("CoefficientFunction is immutable")
 
@@ -139,14 +150,16 @@ class CoefficientFunction:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
+        if not isinstance(other, CoefficientFunction):
+            return NotImplemented
         _same_space(self, other)
         out = dict(self.terms)
         for key, val in other.terms.items():
             _add_term(out, key, val)
-        return CoefficientFunction(self.space, out)
+        return CoefficientFunction._of(self.space, out)
 
     def __neg__(self) -> "CoefficientFunction":
-        return CoefficientFunction(self.space, {k: -v for k, v in self.terms.items()})
+        return CoefficientFunction._of(self.space, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "CoefficientFunction") -> "CoefficientFunction":
         return self + (-other)
@@ -154,6 +167,8 @@ class CoefficientFunction:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
+        if not isinstance(other, CoefficientFunction):
+            return NotImplemented
         _same_space(self, other)
         out: dict = {}
         # basis functions multiply by adding keys in both flavors
@@ -162,7 +177,7 @@ class CoefficientFunction:
                 key = tuple(a + b for a, b in zip(k1, k2))
                 val = v1 * v2
                 _add_term(out, key, val)
-        return CoefficientFunction(self.space, out)
+        return CoefficientFunction._of(self.space, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -173,7 +188,7 @@ class CoefficientFunction:
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         if not c:
             return CoefficientFunction.zero(self.space)
-        return CoefficientFunction(self.space, {k: v * c for k, v in self.terms.items()})
+        return CoefficientFunction._of(self.space, {k: v * c for k, v in self.terms.items()})
 
     def deriv(self, j: int) -> "CoefficientFunction":
         """Exact coordinate derivative d/dx^j (1-based)."""
@@ -181,20 +196,19 @@ class CoefficientFunction:
             raise ValueError(f"coordinate index {j} out of range")
         out = {}
         pos = j - 1
+        raw = GaussianRational._raw
         if self.space.is_affine:
+            # lowering the j-th exponent makes no two monomials collide
             for key, val in self.terms.items():
                 e = key[pos]
-                if e == 0:
-                    continue
-                dkey = key[:pos] + (e - 1,) + key[pos + 1:]
-                _add_term(out, dkey, val * e)
+                if e:
+                    out[key[:pos] + (e - 1,) + key[pos + 1:]] = val * raw(e, 0, 1)
         else:
             for key, val in self.terms.items():
                 kj = key[pos]
-                if kj == 0:
-                    continue
-                out[key] = val * GaussianRational(0, Fraction(kj))
-        return CoefficientFunction(self.space, out)
+                if kj:
+                    out[key] = val * raw(0, kj, 1)
+        return CoefficientFunction._of(self.space, out)
 
     # -- queries -----------------------------------------------------------
 
@@ -272,23 +286,33 @@ class DifferentialForm:
         if degree < 0:
             raise DegreeError(f"negative form degree {degree}")
         pruned = {}
-        if terms and degree <= space.dim:
-            for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index {idx} does not match degree {degree}")
-                check_multi_index(idx, space.dim)
-                if coeff.space != space:
-                    raise SpaceMismatch("coefficient on a different model space")
-                if coeff:
-                    pruned[idx] = coeff
-        elif terms:
-            for idx, coeff in terms.items():
+        for idx, coeff in (terms or {}).items():
+            if not isinstance(coeff, CoefficientFunction):
+                raise TypeError("coefficients must be CoefficientFunction values")
+            if degree > space.dim:
                 if coeff:
                     raise DegreeError(f"nonzero term of degree {degree} on {space}")
+                continue
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise ValueError(f"index {idx} does not match degree {degree}")
+            check_multi_index(idx, space.dim)
+            if coeff.space != space:
+                raise SpaceMismatch("coefficient on a different model space")
+            if coeff:
+                pruned[idx] = coeff
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", pruned)
+
+    @classmethod
+    def _of(cls, space: ModelSpace, degree: int, terms: dict) -> "DifferentialForm":
+        """Trusted constructor: terms are stored as given, already canonical."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "space", space)
+        object.__setattr__(a, "degree", degree)
+        object.__setattr__(a, "terms", terms)
+        return a
 
     def __setattr__(self, *_):
         raise AttributeError("DifferentialForm is immutable")
@@ -317,16 +341,18 @@ class DifferentialForm:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
+        if not isinstance(other, DifferentialForm):
+            return NotImplemented
         _same_space(self, other)
         if self.degree != other.degree:
             raise DegreeError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
             _add_term(out, idx, coeff)
-        return DifferentialForm(self.space, self.degree, out)
+        return DifferentialForm._of(self.space, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(
+        return DifferentialForm._of(
             self.space, self.degree, {i: -c for i, c in self.terms.items()}
         )
 
@@ -334,16 +360,16 @@ class DifferentialForm:
         return self + (-other)
 
     def scale(self, c) -> "DifferentialForm":
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational(c)
-        return DifferentialForm(
-            self.space, self.degree, {i: f * c for i, f in self.terms.items()}
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        if not c:
+            return DifferentialForm.zero(self.space, self.degree)
+        return DifferentialForm._of(
+            self.space, self.degree, {i: f.scale(c) for i, f in self.terms.items()}
         )
 
     def mul_function(self, f: CoefficientFunction) -> "DifferentialForm":
-        return DifferentialForm(
-            self.space, self.degree, {i: g * f for i, g in self.terms.items()}
-        )
+        terms = {i: h for i, g in self.terms.items() if (h := g * f)}
+        return DifferentialForm._of(self.space, self.degree, terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -561,24 +587,24 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     degree = a.degree + b.degree
     if degree > a.space.dim:
         return DifferentialForm.zero(a.space, degree)
-    return DifferentialForm(a.space, degree, _wedge_terms(a.terms, b.terms))
+    return DifferentialForm._of(a.space, degree, _wedge_terms(a.terms, b.terms))
 
 
 def ext_deriv(a: DifferentialForm) -> DifferentialForm:
     """Exterior derivative; raises degree by one, d o d = 0."""
     out: dict = {}
     for idx, coeff in a.terms.items():
-        for j in range(1, a.space.dim + 1):
-            dc = coeff.deriv(j)
-            if not dc:
-                continue
+        # d/dx^j vanishes unless x^j occurs in some exponent or frequency;
+        # increasing j keeps the order in which terms are added
+        live = sorted({j for key in coeff.terms for j, e in enumerate(key, 1) if e})
+        for j in live:
             ms = merge_sign((j,), idx)
             if ms is None:
                 continue
             sign, merged = ms
-            val = dc if sign > 0 else -dc
-            _add_term(out, merged, val)
-    return DifferentialForm(a.space, a.degree + 1, out)
+            dc = coeff.deriv(j)
+            _add_term(out, merged, dc if sign > 0 else -dc)
+    return DifferentialForm._of(a.space, a.degree + 1, out)
 
 
 def insert_vector(X: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -596,14 +622,14 @@ def insert_vector(X: VectorField, a: DifferentialForm) -> DifferentialForm:
             if sign < 0:
                 val = -val
             _add_term(out, rest, val)
-    return DifferentialForm(a.space, a.degree - 1, out)
+    return DifferentialForm._of(a.space, a.degree - 1, out)
 
 
 def insert_frame(i: int, a: DifferentialForm) -> DifferentialForm:
     """iota_{e_i} for a constant frame direction (fast path)."""
     if a.degree == 0:
         return DifferentialForm.zero(a.space, 0)
-    return DifferentialForm(a.space, a.degree - 1, _insert_frame_terms(i, a.terms))
+    return DifferentialForm._of(a.space, a.degree - 1, _insert_frame_terms(i, a.terms))
 
 
 def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
@@ -633,7 +659,7 @@ def coefficient_deriv(a: DifferentialForm, j: int) -> DifferentialForm:
         dc = coeff.deriv(j)
         if dc:
             out[idx] = dc
-    return DifferentialForm(a.space, a.degree, out)
+    return DifferentialForm._of(a.space, a.degree, out)
 
 
 def lie_vector_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -654,7 +680,7 @@ def hodge_star(a: DifferentialForm) -> DifferentialForm:
     n = a.space.dim
     if a.degree > n:
         raise DegreeError(f"cannot star a degree-{a.degree} form on {a.space}")
-    return DifferentialForm(a.space, n - a.degree, _star_terms(a.terms, n))
+    return DifferentialForm._of(a.space, n - a.degree, _star_terms(a.terms, n))
 
 
 def formal_adjoint(op, a: DifferentialForm) -> DifferentialForm:

@@ -468,7 +468,7 @@ def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> Diffe
             if not entry:
                 continue
             _add_term(out, target, coeff * entry)
-    return DifferentialForm(a.space, degree_out, out)
+    return DifferentialForm._of(a.space, degree_out, out)
 
 
 def projection_matrix_rank(component: str) -> int:

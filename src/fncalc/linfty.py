@@ -151,7 +151,7 @@ def _lift_coefficient(f: CoefficientFunction, model: FlatAssociativeModel) -> Co
         for r, e in enumerate(key):
             new[model.plane[r] - 1] = e
         out[tuple(new)] = val
-    return CoefficientFunction(AMBIENT, out)
+    return CoefficientFunction._of(AMBIENT, out)
 
 
 def _lift_form(a: DifferentialForm, model: FlatAssociativeModel) -> DifferentialForm:
@@ -159,7 +159,7 @@ def _lift_form(a: DifferentialForm, model: FlatAssociativeModel) -> Differential
     for idx, coeff in a.terms.items():
         new_idx = tuple(model.plane[r - 1] for r in idx)
         out[new_idx] = _lift_coefficient(coeff, model)
-    return DifferentialForm(AMBIENT, a.degree, out)
+    return DifferentialForm._of(AMBIENT, a.degree, out)
 
 
 def vertical_lift(omega: NormalValuedForm) -> VectorValuedForm:
@@ -183,7 +183,7 @@ def _restrict_coefficient(f: CoefficientFunction, model: FlatAssociativeModel) -
             continue  # vanishes on the zero section
         # surviving keys are zero at all normal positions, so no collisions
         out[tuple(key[p] for p in plane_pos)] = val
-    return CoefficientFunction(PLANE_SPACE, out)
+    return CoefficientFunction._of(PLANE_SPACE, out)
 
 
 def project_P(K: VectorValuedForm, model: FlatAssociativeModel) -> NormalValuedForm:
@@ -204,7 +204,7 @@ def project_P(K: VectorValuedForm, model: FlatAssociativeModel) -> NormalValuedF
             if restricted:
                 rank = {p: r + 1 for r, p in enumerate(model.plane)}
                 out[tuple(rank[i] for i in idx)] = restricted
-        comps.append(DifferentialForm(PLANE_SPACE, K.degree, out))
+        comps.append(DifferentialForm._of(PLANE_SPACE, K.degree, out))
     return NormalValuedForm(model, K.degree, comps)
 
 

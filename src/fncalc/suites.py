@@ -165,13 +165,14 @@ def _suite_gla(config: SuiteConfig, report: SuiteReport) -> None:
             K2 = random_vvform(space, rng)
             K3 = random_vvform(space, rng)
             s12 = _sign(K1.degree * K2.degree)
-            if fn_bracket(K1, K2) + fn_bracket(K2, K1).scale(s12):
+            b12 = fn_bracket(K1, K2)
+            if b12 + fn_bracket(K2, K1).scale(s12):
                 skew_fail += 1
-                witness = witness or serialize_vvform(fn_bracket(K1, K2))
+                witness = witness or serialize_vvform(b12)
             p1, p2, p3 = K1.degree, K2.degree, K3.degree
             total = fn_bracket(K1, fn_bracket(K2, K3)).scale(_sign(p1 * p3))
             total = total + fn_bracket(K2, fn_bracket(K3, K1)).scale(_sign(p2 * p1))
-            total = total + fn_bracket(K3, fn_bracket(K1, K2)).scale(_sign(p3 * p2))
+            total = total + fn_bracket(K3, b12).scale(_sign(p3 * p2))
             if total:
                 jacobi_fail += 1
                 witness = witness or serialize_vvform(total)

@@ -385,6 +385,20 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_trusted_constructors_are_not_called_where_input_enters():
+    # form strings, seeded samples, suite configs and argv reach the exact
+    # core here, so they must go through the validating constructors
+    package = Path(cli.__file__).parent
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("grammar.py", "sampling.py", "suites.py", "cli.py")
+        for node in ast.walk(ast.parse((package / name).read_text(), name))
+        if (isinstance(node, ast.Attribute) and node.attr == "_of")
+        or (isinstance(node, ast.Name) and node.id == "_of")
+    ]
+    assert found == []
+
+
 def test_run_suite_leaves_the_callers_config_alone():
     config = SuiteConfig(suite="vdata", check="jacobi", samples=2)
     report = run_suite(config)

@@ -5,6 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fncalc import linfty
+from fncalc.bracket import fn_bracket, lie_tensor, nijenhuis_lie, vf_bracket
+from fncalc.dolbeault import dc
 from fncalc.exterior import (
     CoefficientFunction,
     DegreeError,
@@ -13,6 +16,7 @@ from fncalc.exterior import (
     VectorField,
     affine_space,
     codifferential,
+    coefficient_deriv,
     contract_metric,
     ext_deriv,
     evaluate,
@@ -33,14 +37,22 @@ from fncalc.exterior import (
     _wedge_terms,
     insert_frame,
 )
+from fncalc.g2 import g2_type_project
 from fncalc.multiindex import all_indices
-from fncalc.sampling import random_form, random_vector_field
+from fncalc.sampling import (
+    random_coefficient,
+    random_form,
+    random_vector_field,
+    random_vvform,
+)
 from fncalc.scalars import GaussianRational
 
 R2 = affine_space(2)
 R4 = affine_space(4)
 R7 = affine_space(7)
 T2 = torus_space(2)
+T3 = torus_space(3)
+T4 = torus_space(4)
 
 
 def e(space, *idx):
@@ -101,6 +113,28 @@ class TestExteriorDerivative:
             for _ in range(25):
                 a = random_form(space, rng.randint(0, space.dim - 1), rng)
                 assert not ext_deriv(ext_deriv(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((R4, T3)),
+        st.sampled_from(("sampled", "constant", "mixed", "top")),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_frame_sum_of_coefficient_derivatives(self, space, kind, rnd):
+        # ext_deriv differentiates only along live coordinates; the honest
+        # lane d a = sum_j e^j ^ d_j a differentiates along every one
+        degree = space.dim if kind == "top" else rnd.randint(0, space.dim)
+        if kind == "constant":
+            a = constant_form(space, degree, rnd)
+        else:
+            a = random_form(space, degree, rnd)
+            if kind == "mixed":
+                a = a + constant_form(space, degree, rnd)
+        honest = DifferentialForm.zero(space, degree + 1)
+        for j in range(1, space.dim + 1):
+            honest = honest + wedge(e(space, j), coefficient_deriv(a, j))
+        assert ext_deriv(a) == honest
+        assert not ext_deriv(ext_deriv(a))
 
     def test_derivation_over_wedge(self):
         rng = random.Random(4)
@@ -353,3 +387,77 @@ def test_degree_stored_explicitly_for_zero_forms():
     assert (z + z).degree == 3
     with pytest.raises(DegreeError):
         z + DifferentialForm.zero(R4, 2)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: x(R2, 1) * 1.5,
+        lambda: x(R2, 1) + 1,
+        lambda: e(R2, 1) + 1,
+        lambda: e(R2, 1).scale(1.5),
+        lambda: DifferentialForm(R2, 1, {(1,): 1}),
+        lambda: DifferentialForm(R2, 3, {(1, 2, 3): 0}),
+    ],
+    ids=["function-times-float", "function-plus-int", "form-plus-int",
+         "form-scale-float", "form-with-int-coefficient",
+         "above-top-degree-with-int-coefficient"],
+)
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def assert_canonical(value):
+    """value equals the validating public constructor re-run on its terms
+    and holds no zero coefficient at any level."""
+    if isinstance(value, CoefficientFunction):
+        assert all(type(v) is GaussianRational and v for v in value.terms.values())
+        assert CoefficientFunction(value.space, value.terms) == value
+    elif isinstance(value, DifferentialForm):
+        assert all(type(idx) is tuple and coeff for idx, coeff in value.terms.items())
+        assert DifferentialForm(value.space, value.degree, value.terms) == value
+        for coeff in value.terms.values():
+            assert_canonical(coeff)
+    else:  # vector fields, tangent- and normal-valued forms
+        for part in value.components:
+            assert_canonical(part)
+
+
+PLANE_MODEL = linfty.FlatAssociativeModel.from_plane((1, 2, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((R4, T4)), st.randoms(use_true_random=False))
+def test_operator_outputs_pass_the_validating_constructors(space, rnd):
+    # kernels build their outputs with the trusted constructors; a term the
+    # public constructors would reject or prune must never reach a value
+    n = space.dim
+    a = random_form(space, rnd.randint(0, n), rnd)
+    b = random_form(space, rnd.randint(0, n), rnd)
+    f, g = random_coefficient(space, rnd), random_coefficient(space, rnd)
+    X, Y = random_vector_field(space, rnd), random_vector_field(space, rnd)
+    K = random_vvform(space, rnd, max_degree=2)
+    L = random_vvform(space, rnd, max_degree=2)
+    c, i = rnd.randint(-2, 2), rnd.randint(1, n)
+    outputs = [
+        f + g, f - g, -f, f * g, f * c, f.scale(c), f.deriv(i),
+        a + a.scale(c), a - a, -a, a.scale(c), a.mul_function(f), a.mul_function(f - f),
+        wedge(a, b), ext_deriv(a), insert_vector(X, a), insert_frame(i, a),
+        insert_vvform(K, a), coefficient_deriv(a, i), lie_vector_form(X, a),
+        hodge_star(a), codifferential(a), laplacian(a), flat_pairing(a, a),
+        nijenhuis_lie(K, a), nijenhuis_lie(X, a), fn_bracket(K, L),
+        vf_bracket(X, Y), lie_tensor(X, K), X - Y.scale(c), K - K.scale(c),
+        evaluate(a, ([X, Y] * n)[:a.degree]),
+    ]
+    if a.degree:
+        outputs.append(contract_metric(a))
+    if space.is_affine:
+        outputs.append(dc(a))
+        omega = linfty.NormalValuedForm.decomposable(
+            PLANE_MODEL, random_form(linfty.PLANE_SPACE, rnd.randint(0, 1), rnd), rnd.randint(1, 4)
+        )
+        outputs += [linfty.vertical_lift(omega), linfty.multibracket(PLANE_MODEL, [omega])]
+        outputs.append(g2_type_project(random_form(R7, 3, rnd), "3_27"))
+    for value in outputs:
+        assert_canonical(value)
