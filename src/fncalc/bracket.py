@@ -28,7 +28,7 @@ from .exterior import (
     insert_frame,
     insert_vvform,
     wedge,
-    _add_term,
+    _add_terms,
     _same_space,
 )
 
@@ -39,19 +39,19 @@ def vf_bracket(X: VectorField, Y: VectorField) -> VectorField:
     n = X.space.dim
     comps = []
     for i in range(n):
-        total = CoefficientFunction.zero(X.space)
+        total: dict = {}
         for j in range(1, n + 1):
             xj = X.components[j - 1]
             yj = Y.components[j - 1]
             if xj:
                 d = Y.components[i].deriv(j)
                 if d:
-                    total = total + xj * d
+                    _add_terms(total, (xj * d).terms)
             if yj:
                 d = X.components[i].deriv(j)
                 if d:
-                    total = total - yj * d
-        comps.append(total)
+                    _add_terms(total, (yj * d).terms, negate=True)
+        comps.append(CoefficientFunction._of(X.space, total))
     return VectorField(X.space, comps)
 
 
@@ -66,17 +66,18 @@ def lie_tensor(X: VectorField, K: VectorValuedForm) -> VectorValuedForm:
 
     _same_space(X, K)
     n = K.space.dim
-    comps = [DifferentialForm.zero(K.space, K.degree)] * n
+    comps = [{} for _ in range(n)]
     for i in range(1, n + 1):
         alpha = K.components[i - 1]
         if not alpha:
             continue
-        comps[i - 1] = comps[i - 1] + lie_vector_form(X, alpha)
+        _add_terms(comps[i - 1], lie_vector_form(X, alpha).terms)
         # [X, e_i] = -sum_j (d_i X^j) e_j
         for j in range(1, n + 1):
             d = X.components[j - 1].deriv(i)
             if d:
-                comps[j - 1] = comps[j - 1] - alpha.mul_function(d)
+                _add_terms(comps[j - 1], alpha.mul_function(d).terms, negate=True)
+    comps = [DifferentialForm._of(K.space, K.degree, c) for c in comps]
     return VectorValuedForm(K.space, K.degree, comps)
 
 
@@ -110,10 +111,6 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
     comps = [{} for _ in range(n)]
     odd_k = K.degree % 2
 
-    def collect(out: dict, t: DifferentialForm, negate: bool) -> None:
-        for idx, coeff in t.terms.items():
-            _add_term(out, idx, -coeff if negate else coeff)
-
     d_alpha = [ext_deriv(a) if a else None for a in K.components]
     d_beta = [ext_deriv(b) if b else None for b in L.components]
 
@@ -126,16 +123,16 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
             if not beta:
                 continue
             # [e_i, e_j] = 0, so the bracket term of the formula drops out
-            collect(comps[j - 1], wedge(alpha, coefficient_deriv(beta, i)), False)
-            collect(comps[i - 1], wedge(coefficient_deriv(alpha, j), beta), True)
+            _add_terms(comps[j - 1], wedge(alpha, coefficient_deriv(beta, i)).terms)
+            _add_terms(comps[i - 1], wedge(coefficient_deriv(alpha, j), beta).terms, True)
             da = d_alpha[i - 1]
             ib = insert_frame(i, beta)
             if da and ib:
-                collect(comps[j - 1], wedge(da, ib), odd_k)
+                _add_terms(comps[j - 1], wedge(da, ib).terms, odd_k)
             ia = insert_frame(j, alpha)
             db = d_beta[j - 1]
             if ia and db:
-                collect(comps[i - 1], wedge(ia, db), odd_k)
+                _add_terms(comps[i - 1], wedge(ia, db).terms, odd_k)
     comps = [DifferentialForm._of(space, degree, c) for c in comps]
     return VectorValuedForm(space, degree, comps)
 

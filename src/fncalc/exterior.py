@@ -85,6 +85,12 @@ def _add_term(out: dict, key, val) -> None:
         out.pop(key, None)
 
 
+def _add_terms(out: dict, terms: dict, negate: bool = False) -> None:
+    """Add (or subtract) a sparse map into out, term by term in its order."""
+    for key, val in terms.items():
+        _add_term(out, key, -val if negate else val)
+
+
 class CoefficientFunction:
     """Exact scalar function: finite monomial or Fourier sum.
 
@@ -154,8 +160,7 @@ class CoefficientFunction:
             return NotImplemented
         _same_space(self, other)
         out = dict(self.terms)
-        for key, val in other.terms.items():
-            _add_term(out, key, val)
+        _add_terms(out, other.terms)
         return CoefficientFunction._of(self.space, out)
 
     def __neg__(self) -> "CoefficientFunction":
@@ -347,8 +352,7 @@ class DifferentialForm:
         if self.degree != other.degree:
             raise DegreeError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            _add_term(out, idx, coeff)
+        _add_terms(out, other.terms)
         return DifferentialForm._of(self.space, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
@@ -639,7 +643,7 @@ def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
     degree = K.degree + a.degree - 1
     if a.degree == 0:
         return DifferentialForm.zero(a.space, max(degree, 0))
-    result = DifferentialForm.zero(a.space, degree)
+    out: dict = {}
     for i in range(1, a.space.dim + 1):
         alpha = K.components[i - 1]
         if not alpha:
@@ -647,8 +651,8 @@ def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
         contracted = insert_frame(i, a)
         if not contracted:
             continue
-        result = result + wedge(alpha, contracted)
-    return result
+        _add_terms(out, wedge(alpha, contracted).terms)
+    return DifferentialForm._of(a.space, degree, out)
 
 
 def coefficient_deriv(a: DifferentialForm, j: int) -> DifferentialForm:
@@ -751,12 +755,12 @@ def flat_pairing(a: DifferentialForm, b: DifferentialForm) -> CoefficientFunctio
     _same_space(a, b)
     if a.degree != b.degree:
         raise DegreeError("pairing needs equal degrees")
-    total = CoefficientFunction.zero(a.space)
+    out: dict = {}
     for idx, coeff in a.terms.items():
         other = b.terms.get(idx)
         if other is not None:
-            total = total + coeff * other
-    return total
+            _add_terms(out, (coeff * other).terms)
+    return CoefficientFunction._of(a.space, out)
 
 
 def volume_form(space: ModelSpace) -> DifferentialForm:
@@ -767,35 +771,19 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
     """Re-expand sparse frame terms in a new constant coframe f^1..f^n.
 
     matrix[i][b] gives e^{i+1} = sum_b matrix[i][b] f^{b+1} (entries exact
-    scalars).  The coefficient of f^A in the output is sum_I c_I det(M[I, A]).
+    scalars).  The coefficient of f^A in the output is sum_I c_I det(M[I, A]),
+    and the minors det(M[I, A]) are the coefficients of the wedge of the
+    rows of M indexed by I.
     """
     n = space.dim
+    rows = [{(b,): x for b, x in enumerate(row, start=1) if x} for row in matrix]
     out: dict = {}
     for idx, coeff in terms.items():
-        p = len(idx)
-        for target in all_indices(n, p):
-            det = _minor_det(matrix, idx, target)
-            if not det:
-                continue
-            val = coeff * det
-            _add_term(out, target, val)
+        minors = {(): ONE}
+        for i in idx:
+            minors = _wedge_terms(minors, rows[i - 1])
+        for target in all_indices(n, len(idx)):
+            det = minors.get(target)
+            if det is not None:
+                _add_term(out, target, coeff * det)
     return out
-
-
-def _minor_det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> GaussianRational:
-    # Laplace expansion; minors here are at most 4x4
-    if not rows:
-        return ONE
-    if len(rows) == 1:
-        return matrix[rows[0] - 1][cols[0] - 1]
-    total = GaussianRational(0)
-    r0 = rows[0]
-    rest = rows[1:]
-    for pos, c in enumerate(cols):
-        entry = matrix[r0 - 1][c - 1]
-        if not entry:
-            continue
-        sub = _minor_det(matrix, rest, cols[:pos] + cols[pos + 1:])
-        term = entry * sub
-        total = total + (term if pos % 2 == 0 else -term)
-    return total

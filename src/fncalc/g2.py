@@ -13,6 +13,10 @@ The pointwise numeric lane (cayley_map, numeric_bracket_of_chi) runs the
 exterior module's sparse kernels (_wedge_terms, _insert_frame_terms,
 _star_terms) on float coefficient maps, and gram_matrix runs them on
 constant exact scalars; only the scalar type differs from the exact lane.
+pullback_chi_tensor visits only the nonzero entries of its tensor and fixes
+in code the summation order of numpy's unoptimized einsum, so its floats
+equal that einsum's bit for bit; only cayley_map's einsums still take
+numpy's order.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .exterior import (
     ModelSpace,
     VectorValuedForm,
     _add_term,
+    _add_terms,
     _insert_frame_terms,
     _star_terms,
     _wedge_terms,
@@ -110,10 +115,11 @@ def gram_matrix(phi: DifferentialForm, point) -> list[list[GaussianRational]]:
     else:
         pt = {idx: c.eval_exact(point) for idx, c in phi.terms.items()}
     contractions = [_insert_frame_terms(i, pt) for i in range(1, 8)]
-    vol_idx = tuple(range(1, 8))
+    # B_ij = [i_i phi ^ (i_j phi ^ phi)]_vol = <i_i phi, *(i_j phi ^ phi)>
+    duals = [_star_terms(_wedge_terms(cj, pt), 7) for cj in contractions]
     zero = GaussianRational(0)
     return [
-        [_wedge_terms(_wedge_terms(ci, cj), pt).get(vol_idx, zero) for cj in contractions]
+        [sum((v * w[idx] for idx, v in ci.items() if idx in w), zero) for w in duals]
         for ci in contractions
     ]
 
@@ -276,9 +282,21 @@ def pullback_3form(A: np.ndarray, structure: G2Structure) -> G2Structure:
 
 def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Natural action of A on a tangent-valued 3-form at a point:
-    (A*T)(x,y,z) = A^{-1} T(Ax, Ay, Az)."""
+    (A*T)(x,y,z) = A^{-1} T(Ax, Ay, Az).
+
+    Rows (p,q,r) of T with a nonzero entry are visited in C order, and each
+    sums ((A_pa A_qb) A_rc) Ainv_ds T_pqrs over its nonzero s before adding
+    to the output: the order of the unoptimized einsum "pa,qb,rc,ds,pqrs".
+    """
     Ainv = np.linalg.inv(A)
-    return np.einsum("pa,qb,rc,ds,pqrs->abcd", A, A, A, Ainv, T)
+    out = np.zeros((7, 7, 7, 7))
+    for p, q, r in zip(*np.nonzero(T.any(axis=3))):
+        ABC = (A[p][:, None, None] * A[q][None, :, None]) * A[r][None, None, :]
+        acc = np.zeros((7, 7, 7, 7))
+        for s in np.flatnonzero(T[p, q, r]):
+            acc += (ABC[..., None] * Ainv[:, s]) * T[p, q, r, s]
+        out += acc
+    return out
 
 
 def _chi_field_coeffs(structure: G2Structure, point) -> list[dict]:
@@ -309,15 +327,11 @@ def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> fl
         keys = set(a) | set(b)
         return {key: (a.get(key, 0.0) - b.get(key, 0.0)) / (2 * h) for key in keys}
 
-    def add_into(target: dict, terms: dict, sign=1.0):
-        for key, val in terms.items():
-            _add_term(target, key, sign * val)
-
     # d alpha = sum_m e^m ^ d_m alpha
     d_alpha = [{} for _ in range(7)]
     for i in range(7):
         for m in range(7):
-            add_into(d_alpha[i], _wedge_terms({(m + 1,): 1.0}, partial(m, i)))
+            _add_terms(d_alpha[i], _wedge_terms({(m + 1,): 1.0}, partial(m, i)))
 
     total = [{} for _ in range(7)]
     for i in range(7):
@@ -325,12 +339,12 @@ def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> fl
         for j in range(7):
             beta = center[j]
             # alpha_i ^ (d_i beta_j) into component j
-            add_into(total[j], _wedge_terms(alpha, partial(i, j)))
+            _add_terms(total[j], _wedge_terms(alpha, partial(i, j)))
             # -(d_j alpha_i) ^ beta_j into component i
-            add_into(total[i], _wedge_terms(partial(j, i), beta), -1.0)
+            _add_terms(total[i], _wedge_terms(partial(j, i), beta), True)
             # odd degree: -(d alpha_i ^ iota_i beta_j) into j, -(iota_j alpha_i ^ d beta_j) into i
-            add_into(total[j], _wedge_terms(d_alpha[i], _insert_frame_terms(i + 1, beta)), -1.0)
-            add_into(total[i], _wedge_terms(_insert_frame_terms(j + 1, alpha), d_alpha[j]), -1.0)
+            _add_terms(total[j], _wedge_terms(d_alpha[i], _insert_frame_terms(i + 1, beta)), True)
+            _add_terms(total[i], _wedge_terms(_insert_frame_terms(j + 1, alpha), d_alpha[j]), True)
     return max((abs(val) for bucket in total for val in bucket.values()), default=0.0)
 
 

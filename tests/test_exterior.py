@@ -1,13 +1,14 @@
 """First-order operators and algebra on the flat models."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fncalc import linfty
 from fncalc.bracket import fn_bracket, lie_tensor, nijenhuis_lie, vf_bracket
-from fncalc.dolbeault import dc
+from fncalc.dolbeault import _complex_to_real_matrix, _real_to_complex_matrix, dc
 from fncalc.exterior import (
     CoefficientFunction,
     DegreeError,
@@ -32,10 +33,12 @@ from fncalc.exterior import (
 )
 from fncalc.exterior import (
     VectorValuedForm,
+    _add_term,
     _insert_frame_terms,
     _star_terms,
     _wedge_terms,
     insert_frame,
+    transform_terms,
 )
 from fncalc.g2 import g2_type_project
 from fncalc.multiindex import all_indices
@@ -278,6 +281,82 @@ class TestSparseKernels:
             assert _star_terms(fa, space.dim) == float_image(hodge_star(a))
             for i in range(1, space.dim + 1):
                 assert _insert_frame_terms(i, fa) == float_image(insert_frame(i, a))
+
+
+def laplace_minor(matrix, rows, cols):
+    """det(M[rows, cols]) by Laplace expansion along the first row."""
+    if not rows:
+        return GaussianRational(1)
+    total = GaussianRational(0)
+    for pos, c in enumerate(cols):
+        sub = laplace_minor(matrix, rows[1:], cols[:pos] + cols[pos + 1:])
+        term = matrix[rows[0] - 1][c - 1] * sub
+        total = total + (term if pos % 2 == 0 else -term)
+    return total
+
+
+def laplace_transform(n, terms, matrix):
+    """The coframe change with every minor expanded on its own, adding the
+    terms in the same order as transform_terms."""
+    out = {}
+    for idx, coeff in terms.items():
+        for target in all_indices(n, len(idx)):
+            det = laplace_minor(matrix, idx, target)
+            if det:
+                _add_term(out, target, coeff * det)
+    return out
+
+
+def rational_matrix(n, rng):
+    return [
+        [GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+class TestTransformTerms:
+    def check(self, space, terms, matrix):
+        out = transform_terms(space, terms, matrix)
+        # same values and the same dict order as the honest lane
+        assert list(out.items()) == list(laplace_transform(space.dim, terms, matrix).items())
+        assert all(coeff for coeff in out.values())
+        return out
+
+    def test_scalars_and_top_degree(self):
+        rng = random.Random(31)
+        f = random_coefficient(R4, rng)
+        M = rational_matrix(4, rng)
+        assert self.check(R4, {(): f}, M) == {(): f}
+        det = laplace_minor(M, (1, 2, 3, 4), (1, 2, 3, 4))
+        assert self.check(R4, {(1, 2, 3, 4): f}, M) == {(1, 2, 3, 4): f.scale(det)}
+
+    def test_dolbeault_matrices(self):
+        rng = random.Random(32)
+        for m in (1, 2, 3):
+            space = affine_space(2 * m)
+            to_c, to_r = _real_to_complex_matrix(m), _complex_to_real_matrix(m)
+            for degree in range(2 * m + 1):
+                a = random_form(space, degree, rng, max_terms=3)
+                back = self.check(space, self.check(space, a.terms, to_c), to_r)
+                assert back == a.terms
+
+    def test_seeded_rational_matrices(self):
+        rng = random.Random(33)
+        for space in (R4, affine_space(5)):
+            n = space.dim
+            for _ in range(4):
+                M = rational_matrix(n, rng)
+                for degree in range(n + 1):
+                    self.check(space, random_form(space, degree, rng, max_terms=3).terms, M)
+
+    def test_singular_matrix(self):
+        rng = random.Random(34)
+        M = rational_matrix(4, rng)
+        M[2] = [x + y for x, y in zip(M[0], M[1])]
+        top = {(1, 2, 3, 4): x(R4, 1) + CoefficientFunction.constant(R4, 2)}
+        assert self.check(R4, top, M) == {}
+        for degree in range(4):
+            self.check(R4, random_form(R4, degree, rng, max_terms=3).terms, M)
 
 
 class TestCodifferentialLaplacian:

@@ -117,6 +117,8 @@ class TestGramMatrix:
             B = g2.gram_matrix(phi, (0,) * 7)
             assert B == honest_gram(phi, (0,) * 7)
             assert any(B[i][j] for i in range(7) for j in range(7) if i != j)
+            # all 49 entries are computed, so symmetry is a check
+            assert B == [list(col) for col in zip(*B)]
 
     def test_non_constant_form_at_a_rational_point(self):
         # a non-constant phi is frozen with eval_exact before the products
@@ -189,6 +191,46 @@ class TestCrossProductTensor:
         pt = (0.31, 0.12, -0.21, 0.44, 0.05, -0.37, 0.5)
         assert g2.numeric_bracket_of_chi(STANDARD, pt) < 1e-6
         assert g2.numeric_bracket_of_chi(perturbed, pt) > 1e-6
+
+
+def einsum_pullback(A, T):
+    """The natural action as one unoptimized numpy contraction."""
+    return np.einsum("pa,qb,rc,ds,pqrs->abcd", A, A, A, np.linalg.inv(A), T)
+
+
+class TestPullbackKernel:
+    # the sparse kernel fixes numpy's unoptimized summation order, so its
+    # floats must equal the einsum's bit for bit, not merely closely
+
+    def test_chi_tensor_bits(self):
+        from fncalc.suites import random_glplus
+
+        rng = random.Random(21)
+        T = g2.cayley_map(STANDARD)
+        for _ in range(24):
+            _, arr = random_glplus(rng)
+            assert np.array_equal(g2.pullback_chi_tensor(arr, T), einsum_pullback(arr, T))
+
+    def test_dense_tensor_bits(self):
+        from fncalc.suites import random_glplus
+
+        rng = random.Random(22)
+        nprng = np.random.default_rng(22)
+        for _ in range(6):
+            _, arr = random_glplus(rng)
+            T = nprng.standard_normal((7, 7, 7, 7))
+            T[nprng.random((7, 7, 7, 7)) < 0.3] = 0.0
+            assert np.array_equal(g2.pullback_chi_tensor(arr, T), einsum_pullback(arr, T))
+
+    def test_zero_tensor(self):
+        from fncalc.suites import random_glplus
+
+        _, arr = random_glplus(random.Random(23))
+        T = np.zeros((7, 7, 7, 7))
+        out = g2.pullback_chi_tensor(arr, T)
+        assert out.shape == (7, 7, 7, 7)
+        assert np.array_equal(out, einsum_pullback(arr, T))
+        assert not out.any()
 
 
 class TestMultisymplectic:
