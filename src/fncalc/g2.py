@@ -382,76 +382,41 @@ def multisymplectic_check(psi: DifferentialForm) -> bool:
     return linalg.rank(rows) == n
 
 
-def _operator_matrix(space: ModelSpace, degree_in: int, degree_out: int, op):
-    """Matrix of a linear operator on constant forms in the coframe basis."""
-    rows_idx = all_indices(space.dim, degree_out)
-    pos = index_position(space.dim, degree_out)
-    cols_idx = all_indices(space.dim, degree_in)
-    M = [
-        [GaussianRational(0)] * len(cols_idx) for _ in range(len(rows_idx))
-    ]
-    for c, idx in enumerate(cols_idx):
-        image = op(DifferentialForm.coframe(space, idx))
-        for out_idx, coeff in image.terms.items():
-            M[pos[out_idx]][c] = coeff.constant_value()
-    return M
-
-
 @lru_cache(maxsize=None)
-def _degree2_projections():
-    """Exact projection matrices onto the 7- and 14-dimensional pieces of
-    Lambda^2, from the eigenvalues of beta -> *(phi ^ beta)."""
+def _type_projections(degree: int):
+    """Exact orthogonal projections onto the G2 type pieces of Lambda^2
+    (7, 14) or Lambda^3 (1, 7, 27): Gram projections onto the spans
+    Lambda^2_7 = <i_{e_i} phi>, Lambda^3_1 = <phi> and Lambda^3_7 =
+    <i_{e_i} *phi>, and I minus these for the last piece."""
     space = affine_space(7)
     phi = standard_phi(space).phi
-    T = _operator_matrix(space, 2, 2, lambda b: hodge_star(wedge(phi, b)))
-    n = len(T)
-    one = GaussianRational(1)
-    third = GaussianRational(Fraction(1, 3))
-    P7 = [[(T[i][j] + (one if i == j else 0)) * third for j in range(n)] for i in range(n)]
-    P14 = [
-        [((one * 2 if i == j else GaussianRational(0)) - T[i][j]) * third for j in range(n)]
-        for i in range(n)
-    ]
-    return P7, P14
-
-
-@lru_cache(maxsize=None)
-def _degree3_projections():
-    """Exact orthogonal projections onto the 1-, 7-, 27-dimensional pieces
-    of Lambda^3 (spans of phi and of the frame insertions of its dual)."""
-    space = affine_space(7)
-    phi = standard_phi(space).phi
-    star_phi = hodge_star(phi)
-    pos = index_position(7, 3)
-    dim = space_dim(7, 3)
+    spans = (
+        [[insert_frame(i, phi) for i in range(1, 8)]]
+        if degree == 2
+        else [[phi], [insert_frame(i, hodge_star(phi)) for i in range(1, 8)]]
+    )
+    pos = index_position(7, degree)
+    dim = space_dim(7, degree)
+    zero, one = GaussianRational(0), GaussianRational(1)
 
     def col(form):
-        v = [GaussianRational(0)] * dim
+        v = [zero] * dim
         for idx, coeff in form.terms.items():
             v[pos[idx]] = coeff.constant_value()
         return v
 
-    def gram_projection(cols):
-        B = linalg.columns_from_vectors(cols)
+    def gram_projection(forms):
+        B = linalg.columns_from_vectors([col(f) for f in forms])
         Bt = linalg.transpose(B)
-        G = linalg.matmul(Bt, B, GaussianRational(0))
-        Ginv = linalg.invert(G)
-        return linalg.matmul(
-            linalg.matmul(B, Ginv, GaussianRational(0)), Bt, GaussianRational(0)
-        )
+        Ginv = linalg.invert(linalg.matmul(Bt, B, zero))
+        return linalg.matmul(linalg.matmul(B, Ginv, zero), Bt, zero)
 
-    P1 = gram_projection([col(phi)])
-    P7 = gram_projection([col(insert_frame(i, star_phi)) for i in range(1, 8)])
-    P27 = [
-        [
-            (GaussianRational(1) if i == j else GaussianRational(0))
-            - P1[i][j]
-            - P7[i][j]
-            for j in range(dim)
-        ]
+    parts = [gram_projection(forms) for forms in spans]
+    rest = [
+        [(one if i == j else zero) - sum((P[i][j] for P in parts), zero) for j in range(dim)]
         for i in range(dim)
     ]
-    return P1, P7, P27
+    return (*parts, rest)
 
 
 G2_COMPONENTS = {"2_7": (2, 0), "2_14": (2, 1), "3_1": (3, 0), "3_7": (3, 1), "3_27": (3, 2)}
@@ -466,8 +431,7 @@ def g2_type_project(a: DifferentialForm, component: str) -> DifferentialForm:
         raise DegreeError(f"component {component} needs degree {degree}")
     if a.space.dim != 7:
         raise ValueError("G2 projections need dimension 7")
-    mats = _degree2_projections() if degree == 2 else _degree3_projections()
-    return apply_constant_matrix(a, mats[slot], degree)
+    return apply_constant_matrix(a, _type_projections(degree)[slot], degree)
 
 
 def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> DifferentialForm:
@@ -487,8 +451,7 @@ def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> Diffe
 
 def projection_matrix_rank(component: str) -> int:
     degree, slot = G2_COMPONENTS[component]
-    mats = _degree2_projections() if degree == 2 else _degree3_projections()
-    return linalg.rank(list(mats[slot]))
+    return linalg.rank(list(_type_projections(degree)[slot]))
 
 
 # ---------------------------------------------------------------------------

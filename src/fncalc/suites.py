@@ -368,7 +368,7 @@ def _torus_calculus(psi_name: str) -> torus.ModeCalculus:
 
 def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     calc = _torus_calculus(config.psi)
-    rows = calc.sweep(config.max_freq, jobs=config.jobs)
+    rows = calc.sweep(config.max_freq, jobs=config.jobs, degree=config.degree)
     degrees = range(8) if config.degree is None else [config.degree]
     totals = {
         l: sum(r["harmonic"][l] for r in rows if any(r["k"])) for l in degrees
@@ -399,8 +399,7 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
         ]
     else:
         modes_payload = [
-            {"k": r["k"], "degree": config.degree, "dims": rep.dims_dict()}
-            for r, rep in zip(rows, calc.decomposition_reports(rows, config.degree))
+            {"k": r["k"], "degree": config.degree, "dims": r["split"].dims_dict()} for r in rows
         ]
     report.extras["psi"] = config.psi
     report.extras["max_freq"] = config.max_freq

@@ -30,8 +30,9 @@ ints (dtype `object`), so a failed bound costs speed, never exactness.
 The split of the harmonic space at degree l into its exact and coexact
 parts needs no kernel basis: for the harmonic stack S = [L_l ; L*_l] and
 a block D, dim(ker S cap Im D) = rank D - rank(S D).  So each part is two
-ranks, of a block and of a product, and they stack over modes the same
-way the sweep's ranks do.
+ranks, of a block and of a product, and `mode_summaries` takes them from
+the same stacks S that give the harmonic dimensions, in the same pass (and
+the same pool workers) as the rest of the sweep.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ class ModeCalculus:
     def anticommutation_linear_check(self) -> bool:
         """The coefficient identities implying L d = -d L and L d* = -d* L
         at every frequency: all blocks are linear in k, so it suffices that
-        the symmetrized unit-mode products cancel for every pair (a, b)."""
+        the symmetrized unit-mode products cancel for every pair (a, b), on
+        every Lambda^m; a template out of range is the zero map."""
         tpl = self.templates
 
         def sym(left, right, a):
@@ -330,15 +332,16 @@ class ModeCalculus:
                 list(left), [right[a]]
             )
 
-        for m in range(0, N + 1):
-            for a in range(N):
-                if m + 1 in tpl.L and m + STEP + 1 <= N and m in tpl.L:
-                    if (sym(tpl.L[m + 1], tpl.d[m], a) + sym(tpl.d[m + STEP], tpl.L[m], a)).any():
-                        return False
-                if m - 1 in tpl.L and m >= 1 and m in tpl.L:
-                    if (
-                        sym(tpl.L[m - 1], tpl.dstar[m], a) + sym(tpl.dstar[m + STEP], tpl.L[m], a)
-                    ).any():
+        for kind in ("d", "dstar"):  # L X + X L = 0
+            X, shift = getattr(tpl, kind), self._operators[kind][0]
+            for m in range(N + 1):
+                factors = [
+                    (outer[i], inner[m])
+                    for outer, inner, i in ((tpl.L, X, m + shift), (X, tpl.L, m + STEP))
+                    if i in outer and m in inner
+                ]
+                for a in range(N):
+                    if factors and sum(sym(P, Q, a) for P, Q in factors).any():
                         return False
         return True
 
@@ -356,85 +359,20 @@ class ModeCalculus:
         r_lhs, r_rhs, r_both = (linalg.int_ranks([M])[0] for M in (lhs, rhs, lhs + rhs))
         return r_lhs == r_rhs == r_both
 
-    def decomposition_report(self, summary: dict, l: int) -> ModeCohomologyReport:
-        """`decomposition_reports` of the single row `summary`."""
-        return self.decomposition_reports([summary], l)[0]
-
-    def decomposition_reports(self, summaries, l: int) -> list[ModeCohomologyReport]:
-        """Split the harmonic space at degree l of the mode of each row of
-        `summaries` (`mode_summary` rows, which supply the harmonic
-        dimension and the L ranks) into its Laplacian-harmonic, exact, and
-        coexact parts, with the bookkeeping checks.
-
-        For the harmonic stack S_j = [L_j ; L*_j] and a block D into degree
-        j, dim(ker S_j cap Im D) = rank D - rank(S_j D).  The exact part
-        takes D = d_{l-1} and the coexact part D = d*_{l+1} (with j = l);
-        the d-isomorphism check compares the coexact part with D = d_l at
-        j = l + 1.  Per stack of `_CHUNK` modes each block comes from one
-        contraction, each product from one `int_matmul`, and each kind of
-        rank from one stacked elimination."""
-        tpl = self.templates
-        summaries = list(summaries)
-        reports = []
-        for i in range(0, len(summaries), _CHUNK):
-            rows = summaries[i : i + _CHUNK]
-            K = tpl.frequencies([r["k"] for r in rows])
-            S = {
-                j: np.concatenate(
-                    [np.tensordot(K, T[j], 1) for T in (tpl.L, tpl.Lstar) if j in T], axis=1
-                )
-                for j in (l, l + 1)
-                if j <= N
-            }
-            parts = []  # d_part, dstar_part, up_d_part at each mode
-            for j, table, m in ((l, tpl.d, l - 1), (l, tpl.dstar, l + 1), (l + 1, tpl.d, l)):
-                if m not in table:
-                    parts.append([0] * len(rows))
-                    continue
-                D = np.tensordot(K, table[m], 1)
-                SD = linalg.int_matmul(list(S[j]), list(D))
-                parts.append([a - b for a, b in zip(linalg.int_ranks(D), linalg.int_ranks(SD))])
-            for r, d_part, dstar_part, up_d_part in zip(rows, *parts):
-                k = tuple(r["k"])
-                h = r["harmonic"][l]
-                in_rank = r["rank_L"].get(l - STEP, 0)
-                ker = space_dim(N, l) - r["rank_L"].get(l, 0)
-                if any(k):
-                    harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
-                    d_iso_ok = up_d_part == dstar_part
-                else:
-                    harmonic_forms, d_part, dstar_part, d_iso_ok = h, 0, 0, True
-                reports.append(
-                    ModeCohomologyReport(
-                        frequency=k,
-                        degree=l,
-                        kernel_dim=ker,
-                        image_dim=in_rank,
-                        harmonic_dim=h,
-                        cohomology_dim=ker - in_rank,
-                        harmonic_form_part=harmonic_forms,
-                        d_part=d_part,
-                        dstar_part=dstar_part,
-                        split_consistent=harmonic_forms + d_part + dstar_part == h,
-                        d_iso_ok=d_iso_ok,
-                    )
-                )
-        return reports
-
     # -- sweeps ---------------------------------------------------------------
 
-    def mode_summary(self, k) -> dict:
+    def mode_summary(self, k, degree: int | None = None) -> dict:
         """`mode_summaries` of the single mode k."""
-        return self.mode_summaries([k])[0]
+        return self.mode_summaries([k], degree)[0]
 
-    def mode_summaries(self, modes) -> list[dict]:
+    def mode_summaries(self, modes, degree: int | None = None) -> list[dict]:
         """All sweep-relevant dimensions at each mode of a stack, computing
         each block and rank once: per degree l, the harmonic and cohomology
         dimensions and the regularity split; the bracket kernel on vector
-        fields; the L ranks keyed by domain degree; and, at k != 0, the
-        symbol type of L into degrees 3, 4 and 7.  The blocks of the whole
-        stack come from one contraction per operator, and each kind of rank
-        from one stacked elimination."""
+        fields; at k != 0, the symbol type of L into degrees 3, 4 and 7;
+        and, given a degree, the split of its harmonic space under "split".
+        The blocks of the whole stack come from one contraction per
+        operator, and each kind of rank from one stacked elimination."""
         modes = [tuple(k) for k in modes]
         if not modes:
             return []
@@ -445,13 +383,15 @@ class ModeCalculus:
         Ls = {m: np.tensordot(K, T, 1) for m, T in tpl.Lstar.items()}
         rank_L = {m: linalg.int_ranks(S) for m, S in L.items()}
         rank_Ls = {m: linalg.int_ranks(S) for m, S in Ls.items()}
-        # harmonic: dim Lambda^l minus the rank of L and L* out of degree l
-        rank_out = [
-            linalg.int_ranks(np.concatenate((L[l], Ls[l]), axis=1))
-            if l in L and l in Ls
-            else rank_L[l] if l in L else rank_Ls[l]
-            for l in range(N + 1)
-        ]
+        # harmonic: dim Lambda^l minus the rank of the harmonic stack
+        # S_l = [L_l ; L*_l] out of degree l; a lone operator keeps its rank
+        S, rank_S = {}, {}
+        for l in range(N + 1):
+            if l in L and l in Ls:
+                S[l] = np.concatenate((L[l], Ls[l]), axis=1)
+                rank_S[l] = linalg.int_ranks(S[l])
+            else:
+                S[l], rank_S[l] = (L[l], rank_L[l]) if l in L else (Ls[l], rank_Ls[l])
         # regularity: Lambda^l = ker(L*_l) (+) Im(L_{l-3}); an empty domain
         # (l < 3) gives image 0 and L* = 0.  Im L cap ker L* = 0 iff
         # rank(L* L) = rank L.  The factors go to `int_matmul` as lists of
@@ -461,6 +401,19 @@ class ModeCalculus:
             for l in Ls
         }
         rank_ad = linalg.int_ranks(np.tensordot(K, tpl.ad, 1))
+        if degree is not None:
+            # dim(ker S_j cap Im D) = rank D - rank(S_j D): the exact part
+            # (D = d_{l-1}) and the coexact part (D = d*_{l+1}) at j = l,
+            # and the image of the coexact part under d (D = d_l) at j = l + 1
+            l = degree
+            parts = []
+            for j, table, m in ((l, tpl.d, l - 1), (l, tpl.dstar, l + 1), (l + 1, tpl.d, l)):
+                if m not in table:
+                    parts.append([0] * len(modes))
+                    continue
+                D = np.tensordot(K, table[m], 1)
+                SD = linalg.int_matmul(list(S[j]), list(D))
+                parts.append([a - b for a, b in zip(linalg.int_ranks(D), linalg.int_ranks(SD))])
 
         summaries = []
         for i, k in enumerate(modes):
@@ -472,27 +425,56 @@ class ModeCalculus:
             ]
             summary = {
                 "k": list(k),
-                "harmonic": [dims[l] - rank_out[l][i] for l in range(N + 1)],
+                "harmonic": [dims[l] - rank_S[l][i] for l in range(N + 1)],
                 "cohomology": [
                     dims[l] - ranks.get(l, 0) - ranks.get(l - STEP, 0) for l in range(N + 1)
                 ],
                 "regular": regular,
                 "vector_kernel": N - rank_ad[i],
-                "rank_L": ranks,
             }
             if any(k):
                 # injective/surjective type of L into degree l, the principal
                 # symbol of the first-order operator in the direction k
                 for l in (3, 4, 7):
                     summary[f"symbol_{l}"] = _classify(ranks[l - STEP], dims[l], dims[l - STEP])
+            if degree is not None:
+                h = summary["harmonic"][degree]
+                summary["split"] = _split_report(k, degree, h, ranks, *(p[i] for p in parts))
             summaries.append(summary)
         return summaries
 
-    def sweep(self, max_freq: int = 1, jobs: int | None = None) -> list[dict]:
+    def sweep(
+        self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None
+    ) -> list[dict]:
         """Summaries for every mode with |k|_inf <= max_freq, deterministic
-        lexicographic order."""
+        lexicographic order; a degree adds each mode's split there."""
         modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
-        return sweep_modes(self, modes, jobs)
+        return sweep_modes(partial(self.mode_summaries, degree=degree), modes, jobs)
+
+
+def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> ModeCohomologyReport:
+    """The report of degree l at mode k from the harmonic dimension h, the
+    L ranks keyed by domain degree and the three parts of the split."""
+    ker = space_dim(N, l) - rank_L.get(l, 0)
+    image = rank_L.get(l - STEP, 0)
+    if any(k):
+        harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
+        d_iso_ok = up_d_part == dstar_part
+    else:
+        harmonic_forms, d_part, dstar_part, d_iso_ok = h, 0, 0, True
+    return ModeCohomologyReport(
+        frequency=k,
+        degree=l,
+        kernel_dim=ker,
+        image_dim=image,
+        harmonic_dim=h,
+        cohomology_dim=ker - image,
+        harmonic_form_part=harmonic_forms,
+        d_part=d_part,
+        dstar_part=dstar_part,
+        split_consistent=harmonic_forms + d_part + dstar_part == h,
+        d_iso_ok=d_iso_ok,
+    )
 
 
 def _classify(r: int, rows: int, cols: int) -> str:
@@ -509,32 +491,33 @@ def _classify(r: int, rows: int, cols: int) -> str:
 
 # -- parallel sweep machinery (fork-shared templates) -----------------------
 
-_WORKER_CALC: ModeCalculus | None = None
+_WORKER_SUMMARIES = None
 _CHUNK = 16  # modes per stack, and per task sent to a worker
 
 
 def _worker_summaries(chunk):
-    return _WORKER_CALC.mode_summaries(chunk)
+    return _WORKER_SUMMARIES(chunk)
 
 
-def sweep_modes(calc: ModeCalculus, modes, jobs: int | None = None) -> list[dict]:
-    """`mode_summary` of every mode, in order, computed by `mode_summaries`
-    on stacks of `_CHUNK` modes.  Workers are never more than `jobs`
-    (default: all CPUs), the CPUs, or the stacks to share."""
-    global _WORKER_CALC
+def sweep_modes(summarize, modes, jobs: int | None = None) -> list[dict]:
+    """The rows of every mode, in order, from `summarize` (a
+    `ModeCalculus.mode_summaries`, perhaps with its degree bound) on stacks
+    of `_CHUNK` modes.  Workers are never more than `jobs` (default: all
+    CPUs), the CPUs, or the stacks to share."""
+    global _WORKER_SUMMARIES
     modes = list(modes)
     chunks = [modes[i : i + _CHUNK] for i in range(0, len(modes), _CHUNK)]
     cpus = os.cpu_count() or 1
     jobs = min(cpus if jobs is None else jobs, cpus, len(chunks))
     if jobs <= 1:
-        return [s for chunk in chunks for s in calc.mode_summaries(chunk)]
-    _WORKER_CALC = calc
+        return [s for chunk in chunks for s in summarize(chunk)]
+    _WORKER_SUMMARIES = summarize
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             results = pool.map(_worker_summaries, chunks, chunksize=1)
     finally:
-        _WORKER_CALC = None
+        _WORKER_SUMMARIES = None
     return [s for part in results for s in part]
 
 

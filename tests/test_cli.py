@@ -318,12 +318,11 @@ def test_psi_at_the_dimension_bound_runs(capsys):
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
-def _inconsistent_reports(self, summaries, l):
-    # kernel 1, image 0, cohomology 0
-    return [
-        torus.ModeCohomologyReport(tuple(s["k"]), l, 1, 0, 0, 0, 0, 0, 0, True, True)
-        for s in summaries
-    ]
+def _inconsistent_split(self, modes, degree=None, real=torus.ModeCalculus.mode_summaries):
+    rows = real(self, modes)
+    for r in rows:  # kernel 1, image 0, cohomology 0
+        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 0, 0, 0, 0, 0, True, True)
+    return rows
 
 
 def _no_adjointness(self):
@@ -342,7 +341,7 @@ def _broken_operators(psi_hat):
     "target, name, stub, argv, line",
     [
         (
-            torus.ModeCalculus, "decomposition_reports", _inconsistent_reports,
+            torus.ModeCalculus, "mode_summaries", _inconsistent_split,
             ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1"),
             "fncalc: internal error: ValueError: cohomology must equal kernel minus image",
         ),
@@ -422,11 +421,6 @@ class _RecordingPool:
         return [fn(x) for x in items]
 
 
-class _EchoCalculus:
-    def mode_summaries(self, chunk):
-        return list(chunk)
-
-
 @pytest.mark.parametrize(
     "jobs, cpus, n_modes, expected",
     [  # pool sizes for stacks of _CHUNK = 16 modes: ceil(n_modes / 16) stacks
@@ -446,5 +440,5 @@ def test_sweep_workers_are_clamped(monkeypatch, jobs, cpus, n_modes, expected):
     monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))
     monkeypatch.setattr(torus.os, "cpu_count", lambda: cpus)
     modes = list(range(n_modes))
-    assert torus.sweep_modes(_EchoCalculus(), modes, jobs) == modes
+    assert torus.sweep_modes(list, modes, jobs) == modes
     assert sizes == expected

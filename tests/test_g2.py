@@ -282,6 +282,16 @@ class TestTypeDecomposition:
             assert not g2.g2_type_project(parts["3_7"], "3_1")
             assert not g2.g2_type_project(parts["3_27"], "3_7")
 
+    def test_degree2_pieces_are_eigenspaces_of_star_phi_wedge(self):
+        # beta -> *(phi ^ beta) is 2 on Lambda^2_7 and -1 on Lambda^2_14
+        rng = random.Random(4)
+        for _ in range(6):
+            b = const_form(R7, 2, rng)
+            for component, eigenvalue in (("2_7", 2), ("2_14", -1)):
+                p = g2.g2_type_project(b, component)
+                assert p, component
+                assert hodge_star(wedge(STANDARD.phi, p)) == p.scale(GaussianRational(eigenvalue))
+
     def test_wrong_degree_rejected(self):
         with pytest.raises(Exception):
             g2.g2_type_project(DifferentialForm.coframe(R7, (1,)), "2_7")

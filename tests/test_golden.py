@@ -9,10 +9,16 @@ degree-2 split) carry the same hashes as `perfbench/pins.json`.
 """
 
 import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fncalc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = [
     (("gla-axioms", "--samples", "4"), 0, "7d13fd2e5609bac1bc4cbe4de7b78df1abf0ac833f1baf9e40449e961f6cc576"),
@@ -43,6 +49,9 @@ GOLDEN = [
     (("torus-cohomology", "--degree", "6", "--max-freq", "0"), 0, "09fa5e15e62f2334d6d757ae4f117a11dd8691ca3577d0e6548662dd44637fc3"),
     (("torus-cohomology", "--degree", "7", "--max-freq", "0"), 0, "8a9346f145534c6d8e9f0e140588ca7c1530f8019e9267ffbfd632c2c0013b01"),
     (("torus-cohomology", "--degree", "2", "--max-freq", "1", "--jobs", "2"), 0, "3ebb6189033ac8ff83c7f82276856d776c27142bd03f71561c5bfb969d7ab21c"),
+    # the serial split prints the same bytes as the pooled one: jobs is not echoed
+    (("torus-cohomology", "--degree", "2", "--max-freq", "1", "--jobs", "1"), 0, "3ebb6189033ac8ff83c7f82276856d776c27142bd03f71561c5bfb969d7ab21c"),
+    (("torus-cohomology", "--degree", "3", "--max-freq", "1", "--jobs", "1"), 0, "326664b4037e1772473010262199c14bdb8d671ec6b1bfac4a02061f6c86ec45"),
     (("torus-cohomology", "--degree", "4", "--max-freq", "1", "--jobs", "2"), 0, "8b50dedacb4ea8b90f26d5f8cf9af8fc1458767d5a0cec305dc8707856cc15f1"),
     (("symbol-check", "--max-freq", "1", "--jobs", "2"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
 ]
@@ -53,3 +62,18 @@ def test_stdout_is_byte_identical(capsys, argv, status, sha256):
     assert main(list(argv)) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_traced_run_prints_the_same_bytes():
+    # perfbench's tracer sizes `torus.sweep_modes` by (calc, modes, jobs)
+    # and `linalg.int_matmul` operands by len() and a truth test; a call
+    # shape it cannot size stops the traced run
+    argv = ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", "--src", "src", "--run-id", "t", "--", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # the pinned run without --jobs: jobs is not echoed in the report
+    expected = next(sha for args, _, sha in GOLDEN if args == argv[:-2])
+    assert (result["status"], result["sha256"]) == (0, expected)

@@ -1,11 +1,14 @@
 """Per-mode blocks and dimension bookkeeping on the 7-torus."""
 
+import copy
 import multiprocessing
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fncalc import linalg, torus
@@ -155,11 +158,10 @@ def honest_summary(k):
         "cohomology": cohomology,
         "regular": regular,
         "vector_kernel": 7 - linalg.rank(ad),
-        "rank_L": {m: linalg.rank(L[m]) for m in range(5)},
     }
     if any(k):
         for l in (3, 4, 7):
-            r = out["rank_L"][l - 3]
+            r = linalg.rank(L[l - 3])
             out[f"symbol_{l}"] = torus._classify(r, space_dim(7, l), space_dim(7, l - 3))
     return out
 
@@ -174,8 +176,8 @@ def image_in_span(basis, D):
 
 
 def honest_decomposition(k):
-    """decomposition_report's split at every degree, recomputed from
-    directly assembled exact blocks: kernel bases of the harmonic stacks by
+    """The split report at every degree, recomputed from directly assembled
+    exact blocks: the L ranks, and kernel bases of the harmonic stacks by
     field-lane elimination, intersected with the images of d and d*."""
     def blk(kind, m):  # [] out of range
         return CALC.block(kind, m, k)
@@ -188,6 +190,8 @@ def honest_decomposition(k):
         dstar_part = image_in_span(bases[l], blk("dstar", l + 1))
         up_d_part = image_in_span(bases[l + 1], blk("d", l)) if l <= 6 else 0
         out.append({
+            "kernel_dim": space_dim(7, l) - linalg.rank(blk("L", l)),
+            "image_dim": linalg.rank(blk("L", l - 3)),
             "harmonic_dim": len(bases[l]),
             "d_part": image_in_span(bases[l], blk("d", l - 1)),
             "dstar_part": dstar_part,
@@ -281,6 +285,24 @@ class TestStructuralChecks:
         assert CALC.anticommutation_linear_check()
 
     @pytest.mark.parametrize(
+        "kept, ones",
+        [(("L", 0), ("dstar", 3)), (("L", 4), ("dstar", 5))],
+        ids=["dstar3-L0-on-degree-0", "L4-dstar5-on-degree-5"],
+    )
+    def test_anticommutation_linear_check_sees_one_sided_products(self, kept, ones):
+        # every template zero except L (kept) and an all-ones d*: on
+        # Lambda^0 only d*_3 L_0 is in range, on Lambda^5 only L_4 d*_5, so
+        # that one product alone must vanish, and here it does not
+        calc = copy.copy(CALC)
+        tpl = calc.templates = copy.copy(CALC.templates)
+        for kind in torus._TEMPLATED:
+            table = getattr(CALC.templates, kind)
+            setattr(tpl, kind, {m: np.zeros_like(T) for m, T in table.items()})
+        getattr(tpl, kept[0])[kept[1]] = getattr(CALC.templates, kept[0])[kept[1]]
+        getattr(tpl, ones[0])[ones[1]] = np.ones_like(getattr(CALC.templates, ones[0])[ones[1]])
+        assert not calc.anticommutation_linear_check()
+
+    @pytest.mark.parametrize(
         "kind, m, entry",
         [("L", 1, (0, 0)), ("d", 1, (0, 0)), ("dstar", 3, (0, 0)), ("lap", 2, (0, 1))],
         ids=["L", "d", "dstar", "lap"],
@@ -347,19 +369,21 @@ class TestStructuralChecks:
 
 class TestDecomposition:
     def test_zero_mode_is_all_harmonic_forms(self):
-        rep = CALC.decomposition_report(CALC.mode_summary(K0), 2)
+        rep = CALC.mode_summary(K0, 2)["split"]
         assert rep.harmonic_form_part == rep.harmonic_dim == 21
         assert rep.d_part == rep.dstar_part == 0
         assert rep.split_consistent
 
     def test_nonzero_mode_splits(self):
-        summary = CALC.mode_summary(K1)
         for l in (2, 3, 4, 5):
-            rep = CALC.decomposition_report(summary, l)
+            summary = CALC.mode_summary(K1, l)
+            rep = summary["split"]
             assert rep.harmonic_form_part == 0
             assert rep.split_consistent
             assert rep.d_iso_ok
-            assert rep.harmonic_dim == rep.d_part + rep.dstar_part
+            assert rep.harmonic_dim == rep.d_part + rep.dstar_part == summary["harmonic"][l]
+            # the split rides on the same row as the sweep's own fields
+            assert {**summary, "split": None} == {**CALC.mode_summary(K1), "split": None}
 
     def test_sampled_modes_split_consistently(self):
         rng = random.Random(11)
@@ -368,21 +392,21 @@ class TestDecomposition:
             if not any(k):
                 continue
             for l in (2, 3):
-                rep = CALC.decomposition_report(CALC.mode_summary(k), l)
+                rep = CALC.mode_summary(k, l)["split"]
                 assert rep.split_consistent and rep.d_iso_ok
 
     def test_stacked_split_matches_honest_lane(self):
         rng = random.Random(14)
         modes = [K0] + [torus._unit(j) for j in range(7)]
         modes += [random_mode(rng, 2) for _ in range(3)]
-        summaries = [CALC.mode_summary(k) for k in modes]
         honest = [honest_decomposition(k) for k in modes]
-        fields = ("harmonic_dim", "d_part", "dstar_part", "d_iso_ok")
-        # the repeated mixed stack spans two stacks of _CHUNK modes
-        assert len(summaries * 2) > torus._CHUNK
+        fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part", "d_iso_ok")
+        # the repeated mixed list spans two stacks of _CHUNK modes
+        assert len(modes * 2) > torus._CHUNK
         for l in range(8):
-            stacked = CALC.decomposition_reports(summaries * 2, l)
-            assert stacked == [CALC.decomposition_report(s, l) for s in summaries * 2]
+            rows = torus.sweep_modes(partial(CALC.mode_summaries, degree=l), modes * 2, jobs=1)
+            stacked = [r["split"] for r in rows]
+            assert stacked == [CALC.mode_summary(k, l)["split"] for k in modes * 2]
             for k, rep, expected in zip(modes, stacked, honest):
                 assert {f: getattr(rep, f) for f in fields} == expected[l], (k, l)
 
@@ -391,10 +415,10 @@ class TestDecomposition:
         # c = 2**61 forms the blocks on Python ints
         k = (1, -1, 0, 1, 0, 0, 1)
         for l in range(8):
-            base = CALC.decomposition_report(CALC.mode_summary(k), l)
+            base = CALC.mode_summary(k, l)["split"]
             for c in (2**40, 2**61):
                 big = tuple(c * x for x in k)
-                rep = CALC.decomposition_report(CALC.mode_summary(big), l)
+                rep = CALC.mode_summary(big, l)["split"]
                 assert replace(rep, frequency=k) == base, (c, l)
 
 
@@ -454,7 +478,8 @@ class TestRealComplexBookkeeping:
 
 def test_small_sweep_serial_equals_parallel(monkeypatch):
     # 40 shuffled modes span three stacks; the serial stacked sweep, a fork
-    # pool of two workers and one-mode summaries give equal rows, in order
+    # pool of two workers and one-mode summaries give equal rows, in order,
+    # with and without a degree split
     modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 40)
     assert len(modes) > 2 * torus._CHUNK
     sizes = []
@@ -462,8 +487,11 @@ def test_small_sweep_serial_equals_parallel(monkeypatch):
     real_pool = ctx.Pool
     monkeypatch.setattr(ctx, "Pool", lambda processes: sizes.append(processes) or real_pool(processes))
     monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
-    serial = torus.sweep_modes(CALC, modes, jobs=1)
-    parallel = torus.sweep_modes(CALC, modes, jobs=2)
-    assert sizes == [2]
-    assert serial == parallel == [CALC.mode_summary(k) for k in modes]
-    assert [s["k"] for s in serial] == [list(k) for k in modes]
+    for degree in (None, 3):
+        summarize = partial(CALC.mode_summaries, degree=degree)
+        serial = torus.sweep_modes(summarize, modes, jobs=1)
+        parallel = torus.sweep_modes(summarize, modes, jobs=2)
+        assert serial == parallel == [CALC.mode_summary(k, degree) for k in modes]
+        assert [s["k"] for s in serial] == [list(k) for k in modes]
+        assert ("split" in serial[0]) == (degree is not None)
+    assert sizes == [2, 2]
