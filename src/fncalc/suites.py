@@ -368,7 +368,7 @@ def _torus_calculus(psi_name: str) -> torus.ModeCalculus:
 
 def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     calc = _torus_calculus(config.psi)
-    rows = calc.sweep(config.max_freq, jobs=config.jobs, degree=config.degree)
+    rows = calc.sweep(config.max_freq, config.jobs, config.degree, ("harmonic", "cohomology"))
     degrees = range(8) if config.degree is None else [config.degree]
     totals = {
         l: sum(r["harmonic"][l] for r in rows if any(r["k"])) for l in degrees
@@ -417,7 +417,7 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
 def _suite_symbol_check(config: SuiteConfig, report: SuiteReport) -> None:
     calc = _torus_calculus(config.psi)
     rng = Random(config.seed)
-    rows = calc.sweep(config.max_freq, jobs=config.jobs)
+    rows = calc.sweep(config.max_freq, jobs=config.jobs, fields=("symbols", "regular"))
     nonzero = [r for r in rows if any(r["k"])]
     ok3 = all(r["symbol_3"] == "injective" for r in nonzero)
     ok7 = all(r["symbol_7"] == "surjective" for r in nonzero)

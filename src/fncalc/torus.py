@@ -20,19 +20,21 @@ the two lanes on every templated operator.
 
 The sweep works on stacks of `_CHUNK` modes at once.  The templates are
 int64 arrays of shape (7, rows, cols); one `np.tensordot` forms a block
-for every mode of the stack, `linalg.int_matmul` forms the regularity
-products L* L, and `linalg.int_ranks` runs one Bareiss elimination over
-the whole stack.  Both integer kernels stay in int64 only behind explicit
-bounds (entries below 2**31 before each elimination step; a product bound
-max|A| * max|B| * inner below 2**62) and otherwise continue on Python
-ints (dtype `object`), so a failed bound costs speed, never exactness.
+for every mode of the stack, and `linalg.int_ranks` runs one Bareiss
+elimination over the whole stack.  It and the product `linalg.int_matmul`
+stay in int64 only behind explicit bounds (entries below 2**31 before
+each elimination step; max|A| * max|B| * inner below 2**62) and otherwise
+continue on Python ints (dtype `object`), so a failed bound costs speed,
+never exactness.
 
-The split of the harmonic space at degree l into its exact and coexact
-parts needs no kernel basis: for the harmonic stack S = [L_l ; L*_l] and
-a block D, dim(ker S cap Im D) = rank D - rank(S D).  So each part is two
-ranks, of a block and of a product, and `mode_summaries` takes them from
-the same stacks S that give the harmonic dimensions, in the same pass (and
-the same pool workers) as the rest of the sweep.
+A sweep forms only the ranks of the row fields it is asked for:
+torus-cohomology asks for the harmonic and cohomology dimensions,
+symbol-check for the symbols and the regularity products L* L.  Rank L*_l
+is read off rank L_{l-3}, by the adjointness certificate checked at
+template build.  The split of the harmonic space at degree l into its
+exact and coexact parts needs no kernel basis: for the harmonic stack
+S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
+so each part comes from the stacks and pass of the harmonic dimensions.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -98,6 +100,7 @@ def operators(psi_hat: VectorValuedForm) -> dict:
 
 
 _TEMPLATED = ("L", "Lstar", "d", "dstar")
+FIELDS = ("harmonic", "cohomology", "symbols", "regular", "vector_kernel")  # of a sweep row
 
 
 def _domain(shift: int) -> range:
@@ -185,14 +188,21 @@ class ModeTemplates:
             }
 
         self.L, self.Lstar, self.d, self.dstar = map(templates, _TEMPLATED)
-        self.ad = np.array(
-            [_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)], dtype=np.int64
-        )
+        self._psi_hat = psi_hat
         # every block entry at k is at most N * max|k_j| * entry_bound
         tables = (*self.L.values(), *self.Lstar.values(), *self.d.values(), *self.dstar.values())
-        self._entry_bound = max(int(np.abs(T).max()) for T in (*tables, self.ad))
+        self._entry_bound = max(int(np.abs(T).max()) for T in tables)
         if not self._check_adjoint_templates():
             raise AssertionError("printed adjoint sign contradicts per-mode adjointness")
+
+    @cached_property
+    def ad(self) -> np.ndarray:
+        """The bracket differential's unit templates, built on first use; read
+        it before `frequencies` of a stack that uses it, since it bounds them."""
+        units = [_strip_i(self._ad_matrix(self._psi_hat, _unit(j))) for j in range(N)]
+        ad = np.array(units, dtype=np.int64)
+        self._entry_bound = max(self._entry_bound, int(np.abs(ad).max()))
+        return ad
 
     @staticmethod
     def _ad_matrix(psi_hat: VectorValuedForm, k):
@@ -255,14 +265,14 @@ class ModeCohomologyReport:
     harmonic_form_part: int
     d_part: int
     dstar_part: int
-    split_consistent: bool
-    d_iso_ok: bool
 
     def __post_init__(self):
         if self.cohomology_dim != self.kernel_dim - self.image_dim:
             raise ValueError("cohomology must equal kernel minus image")
         if self.cohomology_dim < 0:
             raise ValueError("negative cohomology dimension")
+        if self.harmonic_form_part + self.d_part + self.dstar_part != self.harmonic_dim:
+            raise ValueError("the split's parts must add up to the harmonic dimension")
 
     def dims_dict(self) -> dict:
         return {
@@ -365,42 +375,49 @@ class ModeCalculus:
         """`mode_summaries` of the single mode k."""
         return self.mode_summaries([k], degree)[0]
 
-    def mode_summaries(self, modes, degree: int | None = None) -> list[dict]:
-        """All sweep-relevant dimensions at each mode of a stack, computing
-        each block and rank once: per degree l, the harmonic and cohomology
-        dimensions and the regularity split; the bracket kernel on vector
-        fields; at k != 0, the symbol type of L into degrees 3, 4 and 7;
-        and, given a degree, the split of its harmonic space under "split".
-        The blocks of the whole stack come from one contraction per
-        operator, and each kind of rank from one stacked elimination."""
+    def mode_summaries(self, modes, degree: int | None = None, fields=FIELDS) -> list[dict]:
+        """The requested `FIELDS` of each mode's row, for a stack of modes:
+        per degree l, the "harmonic" and "cohomology" dimensions and the
+        "regular"ity split; the "vector_kernel" of the bracket on vector
+        fields; at k != 0, the "symbols" of L into degrees 3, 4 and 7; and,
+        given a degree, the split of its harmonic space under "split".
+        torus-cohomology asks for harmonic and cohomology, symbol-check for
+        symbols and regular.  Only the blocks and ranks those fields need
+        are formed, each once, and each kind of rank in one elimination.
+        Rank L*_l is rank L_{l-3}: the adjointness certificate gives L*(k)
+        = -L(k)^T, so L* is contracted only for a harmonic stack [L_l ;
+        L*_l] (l = 3, 4), a split or a regularity product."""
         modes = [tuple(k) for k in modes]
         if not modes:
             return []
         tpl = self.templates
+        ad = tpl.ad if "vector_kernel" in fields else None  # built before K, which it bounds
         K = tpl.frequencies(modes)
         dims = [space_dim(N, l) for l in range(N + 1)]
         L = {m: np.tensordot(K, T, 1) for m, T in tpl.L.items()}  # domain degree
-        Ls = {m: np.tensordot(K, T, 1) for m, T in tpl.Lstar.items()}
         rank_L = {m: linalg.int_ranks(S) for m, S in L.items()}
-        rank_Ls = {m: linalg.int_ranks(S) for m, S in Ls.items()}
-        # harmonic: dim Lambda^l minus the rank of the harmonic stack
-        # S_l = [L_l ; L*_l] out of degree l; a lone operator keeps its rank
-        S, rank_S = {}, {}
-        for l in range(N + 1):
-            if l in L and l in Ls:
-                S[l] = np.concatenate((L[l], Ls[l]), axis=1)
-                rank_S[l] = linalg.int_ranks(S[l])
-            else:
-                S[l], rank_S[l] = (L[l], rank_L[l]) if l in L else (Ls[l], rank_Ls[l])
-        # regularity: Lambda^l = ker(L*_l) (+) Im(L_{l-3}); an empty domain
-        # (l < 3) gives image 0 and L* = 0.  Im L cap ker L* = 0 iff
-        # rank(L* L) = rank L.  The factors go to `int_matmul` as lists of
-        # matrices, which perfbench's tracer can size with len().
-        rank_LsL = {
-            l: linalg.int_ranks(linalg.int_matmul(list(Ls[l]), list(L[l - STEP])))
-            for l in Ls
-        }
-        rank_ad = linalg.int_ranks(np.tensordot(K, tpl.ad, 1))
+        Ls = cache(lambda l: np.tensordot(K, tpl.Lstar[l], 1))
+
+        @cache
+        def S(l):  # the harmonic stack out of degree l, or its lone operator
+            if l in L and l in tpl.Lstar:
+                return np.concatenate((L[l], Ls(l)), axis=1)
+            return L[l] if l in L else Ls(l)
+
+        want_h = "harmonic" in fields or degree is not None
+        if want_h:  # dim Lambda^l minus rank S_l; a lone L_l or L*_l has rank L_l or L_{l-3}
+            stacked = {l: linalg.int_ranks(S(l)) for l in L if l in tpl.Lstar}
+            rank_S = [stacked.get(l, rank_L.get(l, rank_L.get(l - STEP))) for l in range(N + 1)]
+        if "regular" in fields:
+            # Lambda^l = ker(L*_l) (+) Im(L_{l-3}) iff rank(L* L) = rank L, as the
+            # dimensions add up; an empty domain (l < 3) gives Lambda^l (+) 0.  The
+            # factors go to `int_matmul` as lists, which perfbench's tracer sizes.
+            rank_LsL = {
+                l: linalg.int_ranks(linalg.int_matmul(list(Ls(l)), list(L[l - STEP])))
+                for l in tpl.Lstar
+            }
+        if ad is not None:
+            rank_ad = linalg.int_ranks(np.tensordot(K, ad, 1))
         if degree is not None:
             # dim(ker S_j cap Im D) = rank D - rank(S_j D): the exact part
             # (D = d_{l-1}) and the coexact part (D = d*_{l+1}) at j = l,
@@ -412,81 +429,64 @@ class ModeCalculus:
                     parts.append([0] * len(modes))
                     continue
                 D = np.tensordot(K, table[m], 1)
-                SD = linalg.int_matmul(list(S[j]), list(D))
+                SD = linalg.int_matmul(list(S(j)), list(D))
                 parts.append([a - b for a, b in zip(linalg.int_ranks(D), linalg.int_ranks(SD))])
 
         summaries = []
         for i, k in enumerate(modes):
             ranks = {m: r[i] for m, r in rank_L.items()}
-            regular = [
-                l not in Ls
-                or rank_Ls[l][i] == rank_LsL[l][i] == ranks[l - STEP]
-                for l in range(N + 1)
-            ]
-            summary = {
-                "k": list(k),
-                "harmonic": [dims[l] - rank_S[l][i] for l in range(N + 1)],
-                "cohomology": [
+            summary = {"k": list(k)}
+            if want_h:
+                harmonic = [dims[l] - rank_S[l][i] for l in range(N + 1)]
+            if "harmonic" in fields:
+                summary["harmonic"] = harmonic
+            if "cohomology" in fields:
+                summary["cohomology"] = [
                     dims[l] - ranks.get(l, 0) - ranks.get(l - STEP, 0) for l in range(N + 1)
-                ],
-                "regular": regular,
-                "vector_kernel": N - rank_ad[i],
-            }
-            if any(k):
+                ]
+            if "regular" in fields:
+                summary["regular"] = [
+                    l not in rank_LsL or rank_LsL[l][i] == ranks[l - STEP] for l in range(N + 1)
+                ]
+            if ad is not None:
+                summary["vector_kernel"] = N - rank_ad[i]
+            if "symbols" in fields and any(k):
                 # injective/surjective type of L into degree l, the principal
                 # symbol of the first-order operator in the direction k
                 for l in (3, 4, 7):
                     summary[f"symbol_{l}"] = _classify(ranks[l - STEP], dims[l], dims[l - STEP])
             if degree is not None:
-                h = summary["harmonic"][degree]
-                summary["split"] = _split_report(k, degree, h, ranks, *(p[i] for p in parts))
+                parts_i = (p[i] for p in parts)
+                summary["split"] = _split_report(k, degree, harmonic[degree], ranks, *parts_i)
             summaries.append(summary)
         return summaries
 
     def sweep(
-        self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None
+        self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None, fields=FIELDS
     ) -> list[dict]:
-        """Summaries for every mode with |k|_inf <= max_freq, deterministic
-        lexicographic order; a degree adds each mode's split there."""
+        """`mode_summaries` of every mode with |k|_inf <= max_freq, in lexicographic order."""
         modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
-        return sweep_modes(partial(self.mode_summaries, degree=degree), modes, jobs)
+        return sweep_modes(partial(self.mode_summaries, degree=degree, fields=fields), modes, jobs)
 
 
 def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> ModeCohomologyReport:
-    """The report of degree l at mode k from the harmonic dimension h, the
-    L ranks keyed by domain degree and the three parts of the split."""
+    """The report of degree l at mode k from the harmonic dimension h, the L
+    ranks by domain degree and the split's parts (d is 1-1 on the coexact one)."""
     ker = space_dim(N, l) - rank_L.get(l, 0)
     image = rank_L.get(l - STEP, 0)
     if any(k):
+        if up_d_part != dstar_part:
+            raise ValueError("d must map the coexact part isomorphically")
         harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
-        d_iso_ok = up_d_part == dstar_part
     else:
-        harmonic_forms, d_part, dstar_part, d_iso_ok = h, 0, 0, True
-    return ModeCohomologyReport(
-        frequency=k,
-        degree=l,
-        kernel_dim=ker,
-        image_dim=image,
-        harmonic_dim=h,
-        cohomology_dim=ker - image,
-        harmonic_form_part=harmonic_forms,
-        d_part=d_part,
-        dstar_part=dstar_part,
-        split_consistent=harmonic_forms + d_part + dstar_part == h,
-        d_iso_ok=d_iso_ok,
-    )
+        harmonic_forms, d_part, dstar_part = h, 0, 0
+    parts = (harmonic_forms, d_part, dstar_part)
+    return ModeCohomologyReport(k, l, ker, image, h, ker - image, *parts)
 
 
 def _classify(r: int, rows: int, cols: int) -> str:
-    inj = r == cols
-    surj = r == rows
-    if inj and surj:
-        return "bijective"
-    if inj:
-        return "injective"
-    if surj:
-        return "surjective"
-    return "neither"
+    injective, surjective = r == cols, r == rows
+    return ("neither", "surjective", "injective", "bijective")[2 * injective + surjective]
 
 
 # -- parallel sweep machinery (fork-shared templates) -----------------------

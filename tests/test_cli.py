@@ -318,10 +318,21 @@ def test_psi_at_the_dimension_bound_runs(capsys):
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
-def _inconsistent_split(self, modes, degree=None, real=torus.ModeCalculus.mode_summaries):
-    rows = real(self, modes)
+def _inconsistent_split(
+    self, modes, degree=None, fields=torus.FIELDS, real=torus.ModeCalculus.mode_summaries
+):
+    rows = real(self, modes, fields=fields)
     for r in rows:  # kernel 1, image 0, cohomology 0
-        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 0, 0, 0, 0, 0, True, True)
+        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 0, 0, 0, 0, 0)
+    return rows
+
+
+def _unbalanced_split(
+    self, modes, degree=None, fields=torus.FIELDS, real=torus.ModeCalculus.mode_summaries
+):
+    rows = real(self, modes, fields=fields)
+    for r in rows:  # cohomology 1 = kernel 1 - image 0, but no part holds the harmonic 1
+        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 1, 1, 0, 0, 0)
     return rows
 
 
@@ -362,6 +373,12 @@ def _broken_operators(psi_hat):
             ("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4}", "--max-freq", "0"),
             "fncalc: internal error: ValueError: operator table broke",
         ),
+        (
+            torus.ModeCalculus, "mode_summaries", _unbalanced_split,
+            ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1"),
+            "fncalc: internal error: ValueError: the split's parts must add up to the"
+            " harmonic dimension",
+        ),
     ],
 )
 def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, name, stub, argv, line):
@@ -370,6 +387,47 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize(
+    "argv, sweep_products",
+    [
+        # torus-cohomology reports no regularity: its sweep forms no product
+        (("torus-cohomology", "--max-freq", "1", "--jobs", "1"), 0),
+        # symbol-check keeps its five L* L products on each of 137 stacks
+        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * 137),
+    ],
+)
+def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
+    counts = {"sweep": 0, "other": 0, "ad": 0}
+    in_sweep = []
+    real_summaries, real_matmul = torus.ModeCalculus.mode_summaries, linalg.int_matmul
+
+    def summaries(self, *args, **kwargs):
+        in_sweep.append(True)
+        try:
+            return real_summaries(self, *args, **kwargs)
+        finally:
+            in_sweep.pop()
+
+    def matmul(A, B):
+        counts["sweep" if in_sweep else "other"] += 1
+        return real_matmul(A, B)
+
+    def ad(self):  # a data descriptor, so it also sees an `ad` built earlier
+        counts["ad"] += 1
+        return torus.ModeTemplates.__dict__["ad"].func(self)
+
+    monkeypatch.setattr(torus.ModeCalculus, "mode_summaries", summaries)
+    monkeypatch.setattr(linalg, "int_matmul", matmul)
+    monkeypatch.setattr(torus.ModeTemplates, "ad", property(ad))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert counts["sweep"] == sweep_products
+    assert counts["ad"] == 0  # neither suite reports the vector-field kernel
+    if argv[0] == "torus-cohomology":
+        # only the linear anticommutation check multiplies templates
+        assert counts["other"] == 252
 
 
 def test_package_has_no_assert_statements():

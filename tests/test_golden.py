@@ -54,6 +54,9 @@ GOLDEN = [
     (("torus-cohomology", "--degree", "3", "--max-freq", "1", "--jobs", "1"), 0, "326664b4037e1772473010262199c14bdb8d671ec6b1bfac4a02061f6c86ec45"),
     (("torus-cohomology", "--degree", "4", "--max-freq", "1", "--jobs", "2"), 0, "8b50dedacb4ea8b90f26d5f8cf9af8fc1458767d5a0cec305dc8707856cc15f1"),
     (("symbol-check", "--max-freq", "1", "--jobs", "2"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
+    # the serial sweep prints the same bytes as the pooled one
+    (("symbol-check", "--max-freq", "1", "--jobs", "1"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
+    (("symbol-check", "--max-freq", "0"), 0, "a5e3848840f4652da2dfc3bd2f6142a75dacef0f4376eb5aa8825dfac0bee135"),
 ]
 
 

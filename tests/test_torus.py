@@ -97,6 +97,29 @@ class TestAdjointness:
         # L*(k) = -L(k)^T and d*(k) = -d(k)^T extend to every k
         assert CALC.templates._check_adjoint_templates()
 
+    def test_a_flipped_lstar_entry_breaks_the_certificate(self, monkeypatch):
+        # the sweep reads rank L*_l off rank L_{l-3} on the strength of this
+        # certificate, so one wrong L* entry must fail it, and the build
+        tpl = copy.copy(CALC.templates)
+        T = tpl.Lstar[3].copy()
+        entry = tuple(np.argwhere(T)[0])
+        T[entry] = -T[entry]
+        tpl.Lstar = {**tpl.Lstar, 3: T}
+        assert not tpl._check_adjoint_templates()
+
+        real = torus.mode_matrix
+
+        def flipped(k, deg_in, deg_out, op):
+            M = real(k, deg_in, deg_out, op)
+            if (tuple(k), deg_in, deg_out) == (K1, 3, 0):  # L* on Lambda^3 at e_1
+                c = next(c for c, x in enumerate(M[0]) if x)
+                M[0][c] = -M[0][c]
+            return M
+
+        monkeypatch.setattr(torus, "mode_matrix", flipped)
+        with pytest.raises(AssertionError, match="adjoint sign contradicts"):
+            torus.ModeTemplates()
+
     def test_direct_conjugate_transpose_at_sampled_modes(self):
         rng = random.Random(2)
         modes = [random_mode(rng, 2) for _ in range(4)] + [K1]
@@ -195,7 +218,7 @@ def honest_decomposition(k):
             "harmonic_dim": len(bases[l]),
             "d_part": image_in_span(bases[l], blk("d", l - 1)),
             "dstar_part": dstar_part,
-            "d_iso_ok": up_d_part == dstar_part,
+            "up_d_part": up_d_part,
         })
     return out
 
@@ -372,15 +395,12 @@ class TestDecomposition:
         rep = CALC.mode_summary(K0, 2)["split"]
         assert rep.harmonic_form_part == rep.harmonic_dim == 21
         assert rep.d_part == rep.dstar_part == 0
-        assert rep.split_consistent
 
     def test_nonzero_mode_splits(self):
         for l in (2, 3, 4, 5):
             summary = CALC.mode_summary(K1, l)
             rep = summary["split"]
             assert rep.harmonic_form_part == 0
-            assert rep.split_consistent
-            assert rep.d_iso_ok
             assert rep.harmonic_dim == rep.d_part + rep.dstar_part == summary["harmonic"][l]
             # the split rides on the same row as the sweep's own fields
             assert {**summary, "split": None} == {**CALC.mode_summary(K1), "split": None}
@@ -392,15 +412,15 @@ class TestDecomposition:
             if not any(k):
                 continue
             for l in (2, 3):
-                rep = CALC.mode_summary(k, l)["split"]
-                assert rep.split_consistent and rep.d_iso_ok
+                rep = CALC.mode_summary(k, l)["split"]  # built only if consistent
+                assert rep.harmonic_dim == rep.d_part + rep.dstar_part
 
     def test_stacked_split_matches_honest_lane(self):
         rng = random.Random(14)
         modes = [K0] + [torus._unit(j) for j in range(7)]
         modes += [random_mode(rng, 2) for _ in range(3)]
         honest = [honest_decomposition(k) for k in modes]
-        fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part", "d_iso_ok")
+        fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part")
         # the repeated mixed list spans two stacks of _CHUNK modes
         assert len(modes * 2) > torus._CHUNK
         for l in range(8):
@@ -408,7 +428,21 @@ class TestDecomposition:
             stacked = [r["split"] for r in rows]
             assert stacked == [CALC.mode_summary(k, l)["split"] for k in modes * 2]
             for k, rep, expected in zip(modes, stacked, honest):
-                assert {f: getattr(rep, f) for f in fields} == expected[l], (k, l)
+                # d carries the coexact part one-to-one into degree l + 1
+                assert expected[l]["up_d_part"] == rep.dstar_part, (k, l)
+                assert {f: getattr(rep, f) for f in fields} == {f: expected[l][f] for f in fields}
+
+    def test_split_invariants_are_construction_checks(self):
+        # a split whose parts miss the harmonic dimension, or whose coexact
+        # part d does not carry one-to-one, is a broken invariant
+        ranks = dict.fromkeys(range(5), 0)
+        assert torus._split_report(K1, 3, 1, ranks, 0, 1, 1).dstar_part == 1
+        with pytest.raises(ValueError, match="must add up to the harmonic dimension"):
+            torus._split_report(K1, 3, 2, ranks, 0, 1, 1)
+        with pytest.raises(ValueError, match="must map the coexact part isomorphically"):
+            torus._split_report(K1, 3, 1, ranks, 0, 1, 0)
+        with pytest.raises(ValueError, match="must add up to the harmonic dimension"):
+            torus.ModeCohomologyReport(K0, 2, 1, 0, 1, 1, 0, 0, 0)
 
     def test_large_frequency_splits_stay_exact(self):
         # c = 2**40 trips the guards of the product and the rank, and
@@ -495,3 +529,19 @@ def test_small_sweep_serial_equals_parallel(monkeypatch):
         assert [s["k"] for s in serial] == [list(k) for k in modes]
         assert ("split" in serial[0]) == (degree is not None)
     assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("fields", [("harmonic", "cohomology"), ("symbols", "regular")])
+def test_field_restricted_rows_equal_the_full_rows(monkeypatch, fields):
+    # each suite's field set, with and without a split, serially and in a
+    # fork pool of two workers, gives the full rows restricted to its fields
+    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 40)
+    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
+    symbols = ("symbol_3", "symbol_4", "symbol_7") if "symbols" in fields else ()
+    keys = {"k", "split", *fields, *symbols}
+    for degree in (None, 3):
+        full = torus.sweep_modes(partial(CALC.mode_summaries, degree=degree), modes, jobs=1)
+        expected = [{key: v for key, v in r.items() if key in keys} for r in full]
+        summarize = partial(CALC.mode_summaries, degree=degree, fields=fields)
+        for jobs in (1, 2):
+            assert torus.sweep_modes(summarize, modes, jobs=jobs) == expected
