@@ -8,18 +8,16 @@ metric contraction of a parallel 4-form Psi, raising degree by 3), its
 formal adjoint L*, and the bracket differential on vector fields, and
 computes harmonic, cohomology, and regularity data per mode.
 
-Exactness and speed: every block entry is i times an integer linear form
-in k, so after stripping the global unit i (asserted entry by entry) the
-sweep runs in fraction-free integer elimination.  `operators` lists each
-per-mode operator once, as a degree shift and an exact map on forms, and
-both lanes are built from that table and keyed alike by (kind, domain
-degree): `ModeTemplates.block` combines the seven unit-frequency integer
-templates (the fast lane), and `ModeCalculus.block` assembles any mode
-directly from the exact map (the honest lane).  The test suite compares
-the two lanes on every templated operator.
+Two independent derivations give the blocks, keyed alike by (kind,
+domain degree).  The fast lane, `ModeTemplates`, builds integer unit
+templates from the symbol formula without the form engine, as every block
+is i times an integer linear form in k; the sweep then runs in
+fraction-free integer elimination.  The honest lane, `ModeCalculus.block`,
+assembles any mode from the exact maps on forms that `operators` lists
+once.  The test suite compares the two lanes on every templated operator.
 
 The sweep works on stacks of `_CHUNK` modes at once.  The templates are
-int64 arrays of shape (7, rows, cols); one `np.tensordot` forms a block
+integer arrays of shape (7, rows, cols); one `np.tensordot` forms a block
 for every mode of the stack, and `linalg.int_ranks` runs one Bareiss
 elimination over the whole stack.  It and the product `linalg.int_matmul`
 stay in int64 only behind explicit bounds (entries below 2**31 before
@@ -30,9 +28,9 @@ never exactness.
 A sweep forms only the ranks of the row fields it is asked for:
 torus-cohomology asks for the harmonic and cohomology dimensions,
 symbol-check for the symbols and the regularity products L* L.  Rank L*_l
-is read off rank L_{l-3}, by the adjointness certificate checked at
-template build.  The split of the harmonic space at degree l into its
-exact and coexact parts needs no kernel basis: for the harmonic stack
+is read off rank L_{l-3}, as L*(k) = -L(k)^T holds by construction.
+The split of the harmonic space at degree l into its exact and coexact
+parts needs no kernel basis: for the harmonic stack
 S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
 so each part comes from the stacks and pass of the harmonic dimensions.
 """
@@ -44,6 +42,7 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -53,6 +52,9 @@ from .exterior import (
     CoefficientFunction,
     DifferentialForm,
     VectorValuedForm,
+    _add_terms,
+    _insert_frame_terms,
+    _wedge_terms,
     codifferential,
     contract_metric,
     ext_deriv,
@@ -78,10 +80,12 @@ def star_phi_on_torus() -> DifferentialForm:
 
 
 def check_psi(psi: DifferentialForm) -> None:
-    """Raise ValueError unless psi is a constant 4-form on T^7, the forms
-    whose per-mode blocks this module computes."""
+    """Raise ValueError unless psi is a constant real 4-form on T^7, the
+    forms whose per-mode blocks this module computes."""
     if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
         raise ValueError("mode templates need a constant 4-form on the 7-torus")
+    if any(c.constant_value().im for c in psi.terms.values()):
+        raise ValueError("mode templates need a 4-form with real coefficients")
 
 
 def operators(psi_hat: VectorValuedForm) -> dict:
@@ -99,7 +103,6 @@ def operators(psi_hat: VectorValuedForm) -> dict:
     }
 
 
-_TEMPLATED = ("L", "Lstar", "d", "dstar")
 FIELDS = ("harmonic", "cohomology", "symbols", "regular", "vector_kernel")  # of a sweep row
 
 
@@ -123,17 +126,23 @@ def _mode_entries(k: tuple[int, ...], form: DifferentialForm):
             yield idx, val
 
 
-def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]]:
-    """Exact matrix of a mode-preserving operator on the mode-k basis."""
-    cols_idx = all_indices(N, deg_in)
-    rows = space_dim(N, deg_out)
+def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
+    """The matrix on the frame basis of Lambda^deg_in whose column idx holds
+    image(idx), a sparse {multi-index: entry} map into Lambda^deg_out."""
     pos = index_position(N, deg_out)
-    M = [[GaussianRational(0)] * len(cols_idx) for _ in range(rows)]
-    k = tuple(k)
-    for c, idx in enumerate(cols_idx):
-        for out_idx, val in _mode_entries(k, op(mode_form(k, idx))):
+    cols = all_indices(N, deg_in)
+    M = [[zero] * len(cols) for _ in range(space_dim(N, deg_out))]
+    for c, idx in enumerate(cols):
+        for out_idx, val in image(idx).items():
             M[pos[out_idx]][c] = val
     return M
+
+
+def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]]:
+    """Exact matrix of a mode-preserving operator on the mode-k basis."""
+    k = tuple(k)
+    image = lambda idx: dict(_mode_entries(k, op(mode_form(k, idx))))
+    return _assemble(deg_in, deg_out, image, GaussianRational(0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +151,10 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
 
 
 def _strip_i(M) -> list[list[int]]:
-    """Divide a purely imaginary integer matrix by i, asserting the shape
-    of every entry."""
-    out = []
-    for row in M:
-        new = []
-        for x in row:
-            if x.re or x.im.denominator != 1:
-                raise AssertionError(f"entry {x} is not i times an integer")
-            new.append(x.im.numerator)
-        out.append(new)
-    return out
+    """Divide a purely imaginary integer matrix by i, checking every entry."""
+    if bad := next((x for row in M for x in row if x.re or x.im.denominator != 1), None):
+        raise AssertionError(f"entry {bad} is not i times an integer")
+    return [[x.im.numerator for x in row] for row in M]
 
 
 def _unit(j: int) -> tuple[int, ...]:
@@ -160,48 +162,52 @@ def _unit(j: int) -> tuple[int, ...]:
 
 
 class ModeTemplates:
-    """Unit-frequency integer matrices of the sweep operators.
-
-    Blocks are linear in the frequency with purely imaginary integer
-    entries: block(k)/i = sum_j k_j T_j with T_j the stripped block at the
-    j-th unit frequency.  Each operator is stored as one int64 array of
-    shape (7, rows, cols), so the blocks of a whole stack of modes K (an
-    (s, 7) array) are the single contraction `np.tensordot(K, T, 1)`.
-    `L`, `Lstar`, `d` and `dstar` map a domain degree m to the array of
-    the operator on Lambda^m.
-    """
+    """Unit-frequency integer templates of the sweep operators, from the
+    symbol formula: on the mode k, d = i eps_k with eps_k = k ^ ., and L =
+    i (iota eps_k - eps_k iota) with iota: alpha -> sum_b psi_hat_b ^
+    iota_{e_b} alpha.  So block(k)/i = sum_j k_j T_j with T^d_j = eps_j,
+    T^L_j = iota eps_j - eps_j iota, T^{L*}_j = -(T^L_j)^T and T^{d*}_j =
+    -(T^d_j)^T (the adjoints are conjugate transposes), for psi scaled by
+    the lcm of its coefficient denominators, which changes no rank.  `L`,
+    `Lstar`, `d` and `dstar` map a domain degree m to one (7, rows, cols)
+    array, int64 when its entries fit and Python ints (`object`) otherwise,
+    so the blocks of a stack of modes K (s x 7) are `np.tensordot(K, T, 1)`."""
 
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
         check_psi(psi)
-        psi_hat = contract_metric(psi)
-        ops = operators(psi_hat)
+        self._psi = psi.scale(lcm(*(c.constant_value().re.denominator for c in psi.terms.values())))
+        terms = {idx: c.constant_value().re.numerator for idx, c in self._psi.terms.items()}
+        hat = [_insert_frame_terms(b, terms) for b in range(1, N + 1)]
 
-        def templates(kind):
-            shift, op = ops[kind]
-            return {
-                m: np.array(
-                    [_strip_i(mode_matrix(_unit(j), m, m + shift, op)) for j in range(N)],
-                    dtype=np.int64,
-                )
-                for m in _domain(shift)
-            }
+        def iota(idx):  # sum_b psi_hat_b ^ iota_{e_b} e^idx
+            out: dict = {}
+            for b, h in enumerate(hat, 1):
+                _add_terms(out, _wedge_terms(h, _insert_frame_terms(b, {idx: 1})))
+            return out
 
-        self.L, self.Lstar, self.d, self.dstar = map(templates, _TEMPLATED)
-        self._psi_hat = psi_hat
+        wedge_j = [partial(_wedge_terms, {(j,): 1}) for j in range(1, N + 1)]
+        eps = {m: [_assemble(m, m + 1, lambda idx: e({idx: 1})) for e in wedge_j] for m in range(N)}
+        ins = {m: _assemble(m, m + STEP - 1, iota) for m in range(N + 2 - STEP)}
+        # lists of matrices, which perfbench's tracer sizes, go to `int_matmul`
+        self.L = {
+            m: linalg.int_matmul([ins[m + 1]], eps[m])
+            - linalg.int_matmul(eps[m + STEP - 1], [ins[m]])
+            for m in _domain(STEP)
+        }
+        self.d = {m: linalg._int_array(E) for m, E in eps.items()}
+        self.Lstar = {m + STEP: -T.swapaxes(1, 2) for m, T in self.L.items()}
+        self.dstar = {m + 1: -T.swapaxes(1, 2) for m, T in self.d.items()}
         # every block entry at k is at most N * max|k_j| * entry_bound
-        tables = (*self.L.values(), *self.Lstar.values(), *self.d.values(), *self.dstar.values())
-        self._entry_bound = max(int(np.abs(T).max()) for T in tables)
-        if not self._check_adjoint_templates():
-            raise AssertionError("printed adjoint sign contradicts per-mode adjointness")
+        self._entry_bound = max(map(linalg._max_abs, (*self.L.values(), *self.d.values())))
 
     @cached_property
     def ad(self) -> np.ndarray:
         """The bracket differential's unit templates, built on first use; read
         it before `frequencies` of a stack that uses it, since it bounds them."""
-        units = [_strip_i(self._ad_matrix(self._psi_hat, _unit(j))) for j in range(N)]
-        ad = np.array(units, dtype=np.int64)
-        self._entry_bound = max(self._entry_bound, int(np.abs(ad).max()))
+        psi_hat = contract_metric(self._psi)
+        ad = linalg._int_array([_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)])
+        self._entry_bound = max(self._entry_bound, linalg._max_abs(ad))
         return ad
 
     @staticmethod
@@ -219,15 +225,6 @@ class ModeTemplates:
                 for idx, val in _mode_entries(k, comp):
                     M[s * block + pos[idx]][c] = val
         return M
-
-    def _check_adjoint_templates(self) -> bool:
-        """Per-mode adjointness of the stripped blocks: L*(k) = -L(k)^T and
-        d*(k) = -d(k)^T; linearity in k reduces this to the unit modes."""
-        return all(
-            np.array_equal(down[m + shift], -T.swapaxes(1, 2))
-            for up, down, shift in ((self.L, self.Lstar, STEP), (self.d, self.dstar, 1))
-            for m, T in up.items()
-        )
 
     def frequencies(self, modes) -> np.ndarray:
         """The modes as the rows of an (s, 7) integer array: int64 when
@@ -384,9 +381,9 @@ class ModeCalculus:
         torus-cohomology asks for harmonic and cohomology, symbol-check for
         symbols and regular.  Only the blocks and ranks those fields need
         are formed, each once, and each kind of rank in one elimination.
-        Rank L*_l is rank L_{l-3}: the adjointness certificate gives L*(k)
-        = -L(k)^T, so L* is contracted only for a harmonic stack [L_l ;
-        L*_l] (l = 3, 4), a split or a regularity product."""
+        Rank L*_l is rank L_{l-3}, and L*_l is -L_{l-3}^T, formed only for
+        a harmonic stack [L_l ; L*_l] (l = 3, 4), a split or a regularity
+        product."""
         modes = [tuple(k) for k in modes]
         if not modes:
             return []
@@ -396,7 +393,7 @@ class ModeCalculus:
         dims = [space_dim(N, l) for l in range(N + 1)]
         L = {m: np.tensordot(K, T, 1) for m, T in tpl.L.items()}  # domain degree
         rank_L = {m: linalg.int_ranks(S) for m, S in L.items()}
-        Ls = cache(lambda l: np.tensordot(K, tpl.Lstar[l], 1))
+        Ls = cache(lambda l: -L[l - STEP].swapaxes(1, 2))
 
         @cache
         def S(l):  # the harmonic stack out of degree l, or its lone operator
@@ -466,6 +463,8 @@ class ModeCalculus:
     ) -> list[dict]:
         """`mode_summaries` of every mode with |k|_inf <= max_freq, in lexicographic order."""
         modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
+        if "vector_kernel" in fields:
+            self.templates.ad  # built once here, not in every pool worker
         return sweep_modes(partial(self.mode_summaries, degree=degree, fields=fields), modes, jobs)
 
 

@@ -275,6 +275,20 @@ def test_torus_psi_must_be_a_constant_four_form(capsys):
         ]
 
 
+def test_a_rational_psi_sweeps_like_its_integer_multiple(capsys):
+    # the templates clear psi's denominators, and a nonzero scale changes no rank
+    reports = []
+    for psi in (
+        "toroidal:7:1/2 e{1,2,3,4} - 1/2 e{1,5,6,7} + e{2,4,6,7}",
+        "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}",
+    ):
+        code, out, _ = run_cli(capsys, "torus-cohomology", "--psi", psi, "--max-freq", "1", "--jobs", "1")
+        assert code == 1  # degrees 1 and 6 do not vanish for this psi
+        reports.append(json.loads(out))
+    half, whole = reports
+    assert (half["modes"], half["totals"]) == (whole["modes"], whole["totals"])
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -287,6 +301,10 @@ def test_torus_psi_must_be_a_constant_four_form(capsys):
         (
             ("mc-check", "--psi", "toroidal:17:e{1}"),
             "bad psi 'toroidal:17:e{1}': dimension must be <= 16, got 17",
+        ),
+        (
+            ("torus-cohomology", "--psi", "toroidal:7:i e{1,2,3,4}", "--max-freq", "0"),
+            "mode templates need a 4-form with real coefficients",
         ),
     ],
 )
@@ -336,10 +354,6 @@ def _unbalanced_split(
     return rows
 
 
-def _no_adjointness(self):
-    return False
-
-
 def _mismatched_matmul(A, B, real=linalg.int_matmul):
     return real(A, A)
 
@@ -355,12 +369,6 @@ def _broken_operators(psi_hat):
             torus.ModeCalculus, "mode_summaries", _inconsistent_split,
             ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1"),
             "fncalc: internal error: ValueError: cohomology must equal kernel minus image",
-        ),
-        (
-            torus.ModeTemplates, "_check_adjoint_templates", _no_adjointness,
-            ("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4}", "--max-freq", "0"),
-            "fncalc: internal error: AssertionError: printed adjoint sign contradicts"
-            " per-mode adjointness",
         ),
         (
             linalg, "int_matmul", _mismatched_matmul,
@@ -382,7 +390,9 @@ def _broken_operators(psi_hat):
     ],
 )
 def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, name, stub, argv, line):
-    # a broken invariant is neither a failed check (1) nor malformed input (2)
+    # a broken invariant is neither a failed check (1) nor malformed input (2);
+    # the default templates, whose build also calls int_matmul, come first
+    torus.default_calculus()
     monkeypatch.setattr(target, name, stub)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
@@ -399,6 +409,7 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
+    torus.default_calculus()  # built before counting: its L templates use int_matmul
     counts = {"sweep": 0, "other": 0, "ad": 0}
     in_sweep = []
     real_summaries, real_matmul = torus.ModeCalculus.mode_summaries, linalg.int_matmul

@@ -57,6 +57,10 @@ GOLDEN = [
     # the serial sweep prints the same bytes as the pooled one
     (("symbol-check", "--max-freq", "1", "--jobs", "1"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
     (("symbol-check", "--max-freq", "0"), 0, "a5e3848840f4652da2dfc3bd2f6142a75dacef0f4376eb5aa8825dfac0bee135"),
+    # a toroidal psi beyond the G2 default, with a non-unit coefficient;
+    # degrees 1 and 6 do not vanish for it
+    (("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}", "--max-freq", "1", "--jobs", "1"), 1, "122a69ed30cf4106ab95b77b1198b0a1948f1cf67887856895510b4dd5316590"),
+    (("symbol-check", "--psi", "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}"), 0, "ee3456aab7a5249727bdb09de2b428675e5d8147e72629d1047a6aab172f033a"),
 ]
 
 

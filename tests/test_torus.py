@@ -3,7 +3,6 @@
 import copy
 import multiprocessing
 import random
-from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -11,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fncalc import linalg, torus
+from fncalc import bracket, exterior, linalg, torus
 from fncalc.exterior import (
     CoefficientFunction,
     DifferentialForm,
@@ -20,14 +19,31 @@ from fncalc.exterior import (
 )
 from fncalc.multiindex import space_dim
 from fncalc.scalars import GaussianRational
+from fncalc.suites import named_psi
 
 CALC = torus.default_calculus()
 K1 = (1, 0, 0, 0, 0, 0, 0)
 K0 = (0,) * 7
+UNITS = [torus._unit(j) for j in range(7)]
+TEMPLATED = ("L", "Lstar", "d", "dstar")  # the kinds with integer templates
+# a toroidal psi beyond the G2 default, with a non-unit coefficient
+TOROIDAL = "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}"
 
 
 def random_mode(rng, bound=1):
     return tuple(rng.randint(-bound, bound) for _ in range(7))
+
+
+def lane_mismatches(calc, tpl, modes):
+    """The (kind, domain degree) pairs whose template block differs from the
+    honest block at some mode."""
+    return {
+        (kind, m)
+        for kind in TEMPLATED
+        for m in getattr(tpl, kind)
+        for k in modes
+        if torus._strip_i(calc.block(kind, m, k)) != tpl.block(kind, m, k)
+    }
 
 
 class TestModeBlocks:
@@ -63,23 +79,53 @@ class TestModeBlocks:
         assert not any(any(row) for row in CALC.block("d", 3, K0))
 
     def test_template_combination_equals_direct_assembly(self):
-        # the fast and honest lanes agree on every templated operator
-        tpl = CALC.templates
+        # the symbol-formula templates and the honest lane agree on all 24
+        # (kind, domain degree) pairs at the 7 unit modes, which covers every
+        # k by linearity, and at sampled modes, for the G2 and a toroidal psi
         rng = random.Random(1)
-        for k in [random_mode(rng, bound=2) for _ in range(4)]:
-            for kind in torus._TEMPLATED:
-                for m in getattr(tpl, kind):
-                    assert torus._strip_i(CALC.block(kind, m, k)) == tpl.block(kind, m, k), (kind, m)
+        modes = UNITS + [random_mode(rng, bound=2) for _ in range(4)]
+        for calc in (CALC, torus.ModeCalculus(named_psi(TOROIDAL))):
+            assert sum(len(getattr(calc.templates, kind)) for kind in TEMPLATED) == 24
+            assert lane_mismatches(calc, calc.templates, modes) == set()
 
-    def test_templates_read_each_operator_once_per_unit_mode(self, monkeypatch):
-        # 24 (kind, domain degree) pairs at each of the 7 unit modes
+    def test_lane_comparison_catches_a_flipped_adjoint_sign(self, monkeypatch):
+        # the templates take L* and d* as -L^T and -d^T; the honest lane
+        # starring through formal_adjoint is what holds that sign
+        real = exterior.formal_adjoint
+        monkeypatch.setattr(exterior, "formal_adjoint", lambda op, a: -real(op, a))  # d*
+        monkeypatch.setattr(torus, "formal_adjoint", lambda op, a: -real(op, a))  # L*
+        calc = torus.ModeCalculus()
+        expected = {(kind, m) for kind in ("Lstar", "dstar") for m in getattr(calc.templates, kind)}
+        assert lane_mismatches(calc, calc.templates, UNITS) == expected
+
+    def test_lane_comparison_catches_a_flipped_insertion_entry(self, monkeypatch):
+        real = torus._assemble
+
+        def flipped(deg_in, deg_out, image, zero=0):
+            M = real(deg_in, deg_out, image, zero)
+            if (deg_in, deg_out) == (1, 3):  # iota on Lambda^1, a fast-lane primitive
+                r, c = next((r, c) for r, row in enumerate(M) for c, x in enumerate(row) if x)
+                M[r][c] = -M[r][c]
+            return M
+
+        monkeypatch.setattr(torus, "_assemble", flipped)
+        bad = lane_mismatches(CALC, torus.ModeTemplates(), UNITS)
+        assert {kind for kind, _ in bad} == {"L", "Lstar"} and ("L", 0) in bad
+
+    def test_templates_build_without_the_form_engine(self, monkeypatch):
         calls = []
-        real = torus.mode_matrix
-        monkeypatch.setattr(torus, "mode_matrix", lambda *a: calls.append(a[1:3]) or real(*a))
-        tpl = torus.ModeTemplates()
-        assert sum(len(getattr(tpl, kind)) for kind in torus._TEMPLATED) == 24
-        assert len(calls) == 168
-        assert sorted(Counter(calls).values()) == [7] * 24  # (degree in, degree out)
+        for module, name in (
+            (torus, "mode_matrix"), (torus, "_strip_i"), (torus, "nijenhuis_lie"),
+            (bracket, "nijenhuis_lie"), (torus, "formal_adjoint"), (exterior, "formal_adjoint"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, partial(lambda n, f, *a: calls.append(n) or f(*a), name, real))
+        for psi in (None, named_psi(TOROIDAL)):
+            tpl = torus.ModeTemplates(psi)
+            assert sum(len(getattr(tpl, kind)) for kind in TEMPLATED) == 24
+        assert calls == []
+        tpl.ad  # the lazy vector-field template still reads the exact lane
+        assert "_strip_i" in calls
 
     def test_nonconstant_psi_rejected(self):
         psi = DifferentialForm(
@@ -92,34 +138,6 @@ class TestModeBlocks:
 
 
 class TestAdjointness:
-    def test_unit_templates_certify_all_modes(self):
-        # blocks are linear in the frequency, so the unit-mode identities
-        # L*(k) = -L(k)^T and d*(k) = -d(k)^T extend to every k
-        assert CALC.templates._check_adjoint_templates()
-
-    def test_a_flipped_lstar_entry_breaks_the_certificate(self, monkeypatch):
-        # the sweep reads rank L*_l off rank L_{l-3} on the strength of this
-        # certificate, so one wrong L* entry must fail it, and the build
-        tpl = copy.copy(CALC.templates)
-        T = tpl.Lstar[3].copy()
-        entry = tuple(np.argwhere(T)[0])
-        T[entry] = -T[entry]
-        tpl.Lstar = {**tpl.Lstar, 3: T}
-        assert not tpl._check_adjoint_templates()
-
-        real = torus.mode_matrix
-
-        def flipped(k, deg_in, deg_out, op):
-            M = real(k, deg_in, deg_out, op)
-            if (tuple(k), deg_in, deg_out) == (K1, 3, 0):  # L* on Lambda^3 at e_1
-                c = next(c for c, x in enumerate(M[0]) if x)
-                M[0][c] = -M[0][c]
-            return M
-
-        monkeypatch.setattr(torus, "mode_matrix", flipped)
-        with pytest.raises(AssertionError, match="adjoint sign contradicts"):
-            torus.ModeTemplates()
-
     def test_direct_conjugate_transpose_at_sampled_modes(self):
         rng = random.Random(2)
         modes = [random_mode(rng, 2) for _ in range(4)] + [K1]
@@ -267,6 +285,15 @@ class TestDimensions:
         for c in (2**40, 2**61):
             assert {**CALC.mode_summary(tuple(c * x for x in k)), "k": base["k"]} == base
 
+    def test_a_huge_psi_scale_changes_no_row(self):
+        # psi coefficients of 2**70 give Python-int (object) templates, whose
+        # rows equal those of the unscaled psi, the split and ad included
+        psi = named_psi(TOROIDAL)
+        calc, big = torus.ModeCalculus(psi), torus.ModeCalculus(psi.scale(2**70))
+        assert big.templates.L[0].dtype == object and big.templates.d[0].dtype == np.int64
+        modes = [K0, K1, (1, -1, 0, 1, 0, 0, 1), (0, 2, -1, 0, 0, 1, 0)]
+        assert big.mode_summaries(modes, 3) == calc.mode_summaries(modes, 3)
+
     def test_duality_and_conjugation_symmetry(self):
         rng = random.Random(5)
         for _ in range(5):
@@ -318,7 +345,7 @@ class TestStructuralChecks:
         # that one product alone must vanish, and here it does not
         calc = copy.copy(CALC)
         tpl = calc.templates = copy.copy(CALC.templates)
-        for kind in torus._TEMPLATED:
+        for kind in TEMPLATED:
             table = getattr(CALC.templates, kind)
             setattr(tpl, kind, {m: np.zeros_like(T) for m, T in table.items()})
         getattr(tpl, kept[0])[kept[1]] = getattr(CALC.templates, kept[0])[kept[1]]
@@ -529,6 +556,14 @@ def test_small_sweep_serial_equals_parallel(monkeypatch):
         assert [s["k"] for s in serial] == [list(k) for k in modes]
         assert ("split" in serial[0]) == (degree is not None)
     assert sizes == [2, 2]
+
+
+def test_a_pooled_sweep_builds_ad_once_in_the_parent(monkeypatch):
+    # read before the workers fork, the lazy template is not rebuilt in each
+    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
+    calc = torus.ModeCalculus()
+    calc.sweep(max_freq=1, jobs=2, fields=("vector_kernel",))
+    assert "ad" in calc.templates.__dict__
 
 
 @pytest.mark.parametrize("fields", [("harmonic", "cohomology"), ("symbols", "regular")])
