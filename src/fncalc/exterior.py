@@ -7,6 +7,10 @@ such coefficient functions; tangent-valued forms are tuples of component
 forms K = sum_i alpha_i (x) e_i in the global orthonormal frame.
 
 All values are immutable after construction and all operations are pure.
+Their vector-space algebra (+, -, scale, truth, ==, hash, immutability) is
+written once, in `_Sparse` for the term maps and in `_Components` for the
+frame-indexed tuples; each value type adds only its validating constructor,
+the tags that equality compares and its operand-mismatch check.
 The public constructors validate their input and prune zero coefficients;
 kernels build their outputs from checked operands through the trusted
 constructors `CoefficientFunction._of` and `DifferentialForm._of`.
@@ -91,7 +95,90 @@ def _add_terms(out: dict, terms: dict, negate: bool = False) -> None:
         _add_term(out, key, -val if negate else val)
 
 
-class CoefficientFunction:
+class _Sparse:
+    """Vector-space algebra of a sparse map `terms` from keys to nonzero
+    values.  A subclass gives the tags that equality compares (`_tags`),
+    the check that raises for an operand with other tags (`_check`) and
+    its trusted constructor over the same tags (`_like`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        _add_terms(out, other.terms)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._tags() == other._tags() and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((*self._tags(), frozenset(self.terms.items())))
+
+
+class _Components:
+    """Vector-space algebra of a tuple `components`, one value per frame
+    direction.  A subclass gives the tags that equality compares and that
+    precede the components in its validating constructor (`_tags`), and the
+    check that raises for an operand with other tags (`_check`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return type(self)(
+            *self._tags(), [a + b for a, b in zip(self.components, other.components)]
+        )
+
+    def __neg__(self):
+        return type(self)(*self._tags(), [-a for a in self.components])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return type(self)(*self._tags(), [a.scale(c) for a in self.components])
+
+    def __bool__(self) -> bool:
+        return any(self.components)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._tags() == other._tags() and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((*self._tags(), self.components))
+
+
+class CoefficientFunction(_Sparse):
     """Exact scalar function: finite monomial or Fourier sum.
 
     Keys are exponent tuples (affine) or integer frequency vectors
@@ -125,8 +212,13 @@ class CoefficientFunction:
         object.__setattr__(f, "terms", terms)
         return f
 
-    def __setattr__(self, *_):
-        raise AttributeError("CoefficientFunction is immutable")
+    def _like(self, terms: dict) -> "CoefficientFunction":
+        return CoefficientFunction._of(self.space, terms)
+
+    def _tags(self) -> tuple:
+        return (self.space,)
+
+    _check = _same_space
 
     # -- constructors ------------------------------------------------------
 
@@ -155,20 +247,6 @@ class CoefficientFunction:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
-        if not isinstance(other, CoefficientFunction):
-            return NotImplemented
-        _same_space(self, other)
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
-        return CoefficientFunction._of(self.space, out)
-
-    def __neg__(self) -> "CoefficientFunction":
-        return CoefficientFunction._of(self.space, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "CoefficientFunction") -> "CoefficientFunction":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
@@ -188,12 +266,6 @@ class CoefficientFunction:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
-
-    def scale(self, c) -> "CoefficientFunction":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        if not c:
-            return CoefficientFunction.zero(self.space)
-        return CoefficientFunction._of(self.space, {k: v * c for k, v in self.terms.items()})
 
     def deriv(self, j: int) -> "CoefficientFunction":
         """Exact coordinate derivative d/dx^j (1-based)."""
@@ -216,9 +288,6 @@ class CoefficientFunction:
         return CoefficientFunction._of(self.space, out)
 
     # -- queries -----------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def is_constant(self) -> bool:
         zero_key = (0,) * self.space.dim
@@ -260,14 +329,6 @@ class CoefficientFunction:
                 total += complex(val) * cmath.exp(1j * phase)
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientFunction):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -277,7 +338,7 @@ class CoefficientFunction:
         return " + ".join(bits)
 
 
-class DifferentialForm:
+class DifferentialForm(_Sparse):
     """Sparse exact differential form of explicit degree.
 
     The degree is stored, never inferred, so the zero form of each degree is
@@ -319,8 +380,16 @@ class DifferentialForm:
         object.__setattr__(a, "terms", terms)
         return a
 
-    def __setattr__(self, *_):
-        raise AttributeError("DifferentialForm is immutable")
+    def _like(self, terms: dict) -> "DifferentialForm":
+        return DifferentialForm._of(self.space, self.degree, terms)
+
+    def _tags(self) -> tuple:
+        return (self.space, self.degree)
+
+    def _check(self, other: "DifferentialForm") -> None:
+        _same_space(self, other)
+        if self.degree != other.degree:
+            raise DegreeError(f"cannot add degrees {self.degree} and {other.degree}")
 
     # -- constructors ------------------------------------------------------
 
@@ -345,53 +414,12 @@ class DifferentialForm:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        _same_space(self, other)
-        if self.degree != other.degree:
-            raise DegreeError(f"cannot add degrees {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
-        return DifferentialForm._of(self.space, self.degree, out)
-
-    def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm._of(
-            self.space, self.degree, {i: -c for i, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + (-other)
-
-    def scale(self, c) -> "DifferentialForm":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        if not c:
-            return DifferentialForm.zero(self.space, self.degree)
-        return DifferentialForm._of(
-            self.space, self.degree, {i: f.scale(c) for i, f in self.terms.items()}
-        )
-
     def mul_function(self, f: CoefficientFunction) -> "DifferentialForm":
         terms = {i: h for i, g in self.terms.items() if (h := g * f)}
         return DifferentialForm._of(self.space, self.degree, terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.degree, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         from .grammar import serialize_form
@@ -399,7 +427,7 @@ class DifferentialForm:
         return f"<{self.degree}-form {serialize_form(self)!r} on {self.space}>"
 
 
-class VectorField:
+class VectorField(_Components):
     """Exact vector field X = sum_i X^i e_i."""
 
     __slots__ = ("space", "components")
@@ -414,8 +442,10 @@ class VectorField:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, *_):
-        raise AttributeError("VectorField is immutable")
+    def _tags(self) -> tuple:
+        return (self.space,)
+
+    _check = _same_space
 
     @classmethod
     def zero(cls, space: ModelSpace) -> "VectorField":
@@ -428,34 +458,8 @@ class VectorField:
         comps[i - 1] = CoefficientFunction.constant(space, 1)
         return cls(space, comps)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_space(self, other)
-        return VectorField(
-            self.space, [a + b for a, b in zip(self.components, other.components)]
-        )
 
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.space, [-a for a in self.components])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scale(self, c) -> "VectorField":
-        return VectorField(self.space, [f.scale(c) for f in self.components])
-
-    def __bool__(self) -> bool:
-        return any(self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.space == other.space and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.components))
-
-
-class VectorValuedForm:
+class VectorValuedForm(_Components):
     """Tangent-bundle-valued form K = sum_i alpha_i (x) e_i.
 
     Components are degree-k forms indexed by the frame direction they are
@@ -477,8 +481,13 @@ class VectorValuedForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, *_):
-        raise AttributeError("VectorValuedForm is immutable")
+    def _tags(self) -> tuple:
+        return (self.space, self.degree)
+
+    def _check(self, other: "VectorValuedForm") -> None:
+        _same_space(self, other)
+        if self.degree != other.degree:
+            raise DegreeError("cannot add tangent-valued forms of different degrees")
 
     @classmethod
     def zero(cls, space: ModelSpace, degree: int) -> "VectorValuedForm":
@@ -504,40 +513,6 @@ class VectorValuedForm:
             self.space,
             [a.terms.get((), CoefficientFunction.zero(self.space)) for a in self.components],
         )
-
-    def __add__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        _same_space(self, other)
-        if self.degree != other.degree:
-            raise DegreeError("cannot add tangent-valued forms of different degrees")
-        return VectorValuedForm(
-            self.space,
-            self.degree,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def __neg__(self) -> "VectorValuedForm":
-        return VectorValuedForm(self.space, self.degree, [-a for a in self.components])
-
-    def __sub__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        return self + (-other)
-
-    def scale(self, c) -> "VectorValuedForm":
-        return VectorValuedForm(self.space, self.degree, [a.scale(c) for a in self.components])
-
-    def __bool__(self) -> bool:
-        return any(self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorValuedForm):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.degree, self.components))
 
     def __repr__(self) -> str:
         return f"<{self.degree}-form with values in T{self.space}>"

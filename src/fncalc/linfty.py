@@ -23,6 +23,7 @@ from .exterior import (
     DifferentialForm,
     ModelSpace,
     VectorValuedForm,
+    _Components,
     affine_space,
     contract_metric,
     hodge_star,
@@ -65,9 +66,9 @@ class FlatAssociativeModel:
         return AMBIENT
 
 
-class NormalValuedForm:
+class NormalValuedForm(_Components):
     """Element of Omega^p(L, NL): one form on the plane per normal
-    direction."""
+    direction; its vector-space algebra is `exterior._Components`."""
 
     __slots__ = ("model", "degree", "components")
 
@@ -84,8 +85,12 @@ class NormalValuedForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, *_):
-        raise AttributeError("NormalValuedForm is immutable")
+    def _tags(self) -> tuple:
+        return (self.model, self.degree)
+
+    def _check(self, other: "NormalValuedForm") -> None:
+        if self._tags() != other._tags():
+            raise ValueError("mismatched normal-valued forms")
 
     @classmethod
     def zero(cls, model: FlatAssociativeModel, degree: int) -> "NormalValuedForm":
@@ -101,39 +106,6 @@ class NormalValuedForm:
     @property
     def parity(self) -> int:
         return self.degree % 2
-
-    def __add__(self, other: "NormalValuedForm") -> "NormalValuedForm":
-        if self.model != other.model or self.degree != other.degree:
-            raise ValueError("mismatched normal-valued forms")
-        return NormalValuedForm(
-            self.model,
-            self.degree,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def __neg__(self) -> "NormalValuedForm":
-        return NormalValuedForm(self.model, self.degree, [-a for a in self.components])
-
-    def __sub__(self, other: "NormalValuedForm") -> "NormalValuedForm":
-        return self + (-other)
-
-    def scale(self, c) -> "NormalValuedForm":
-        return NormalValuedForm(self.model, self.degree, [a.scale(c) for a in self.components])
-
-    def __bool__(self) -> bool:
-        return any(self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalValuedForm):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.degree, self.components))
 
     def __repr__(self) -> str:
         return f"<{self.degree}-form on L with values in NL>"

@@ -292,7 +292,9 @@ class ModeCalculus:
         self.psi = star_phi_on_torus() if psi is None else psi
         self.templates = ModeTemplates(self.psi)
         self._operators = operators(contract_metric(self.psi))
-        self._star_psi = hodge_star(self.psi)  # enters the 1-form kernel check
+        # the 1-form kernel check strips i from blocks beside the templates,
+        # so both sides use the templates' lcm-scaled psi (no rank changes)
+        self._star_psi = hodge_star(self.templates._psi)
 
     # -- spec-level operations ----------------------------------------------
 

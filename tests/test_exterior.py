@@ -477,14 +477,70 @@ def test_degree_stored_explicitly_for_zero_forms():
         lambda: e(R2, 1).scale(1.5),
         lambda: DifferentialForm(R2, 1, {(1,): 1}),
         lambda: DifferentialForm(R2, 3, {(1, 2, 3): 0}),
+        lambda: VectorField.frame(R2, 1) + 1,
+        lambda: VectorValuedForm.zero(R2, 1) + 1,
+        lambda: linfty.NormalValuedForm.zero(PLANE_MODEL, 0) + 1,
     ],
     ids=["function-times-float", "function-plus-int", "form-plus-int",
          "form-scale-float", "form-with-int-coefficient",
-         "above-top-degree-with-int-coefficient"],
+         "above-top-degree-with-int-coefficient", "vector-field-plus-int",
+         "tangent-valued-form-plus-int", "normal-valued-form-plus-int"],
 )
 def test_foreign_operands_raise_type_error(op):
     with pytest.raises(TypeError):
         op()
+
+
+PLANE_MODEL = linfty.FlatAssociativeModel.from_plane((1, 2, 4))
+OTHER_PLANE_MODEL = linfty.FlatAssociativeModel.from_plane((1, 2, 3))
+
+# one builder per value type; each call builds a new, equal value
+VALUE_BUILDERS = {
+    "function": lambda: x(R2, 1).scale(3) + CoefficientFunction.constant(R2, 1),
+    "form": lambda: e(R4, 1, 3) - e(R4, 2, 4).scale(Fraction(1, 2)),
+    "vector-field": lambda: VectorField.frame(T2, 2).scale(-1),
+    "tangent-valued-form": lambda: VectorValuedForm.decomposable(e(R2, 1), 2),
+    "normal-valued-form": lambda: linfty.NormalValuedForm.decomposable(
+        PLANE_MODEL, DifferentialForm.coframe(linfty.PLANE_SPACE, (2,)), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_BUILDERS.values(), ids=list(VALUE_BUILDERS))
+def test_values_are_immutable_and_hash_by_value(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != -a and {a, b, -a} == {b, -b}
+    name = type(a).__name__
+    for slot in type(a).__slots__:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(a, slot, None)
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "a, b, error, message",
+    [
+        (CoefficientFunction.zero(R2), CoefficientFunction.zero(T2), SpaceMismatch,
+         "mixed model spaces R^2 and T^2"),
+        (DifferentialForm.zero(R4, 2), DifferentialForm.zero(R4, 3), DegreeError,
+         "cannot add degrees 2 and 3"),
+        (VectorField.zero(R2), VectorField.zero(R4), SpaceMismatch,
+         "mixed model spaces R^2 and R^4"),
+        (VectorValuedForm.zero(R2, 1), VectorValuedForm.zero(R2, 2), DegreeError,
+         "cannot add tangent-valued forms of different degrees"),
+        (linfty.NormalValuedForm.zero(OTHER_PLANE_MODEL, 0),
+         linfty.NormalValuedForm.zero(PLANE_MODEL, 0), ValueError,
+         "mismatched normal-valued forms"),
+    ],
+    ids=list(VALUE_BUILDERS),
+)
+def test_values_differing_in_a_tag_are_unequal_and_do_not_add(a, b, error, message):
+    assert not a and not b and a != b
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(error) as info:
+            op(b)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def assert_canonical(value):
@@ -501,9 +557,6 @@ def assert_canonical(value):
     else:  # vector fields, tangent- and normal-valued forms
         for part in value.components:
             assert_canonical(part)
-
-
-PLANE_MODEL = linfty.FlatAssociativeModel.from_plane((1, 2, 4))
 
 
 @settings(max_examples=30, deadline=None)

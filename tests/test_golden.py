@@ -5,7 +5,9 @@ means to alter a report updates its hash here and says why.
 The invocations that the benchmark also runs (mc-check, the
 associative-plane classification, g2-equivariance at the three seeds the
 benchmark draws at its seed 0, and the |k|_inf <= 1 torus sweep and its
-degree-2 split) carry the same hashes as `perfbench/pins.json`.
+degree-2 split) carry the same hashes as `perfbench/pins.json`; the
+benchmark-size exact-algebra invocations are pinned only there, and the
+tests below check their reports against those pins.
 """
 
 import hashlib
@@ -69,6 +71,30 @@ def test_stdout_is_byte_identical(capsys, argv, status, sha256):
     assert main(list(argv)) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+PINNED = {
+    tuple(pin["argv"]): pin["sha256"]
+    for pins in json.loads((ROOT / "perfbench" / "pins.json").read_text())["workloads"].values()
+    for pin in pins
+}
+PINNED_ONLY = sorted(set(PINNED) - {argv for argv, _, _ in GOLDEN})
+
+
+def test_golden_and_benchmark_pins_agree():
+    shared = [(argv, sha256) for argv, _, sha256 in GOLDEN if argv in PINNED]
+    assert len(shared) == 8
+    for argv, sha256 in shared:
+        assert PINNED[argv] == sha256, argv
+    # the seeded exact-algebra battery is pinned only there
+    assert [argv[0] for argv in PINNED_ONLY] == ["fn-action", "gla-axioms", "kahler-dc", "linfty", "vdata"]
+
+
+@pytest.mark.parametrize("argv", PINNED_ONLY, ids=[" ".join(a) for a in PINNED_ONLY])
+def test_pinned_only_report_is_byte_identical(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
 
 
 def test_traced_run_prints_the_same_bytes():

@@ -388,6 +388,17 @@ class TestStructuralChecks:
         for c in (1, 2**40, 2**61):
             assert CALC.one_form_kernel_check(tuple(c * x for x in k)), c
 
+    def test_one_form_kernel_check_for_a_rational_psi(self):
+        # the templates hold psi scaled by the lcm of its denominators, so the
+        # check must agree with the one for that integer multiple
+        rational = torus.ModeCalculus(
+            named_psi("toroidal:7:1/2 e{1,2,3,4} - 1/2 e{1,5,6,7} + e{2,4,6,7}")
+        )
+        integer = torus.ModeCalculus(named_psi(TOROIDAL))
+        for k in (K1, (1, -1, 0, 1, 0, 0, 1), K0):
+            assert (rational.one_form_kernel_check(k), integer.one_form_kernel_check(k)) == (
+                True, True), k
+
     @pytest.mark.parametrize("c", [1, 2**40, 2**61])
     def test_one_form_kernel_check_fails_for_a_wrong_dual_form(self, monkeypatch, c):
         wrong = DifferentialForm.coframe(torus.T7, (1, 2, 3))
