@@ -9,7 +9,9 @@ and every tangent-valued form here is the finite sum of its frame
 decomposables alpha_i (x) e_i, so the bracket is evaluated by bilinear
 extension over frame pairs.  With constant frame fields [e_i, e_j] = 0,
 L_{e_i} is the termwise coordinate derivative and i_{e_i} the frame
-insertion, which is what the implementation uses.
+insertion, which is what the implementation uses.  The derivations run
+the exterior module's flat-map kernels directly and wrap only their
+results as forms.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from .exterior import (
     DifferentialForm,
     VectorField,
     VectorValuedForm,
-    coefficient_deriv,
     contract_metric,
-    ext_deriv,
-    insert_frame,
-    insert_vvform,
-    wedge,
     _add_terms,
+    _d_terms,
+    _deriv_terms,
+    _insert_frame_terms,
+    _insert_terms,
     _same_space,
+    _scalar_terms,
+    _wedge_terms,
 )
 
 
@@ -57,26 +60,25 @@ def vf_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 def lie_tensor(X: VectorField, K: VectorValuedForm) -> VectorValuedForm:
     """Tensor Lie derivative of K along X by the Leibniz rule
-    L_X(a (x) Y) = (L_X a) (x) Y + a (x) [X, Y].
+    L_X(a (x) Y) = (L_X a) (x) Y + a (x) [X, Y], with L_X a by the Cartan
+    formula iota_X d a + d iota_X a.
 
     Independent of the bracket formula; serves as its oracle for the
     vector-field case.
     """
-    from .exterior import lie_vector_form
-
     _same_space(X, K)
-    n = K.space.dim
-    comps = [{} for _ in range(n)]
-    for i in range(1, n + 1):
-        alpha = K.components[i - 1]
+    affine = K.space.is_affine
+    xs = [_scalar_terms(f) for f in X.components]
+    comps = [{} for _ in xs]
+    for i, alpha in enumerate(K.components, 1):
         if not alpha:
             continue
-        _add_terms(comps[i - 1], lie_vector_form(X, alpha).terms)
+        a = alpha.terms
+        _insert_terms(xs, _d_terms(a, affine), comps[i - 1])
+        _add_terms(comps[i - 1], _d_terms(_insert_terms(xs, a), affine))
         # [X, e_i] = -sum_j (d_i X^j) e_j
-        for j in range(1, n + 1):
-            d = X.components[j - 1].deriv(i)
-            if d:
-                _add_terms(comps[j - 1], alpha.mul_function(d).terms, negate=True)
+        for j, xj in enumerate(xs, 1):
+            _wedge_terms(a, _deriv_terms(xj, i, affine), comps[j - 1], True)
     comps = [DifferentialForm._of(K.space, K.degree, c) for c in comps]
     return VectorValuedForm(K.space, K.degree, comps)
 
@@ -87,13 +89,12 @@ def nijenhuis_lie(K, a: DifferentialForm) -> DifferentialForm:
     if isinstance(K, VectorField):
         K = VectorValuedForm.from_vector_field(K)
     _same_space(K, a)
-    first = insert_vvform(K, ext_deriv(a))
-    if K.degree == 0 and a.degree == 0:
-        return first
-    second = ext_deriv(insert_vvform(K, a))
-    if K.degree % 2:
-        return first - second
-    return first + second
+    affine = a.space.is_affine
+    parts = [alpha.terms for alpha in K.components]
+    out = _insert_terms(parts, _d_terms(a.terms, affine))
+    # i_K of a function vanishes, so the second term is empty on 0-forms
+    _add_terms(out, _d_terms(_insert_terms(parts, a.terms), affine), K.degree % 2)
+    return DifferentialForm._of(a.space, K.degree + a.degree, out)
 
 
 def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
@@ -105,34 +106,21 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
         L = VectorValuedForm.from_vector_field(L)
     _same_space(K, L)
     space = K.space
-    n = space.dim
+    affine = space.is_affine
     degree = K.degree + L.degree
-    # one sparse {multi-index: coefficient} accumulator per frame direction
-    comps = [{} for _ in range(n)]
+    # one flat {(multi-index, key): scalar} accumulator per frame direction;
+    # every term is a product of two flat maps, wedged straight into it
+    comps = [{} for _ in range(space.dim)]
     odd_k = K.degree % 2
-
-    d_alpha = [ext_deriv(a) if a else None for a in K.components]
-    d_beta = [ext_deriv(b) if b else None for b in L.components]
-
-    for i in range(1, n + 1):
-        alpha = K.components[i - 1]
-        if not alpha:
-            continue
-        for j in range(1, n + 1):
-            beta = L.components[j - 1]
-            if not beta:
-                continue
+    alphas = [(i, a.terms, _d_terms(a.terms, affine)) for i, a in enumerate(K.components, 1) if a]
+    betas = [(j, b.terms, _d_terms(b.terms, affine)) for j, b in enumerate(L.components, 1) if b]
+    for i, alpha, d_alpha in alphas:
+        for j, beta, d_beta in betas:
             # [e_i, e_j] = 0, so the bracket term of the formula drops out
-            _add_terms(comps[j - 1], wedge(alpha, coefficient_deriv(beta, i)).terms)
-            _add_terms(comps[i - 1], wedge(coefficient_deriv(alpha, j), beta).terms, True)
-            da = d_alpha[i - 1]
-            ib = insert_frame(i, beta)
-            if da and ib:
-                _add_terms(comps[j - 1], wedge(da, ib).terms, odd_k)
-            ia = insert_frame(j, alpha)
-            db = d_beta[j - 1]
-            if ia and db:
-                _add_terms(comps[i - 1], wedge(ia, db).terms, odd_k)
+            _wedge_terms(alpha, _deriv_terms(beta, i, affine), comps[j - 1])
+            _wedge_terms(_deriv_terms(alpha, j, affine), beta, comps[i - 1], True)
+            _wedge_terms(d_alpha, _insert_frame_terms(i, beta), comps[j - 1], odd_k)
+            _wedge_terms(_insert_frame_terms(j, alpha), d_beta, comps[i - 1], odd_k)
     comps = [DifferentialForm._of(space, degree, c) for c in comps]
     return VectorValuedForm(space, degree, comps)
 

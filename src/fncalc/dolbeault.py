@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import CoefficientFunction, DifferentialForm, _add_term, transform_terms
+from .exterior import DifferentialForm, _add_term, _partial, transform_terms
 from .multiindex import merge_sign
 from .scalars import GaussianRational, I, ONE
 
@@ -47,11 +47,10 @@ def _complex_to_real_matrix(m: int):
     return M
 
 
-def _wirtinger(coeff: CoefficientFunction, j: int, conjugate: bool) -> CoefficientFunction:
-    """d/dz_j = (d_{2j-1} - i d_{2j})/2, d/dzbar_j with the plus sign."""
-    a = coeff.deriv(2 * j - 1).scale(HALF)
-    b = coeff.deriv(2 * j).scale(I_HALF if conjugate else MINUS_I_HALF)
-    return a + b
+# i(dbar - del) of d/dx^p as factors on the complex coframe directions
+# (m + j, j) = (dzbar_j, dz_j), for p = 2j - 1 and p = 2j, by the Wirtinger
+# derivatives d/dzbar_j = (d_{2j-1} + i d_{2j})/2, d/dz_j = (d_{2j-1} - i d_{2j})/2
+_DC_FACTORS = ((I_HALF, MINUS_I_HALF), (-HALF, -HALF))
 
 
 def dc(a: DifferentialForm) -> DifferentialForm:
@@ -65,23 +64,17 @@ def dc(a: DifferentialForm) -> DifferentialForm:
     cplx = transform_terms(space, a.terms, _real_to_complex_matrix(m))
 
     out: dict = {}
-
-    def accumulate(frame_index: int, coeff, idx):
-        ms = merge_sign((frame_index,), idx)
-        if ms is None:
-            return
-        sign, merged = ms
-        _add_term(out, merged, coeff if sign > 0 else -coeff)
-
-    for idx, coeff in cplx.items():
-        for j in range(1, m + 1):
-            # dbar contributes +, del contributes -, overall factor i
-            dbar = _wirtinger(coeff, j, conjugate=True)
-            if dbar:
-                accumulate(m + j, dbar.scale(I), idx)
-            ddel = _wirtinger(coeff, j, conjugate=False)
-            if ddel:
-                accumulate(j, ddel.scale(-I), idx)
+    for (idx, key), coeff in cplx.items():
+        for pos, e in enumerate(key):
+            if not e:
+                continue
+            new, factor = _partial(key, pos, True)
+            val = coeff * factor
+            j = pos // 2 + 1
+            for frame, f in zip((m + j, j), _DC_FACTORS[pos % 2]):
+                if ms := merge_sign((frame,), idx):
+                    sign, merged = ms
+                    _add_term(out, (merged, new), val * f if sign > 0 else -(val * f))
 
     real_terms = transform_terms(space, out, _complex_to_real_matrix(m))
     return DifferentialForm._of(space, a.degree + 1, real_terms)

@@ -2,9 +2,12 @@
 
 Scalar coefficients are finite exact sums: polynomials in the coordinates on
 the affine flavor, finite Fourier sums exp(i<k,x>) on the toroidal flavor.
-Differential forms are sparse maps from strictly increasing multi-indices to
-such coefficient functions; tangent-valued forms are tuples of component
-forms K = sum_i alpha_i (x) e_i in the global orthonormal frame.
+A coefficient function is a sparse map from keys (exponent tuples, affine;
+frequency vectors, toroidal) to Gaussian rationals.  Differential forms are
+one flat sparse map {(multi-index, key): scalar} over strictly increasing
+multi-indices; `DifferentialForm.coefficients()` groups it into the scalar
+field of each index on demand.  Tangent-valued forms are tuples of
+component forms K = sum_i alpha_i (x) e_i in the global orthonormal frame.
 
 All values are immutable after construction and all operations are pure.
 Their vector-space algebra (+, -, scale, truth, ==, hash, immutability) is
@@ -12,14 +15,19 @@ written once, in `_Sparse` for the term maps and in `_Components` for the
 frame-indexed tuples; each value type adds only its validating constructor,
 the tags that equality compares and its operand-mismatch check.
 The public constructors validate their input and prune zero coefficients;
-kernels build their outputs from checked operands through the trusted
-constructors `CoefficientFunction._of` and `DifferentialForm._of`.
+the form kernels are single loops over flat maps (`_wedge_terms`,
+`_insert_frame_terms`, `_star_terms`, `_deriv_terms`, `_d_terms`), which
+accumulate through `_add_term` and build no intermediate value, and the
+operators wrap their results with the trusted constructors
+`CoefficientFunction._of` and `DifferentialForm._of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .multiindex import (
     all_indices,
@@ -272,19 +280,11 @@ class CoefficientFunction(_Sparse):
         if not 1 <= j <= self.space.dim:
             raise ValueError(f"coordinate index {j} out of range")
         out = {}
-        pos = j - 1
-        raw = GaussianRational._raw
-        if self.space.is_affine:
-            # lowering the j-th exponent makes no two monomials collide
-            for key, val in self.terms.items():
-                e = key[pos]
-                if e:
-                    out[key[:pos] + (e - 1,) + key[pos + 1:]] = val * raw(e, 0, 1)
-        else:
-            for key, val in self.terms.items():
-                kj = key[pos]
-                if kj:
-                    out[key] = val * raw(0, kj, 1)
+        pos, affine = j - 1, self.space.is_affine
+        for key, val in self.terms.items():
+            if key[pos]:
+                new, factor = _partial(key, pos, affine)
+                out[new] = val * factor
         return CoefficientFunction._of(self.space, out)
 
     # -- queries -----------------------------------------------------------
@@ -341,7 +341,10 @@ class CoefficientFunction(_Sparse):
 class DifferentialForm(_Sparse):
     """Sparse exact differential form of explicit degree.
 
-    The degree is stored, never inferred, so the zero form of each degree is
+    `terms` is one flat map {(multi-index, key): nonzero scalar}, the key
+    being a coefficient-function key; the validating constructor takes the
+    nested {multi-index: CoefficientFunction} map and flattens it.  The
+    degree is stored, never inferred, so the zero form of each degree is
     well defined; degrees above the space dimension are allowed and force
     the zero form (wedge products land there).
     """
@@ -351,7 +354,7 @@ class DifferentialForm(_Sparse):
     def __init__(self, space: ModelSpace, degree: int, terms: dict | None = None):
         if degree < 0:
             raise DegreeError(f"negative form degree {degree}")
-        pruned = {}
+        flat = {}
         for idx, coeff in (terms or {}).items():
             if not isinstance(coeff, CoefficientFunction):
                 raise TypeError("coefficients must be CoefficientFunction values")
@@ -365,15 +368,15 @@ class DifferentialForm(_Sparse):
             check_multi_index(idx, space.dim)
             if coeff.space != space:
                 raise SpaceMismatch("coefficient on a different model space")
-            if coeff:
-                pruned[idx] = coeff
+            for key, val in coeff.terms.items():
+                flat[idx, key] = val
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", pruned)
+        object.__setattr__(self, "terms", flat)
 
     @classmethod
     def _of(cls, space: ModelSpace, degree: int, terms: dict) -> "DifferentialForm":
-        """Trusted constructor: terms are stored as given, already canonical."""
+        """Trusted constructor: flat terms are stored as given, already canonical."""
         a = object.__new__(cls)
         object.__setattr__(a, "space", space)
         object.__setattr__(a, "degree", degree)
@@ -414,12 +417,20 @@ class DifferentialForm(_Sparse):
 
     # -- linear structure ----------------------------------------------------
 
+    def coefficients(self) -> dict:
+        """The scalar field of each index, {multi-index: CoefficientFunction},
+        grouped from the flat terms on each call."""
+        grouped: dict = {}
+        for (idx, key), val in self.terms.items():
+            grouped.setdefault(idx, {})[key] = val
+        return {idx: CoefficientFunction._of(self.space, t) for idx, t in grouped.items()}
+
     def mul_function(self, f: CoefficientFunction) -> "DifferentialForm":
-        terms = {i: h for i, g in self.terms.items() if (h := g * f)}
+        terms = _wedge_terms(self.terms, _scalar_terms(f))
         return DifferentialForm._of(self.space, self.degree, terms)
 
     def is_constant(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
+        return not any(any(key) for _, key in self.terms)
 
     def __repr__(self) -> str:
         from .grammar import serialize_form
@@ -509,10 +520,8 @@ class VectorValuedForm(_Components):
     def to_vector_field(self) -> VectorField:
         if self.degree != 0:
             raise DegreeError("only degree-0 tangent-valued forms are vector fields")
-        return VectorField(
-            self.space,
-            [a.terms.get((), CoefficientFunction.zero(self.space)) for a in self.components],
-        )
+        zero = CoefficientFunction.zero(self.space)
+        return VectorField(self.space, [a.coefficients().get((), zero) for a in self.components])
 
     def __repr__(self) -> str:
         return f"<{self.degree}-form with values in T{self.space}>"
@@ -523,40 +532,92 @@ class VectorValuedForm(_Components):
 # ---------------------------------------------------------------------------
 
 
-def _wedge_terms(a: dict, b: dict) -> dict:
-    """Exterior product of sparse {multi-index: scalar} maps.
+def _partial(key: tuple, pos: int, affine: bool) -> tuple:
+    """d/dx^{pos+1} of the basis function of a key with key[pos] != 0, as
+    (new key, factor): e x^(e-1) for x^e, i k exp(i<k,x>) for exp(i<k,x>)."""
+    e = key[pos]
+    if affine:
+        return key[:pos] + (e - 1,) + key[pos + 1:], GaussianRational._raw(e, 0, 1)
+    return key, GaussianRational._raw(0, e, 1)
 
-    The scalars need only +, *, unary - and truth, so the same kernel serves
-    coefficient functions, constant exact scalars and floats.
+
+def _scalar_terms(f: CoefficientFunction) -> dict:
+    """A scalar function as the flat terms of a 0-form."""
+    return {((), key): val for key, val in f.terms.items()}
+
+
+def _wedge_terms(a: dict, b: dict, out: dict | None = None, negate=False) -> dict:
+    """Exterior product of flat {(multi-index, key): scalar} maps, added
+    (or subtracted, when negate) into out.
+
+    Keys add as basis functions multiply, in both flavors; constant maps
+    carry the empty key (), so both factors' keys are empty or neither is.
+    The scalars need only +, *, unary - and truth, so the same kernel
+    serves forms, constant exact scalars and floats.
     """
-    out: dict = {}
-    for i1, c1 in a.items():
-        for i2, c2 in b.items():
+    out = {} if out is None else out
+    for (i1, k1), c1 in a.items():
+        for (i2, k2), c2 in b.items():
             ms = merge_sign(i1, i2)
             if ms is None:
                 continue
             sign, merged = ms
             val = c1 * c2
-            _add_term(out, merged, val if sign > 0 else -val)
+            key = tuple(map(add, k1, k2)) if k1 else k2
+            _add_term(out, (merged, key), val if (sign > 0) != negate else -val)
     return out
 
 
 def _insert_frame_terms(i: int, terms: dict) -> dict:
-    """Interior product iota_{e_i} of a sparse {multi-index: scalar} map."""
+    """Interior product iota_{e_i} of a flat {(multi-index, key): scalar} map."""
     out: dict = {}
-    for idx, val in terms.items():
+    for (idx, key), val in terms.items():
         for j, sign, rest in insertion_terms(idx):
             if j == i:
-                _add_term(out, rest, val if sign > 0 else -val)
+                _add_term(out, (rest, key), val if sign > 0 else -val)
+    return out
+
+
+def _insert_terms(parts: list, terms: dict, out: dict | None = None) -> dict:
+    """sum_i part_i ^ iota_{e_i} of flat maps: the insertion of the
+    tangent-valued form whose frame components are the flat maps parts."""
+    out = {} if out is None else out
+    for i, part in enumerate(parts, 1):
+        if part:
+            _wedge_terms(part, _insert_frame_terms(i, terms), out)
     return out
 
 
 def _star_terms(terms: dict, n: int) -> dict:
-    """Hodge star of a sparse {multi-index: scalar} map on R^n or T^n."""
+    """Hodge star of a flat {(multi-index, key): scalar} map on R^n or T^n."""
     out: dict = {}
-    for idx, val in terms.items():
+    for (idx, key), val in terms.items():
         sign, comp = complement_sign(idx, n)
-        _add_term(out, comp, val if sign > 0 else -val)
+        _add_term(out, (comp, key), val if sign > 0 else -val)
+    return out
+
+
+def _deriv_terms(terms: dict, j: int, affine: bool) -> dict:
+    """Termwise d/dx^j of a flat form map; no two terms collide."""
+    out = {}
+    pos = j - 1
+    for (idx, key), val in terms.items():
+        if key[pos]:
+            new, factor = _partial(key, pos, affine)
+            out[idx, new] = val * factor
+    return out
+
+
+def _d_terms(terms: dict, affine: bool) -> dict:
+    """Exterior derivative of a flat form map: sum_j e^j ^ d/dx^j."""
+    out: dict = {}
+    for (idx, key), val in terms.items():
+        for pos, e in enumerate(key):
+            if e and (ms := merge_sign((pos + 1,), idx)):
+                sign, merged = ms
+                new, factor = _partial(key, pos, affine)
+                val_j = val * factor
+                _add_term(out, (merged, new), val_j if sign > 0 else -val_j)
     return out
 
 
@@ -571,74 +632,35 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 def ext_deriv(a: DifferentialForm) -> DifferentialForm:
     """Exterior derivative; raises degree by one, d o d = 0."""
-    out: dict = {}
-    for idx, coeff in a.terms.items():
-        # d/dx^j vanishes unless x^j occurs in some exponent or frequency;
-        # increasing j keeps the order in which terms are added
-        live = sorted({j for key in coeff.terms for j, e in enumerate(key, 1) if e})
-        for j in live:
-            ms = merge_sign((j,), idx)
-            if ms is None:
-                continue
-            sign, merged = ms
-            dc = coeff.deriv(j)
-            _add_term(out, merged, dc if sign > 0 else -dc)
-    return DifferentialForm._of(a.space, a.degree + 1, out)
+    return DifferentialForm._of(a.space, a.degree + 1, _d_terms(a.terms, a.space.is_affine))
 
 
 def insert_vector(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     """Interior product iota_X, a derivation of degree -1."""
     _same_space(X, a)
-    if a.degree == 0:
-        return DifferentialForm.zero(a.space, 0)
-    out: dict = {}
-    for idx, coeff in a.terms.items():
-        for j, sign, rest in insertion_terms(idx):
-            xj = X.components[j - 1]
-            if not xj:
-                continue
-            val = coeff * xj
-            if sign < 0:
-                val = -val
-            _add_term(out, rest, val)
-    return DifferentialForm._of(a.space, a.degree - 1, out)
+    terms = _insert_terms([_scalar_terms(f) for f in X.components], a.terms)
+    return DifferentialForm._of(a.space, max(a.degree - 1, 0), terms)
 
 
 def insert_frame(i: int, a: DifferentialForm) -> DifferentialForm:
     """iota_{e_i} for a constant frame direction (fast path)."""
-    if a.degree == 0:
-        return DifferentialForm.zero(a.space, 0)
-    return DifferentialForm._of(a.space, a.degree - 1, _insert_frame_terms(i, a.terms))
+    return DifferentialForm._of(a.space, max(a.degree - 1, 0), _insert_frame_terms(i, a.terms))
 
 
 def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
     """Insertion of a tangent-valued k-form, iota_{kappa (x) X} = kappa ^ iota_X;
     a derivation of degree k - 1."""
     _same_space(K, a)
-    degree = K.degree + a.degree - 1
-    if a.degree == 0:
-        return DifferentialForm.zero(a.space, max(degree, 0))
-    out: dict = {}
-    for i in range(1, a.space.dim + 1):
-        alpha = K.components[i - 1]
-        if not alpha:
-            continue
-        contracted = insert_frame(i, a)
-        if not contracted:
-            continue
-        _add_terms(out, wedge(alpha, contracted).terms)
-    return DifferentialForm._of(a.space, degree, out)
+    terms = _insert_terms([alpha.terms for alpha in K.components], a.terms)
+    return DifferentialForm._of(a.space, max(K.degree + a.degree - 1, 0), terms)
 
 
 def coefficient_deriv(a: DifferentialForm, j: int) -> DifferentialForm:
     """Termwise coordinate derivative = Lie derivative along the frame
     field e_j."""
-    out = {}
-    for idx, coeff in a.terms.items():
-        dc = coeff.deriv(j)
-        if dc:
-            out[idx] = dc
-    return DifferentialForm._of(a.space, a.degree, out)
+    if not 1 <= j <= a.space.dim:
+        raise ValueError(f"coordinate index {j} out of range")
+    return DifferentialForm._of(a.space, a.degree, _deriv_terms(a.terms, j, a.space.is_affine))
 
 
 def lie_vector_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -653,7 +675,7 @@ def lie_vector_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
 def hodge_star(a: DifferentialForm) -> DifferentialForm:
     """Hodge star in the orthonormal coframe, a ^ *b = <a,b> vol.
 
-    Acts on the frame indices only; coefficient functions pass through
+    Acts on the frame indices only; coefficient keys pass through
     unchanged in both flavors.
     """
     n = a.space.dim
@@ -702,7 +724,7 @@ def sharp(alpha: DifferentialForm) -> VectorField:
     if alpha.degree != 1:
         raise DegreeError("sharp applies to 1-forms")
     comps = [CoefficientFunction.zero(alpha.space)] * alpha.space.dim
-    for (i,), coeff in alpha.terms.items():
+    for (i,), coeff in alpha.coefficients().items():
         comps[i - 1] = coeff
     return VectorField(alpha.space, comps)
 
@@ -721,7 +743,7 @@ def evaluate(a: DifferentialForm, vectors) -> CoefficientFunction:
     current = a
     for X in vectors:
         current = insert_vector(X, current)
-    return current.terms.get((), CoefficientFunction.zero(a.space))
+    return current.coefficients().get((), CoefficientFunction.zero(a.space))
 
 
 def flat_pairing(a: DifferentialForm, b: DifferentialForm) -> CoefficientFunction:
@@ -731,10 +753,10 @@ def flat_pairing(a: DifferentialForm, b: DifferentialForm) -> CoefficientFunctio
     if a.degree != b.degree:
         raise DegreeError("pairing needs equal degrees")
     out: dict = {}
-    for idx, coeff in a.terms.items():
-        other = b.terms.get(idx)
-        if other is not None:
-            _add_terms(out, (coeff * other).terms)
+    other = b.coefficients()
+    for idx, coeff in a.coefficients().items():
+        if idx in other:
+            _add_terms(out, (coeff * other[idx]).terms)
     return CoefficientFunction._of(a.space, out)
 
 
@@ -743,22 +765,22 @@ def volume_form(space: ModelSpace) -> DifferentialForm:
 
 
 def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
-    """Re-expand sparse frame terms in a new constant coframe f^1..f^n.
+    """Re-expand flat form terms in a new constant coframe f^1..f^n.
 
     matrix[i][b] gives e^{i+1} = sum_b matrix[i][b] f^{b+1} (entries exact
     scalars).  The coefficient of f^A in the output is sum_I c_I det(M[I, A]),
     and the minors det(M[I, A]) are the coefficients of the wedge of the
-    rows of M indexed by I.
+    rows of M indexed by I, constant maps with the empty key.
     """
     n = space.dim
-    rows = [{(b,): x for b, x in enumerate(row, start=1) if x} for row in matrix]
+    rows = [{((b,), ()): x for b, x in enumerate(row, start=1) if x} for row in matrix]
     out: dict = {}
-    for idx, coeff in terms.items():
-        minors = {(): ONE}
-        for i in idx:
-            minors = _wedge_terms(minors, rows[i - 1])
+    minors: dict = {}  # of each index, shared by its keys
+    for (idx, key), coeff in terms.items():
+        if idx not in minors:
+            minors[idx] = reduce(_wedge_terms, (rows[i - 1] for i in idx), {((), ()): ONE})
         for target in all_indices(n, len(idx)):
-            det = minors.get(target)
+            det = minors[idx].get((target, ()))
             if det is not None:
-                _add_term(out, target, coeff * det)
+                _add_term(out, (target, key), coeff * det)
     return out

@@ -10,9 +10,12 @@ i_y phi ^ phi, then g = c (det B)^{-1/9} B with the constant c pinned so
 the standard form yields the identity metric (c = 6^{-2/9}).
 
 The pointwise numeric lane (cayley_map, numeric_bracket_of_chi) runs the
-exterior module's sparse kernels (_wedge_terms, _insert_frame_terms,
+exterior module's flat-map kernels (_wedge_terms, _insert_frame_terms,
 _star_terms) on float coefficient maps, and gram_matrix runs them on
-constant exact scalars; only the scalar type differs from the exact lane.
+constant exact scalars, each map keyed by (multi-index, ()) with the empty
+key of a constant; only the scalar type differs from the exact lane.
+numpy and the exact linear algebra are imported where the float lane and
+the type decomposition start, so the exact suites never load them.
 pullback_chi_tensor visits only the nonzero entries of its tensor and fixes
 in code the summation order of numpy's unoptimized einsum, so its floats
 equal that einsum's bit for bit; only cayley_map's einsums still take
@@ -25,9 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from . import linalg
 from .exterior import (
     CoefficientFunction,
     DegreeError,
@@ -86,6 +86,8 @@ class PointwiseMetric:
     exact: bool
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.matrix])
 
 
@@ -110,10 +112,11 @@ def gram_matrix(phi: DifferentialForm, point) -> list[list[GaussianRational]]:
     phi is frozen once to constant exact scalars at the (rational) point,
     and all 49 entries are formed on those scalars.
     """
-    if phi.is_constant():
-        pt = {idx: c.constant_value() for idx, c in phi.terms.items()}
-    else:
-        pt = {idx: c.eval_exact(point) for idx, c in phi.terms.items()}
+    const = phi.is_constant()
+    pt = {
+        (idx, ()): c.constant_value() if const else c.eval_exact(point)
+        for idx, c in phi.coefficients().items()
+    }
     contractions = [_insert_frame_terms(i, pt) for i in range(1, 8)]
     # B_ij = [i_i phi ^ (i_j phi ^ phi)]_vol = <i_i phi, *(i_j phi ^ phi)>
     duals = [_star_terms(_wedge_terms(cj, pt), 7) for cj in contractions]
@@ -170,6 +173,8 @@ def metric_from_3form(structure: G2Structure, point=(0,) * 7) -> PointwiseMetric
         for x in row:
             if x.im:
                 raise NonPositiveFormError("density matrix is not real")
+    import numpy as np
+
     Bf = np.array([[float(x.re) for x in row] for row in B])
     g = (6.0 ** (-2.0 / 9.0)) * float(det.re) ** (-1.0 / 9.0) * Bf
     eigs = np.linalg.eigvalsh(g)
@@ -195,9 +200,11 @@ def chi(structure: G2Structure) -> VectorValuedForm:
 
 
 def _form_to_tensor(coeffs: dict, degree: int) -> np.ndarray:
-    """Antisymmetric ndarray from sparse index coefficients (float)."""
+    """Antisymmetric ndarray from constant flat coefficients (float)."""
+    import numpy as np
+
     T = np.zeros((7,) * degree)
-    for idx, val in coeffs.items():
+    for (idx, _), val in coeffs.items():
         base = tuple(i - 1 for i in idx)
         for perm, sign in _perms_with_signs(degree):
             T[tuple(base[p] for p in perm)] = sign * val
@@ -221,13 +228,13 @@ def _perms_with_signs(degree: int):
 
 
 def _tensor_to_coeffs(T: np.ndarray, degree: int) -> dict:
-    """Sparse index coefficients (float, zeros dropped) of an antisymmetric
+    """Constant flat coefficients (float, zeros dropped) of an antisymmetric
     ndarray."""
     out = {}
     for idx in all_indices(7, degree):
         val = float(T[tuple(i - 1 for i in idx)])
         if val:
-            out[idx] = val
+            out[idx, ()] = val
     return out
 
 
@@ -238,9 +245,11 @@ def cayley_map(structure: G2Structure, point=(0.0,) * 7) -> np.ndarray:
     (e_a, e_b, e_c); computed in a metric-orthonormal frame and pushed back
     to standard coordinates.  Double precision.
     """
+    import numpy as np
+
     phi_pt = {
-        idx: coeff.eval_complex(point).real
-        for idx, coeff in structure.phi.terms.items()
+        (idx, ()): coeff.eval_complex(point).real
+        for idx, coeff in structure.phi.coefficients().items()
     }
     g = metric_from_3form(structure, _rationalize(point)).as_array()
     R = np.linalg.cholesky(g).T  # g = R^T R, R upper triangular
@@ -277,7 +286,7 @@ def pullback_3form(A: np.ndarray, structure: G2Structure) -> G2Structure:
     ]
     # pullback on the coframe: A*(e^i) = sum_a A[i][a] e^a, i.e. substitute
     terms = transform_terms(space, structure.phi.terms, rows)
-    return G2Structure(space, DifferentialForm(space, 3, terms))
+    return G2Structure(space, DifferentialForm._of(space, 3, terms))
 
 
 def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -288,6 +297,8 @@ def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     sums ((A_pa A_qb) A_rc) Ainv_ds T_pqrs over its nonzero s before adding
     to the output: the order of the unoptimized einsum "pa,qb,rc,ds,pqrs".
     """
+    import numpy as np
+
     Ainv = np.linalg.inv(A)
     out = np.zeros((7, 7, 7, 7))
     for p, q, r in zip(*np.nonzero(T.any(axis=3))):
@@ -331,7 +342,7 @@ def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> fl
     d_alpha = [{} for _ in range(7)]
     for i in range(7):
         for m in range(7):
-            _add_terms(d_alpha[i], _wedge_terms({(m + 1,): 1.0}, partial(m, i)))
+            _add_terms(d_alpha[i], _wedge_terms({((m + 1,), ()): 1.0}, partial(m, i)))
 
     total = [{} for _ in range(7)]
     for i in range(7):
@@ -350,12 +361,14 @@ def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> fl
 
 def chi_tensor_exact(structure: G2Structure) -> np.ndarray:
     """Float tensor of the exact chi (for code-path comparisons)."""
+    import numpy as np
+
     X = chi(structure)
     C = np.zeros((7, 7, 7, 7))
     for s in range(1, 8):
         comp = {
-            idx: complex(c.constant_value()).real
-            for idx, c in X.components[s - 1].terms.items()
+            (idx, ()): complex(c.constant_value()).real
+            for idx, c in X.components[s - 1].coefficients().items()
         }
         C[:, :, :, s - 1] = _form_to_tensor(comp, 3)
     return C
@@ -370,15 +383,16 @@ def multisymplectic_check(psi: DifferentialForm) -> bool:
     """Whether v -> i_v psi is injective (constant-coefficient forms)."""
     if not psi.is_constant():
         raise ValueError("multi-symplectic check expects constant coefficients")
+    from . import linalg
+
     n = psi.space.dim
     if psi.degree < 1:
         return False
     pos = index_position(n, psi.degree - 1)
     rows = [[GaussianRational(0)] * n for _ in range(space_dim(n, psi.degree - 1))]
     for i in range(1, n + 1):
-        c = insert_frame(i, psi)
-        for idx, coeff in c.terms.items():
-            rows[pos[idx]][i - 1] = coeff.constant_value()
+        for (idx, _), val in insert_frame(i, psi).terms.items():
+            rows[pos[idx]][i - 1] = val
     return linalg.rank(rows) == n
 
 
@@ -388,6 +402,8 @@ def _type_projections(degree: int):
     (7, 14) or Lambda^3 (1, 7, 27): Gram projections onto the spans
     Lambda^2_7 = <i_{e_i} phi>, Lambda^3_1 = <phi> and Lambda^3_7 =
     <i_{e_i} *phi>, and I minus these for the last piece."""
+    from . import linalg
+
     space = affine_space(7)
     phi = standard_phi(space).phi
     spans = (
@@ -401,8 +417,8 @@ def _type_projections(degree: int):
 
     def col(form):
         v = [zero] * dim
-        for idx, coeff in form.terms.items():
-            v[pos[idx]] = coeff.constant_value()
+        for (idx, _), val in form.terms.items():  # constant: one key per index
+            v[pos[idx]] = val
         return v
 
     def gram_projection(forms):
@@ -439,17 +455,19 @@ def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> Diffe
     out_idx = all_indices(a.space.dim, degree_out)
     pos_in = index_position(a.space.dim, a.degree)
     out: dict = {}
-    for idx, coeff in a.terms.items():
+    for (idx, key), coeff in a.terms.items():
         c = pos_in[idx]
         for r, target in enumerate(out_idx):
             entry = matrix[r][c]
             if not entry:
                 continue
-            _add_term(out, target, coeff * entry)
+            _add_term(out, (target, key), coeff * entry)
     return DifferentialForm._of(a.space, degree_out, out)
 
 
 def projection_matrix_rank(component: str) -> int:
+    from . import linalg
+
     degree, slot = G2_COMPONENTS[component]
     return linalg.rank(list(_type_projections(degree)[slot]))
 
@@ -474,11 +492,11 @@ def spin7_form() -> DifferentialForm:
     r8 = affine_space(8)
     phi7 = standard_phi().phi
     phi8 = DifferentialForm(
-        r8, 3, {idx: _const(r8, c.constant_value()) for idx, c in phi7.terms.items()}
+        r8, 3, {idx: _const(r8, c.constant_value()) for idx, c in phi7.coefficients().items()}
     )
     star7 = hodge_star(phi7)
     star7_8 = DifferentialForm(
-        r8, 4, {idx: _const(r8, c.constant_value()) for idx, c in star7.terms.items()}
+        r8, 4, {idx: _const(r8, c.constant_value()) for idx, c in star7.coefficients().items()}
     )
     e8 = DifferentialForm.coframe(r8, (8,))
     return wedge(e8, phi8) + star7_8

@@ -219,23 +219,22 @@ def _key_factors(space: ModelSpace, key: tuple[int, ...]) -> str:
 def serialize_form(a: DifferentialForm) -> str:
     """Canonical text of a form (inverse of parse_form)."""
     pieces: list[tuple[int, str]] = []  # (negative?, text-without-sign)
-    for idx in sorted(a.terms):
-        coeff = a.terms[idx]
+    # the flat terms sorted by (index, key): by index, then by key
+    for idx, key in sorted(a.terms):
+        val = a.terms[idx, key]
         basis = "e{" + ",".join(str(i) for i in idx) + "}" if idx else "1"
-        for key in sorted(coeff.terms):
-            val = coeff.terms[key]
-            factors = _key_factors(a.space, key)
-            for part, imag in ((val.re, False), (val.im, True)):
-                if not part:
-                    continue
-                mag = _fmt_scalar_part(part, imag)
-                if factors:
-                    text = f"{mag}*{factors} {basis}"
-                elif mag == "1" and idx:
-                    text = basis
-                else:
-                    text = f"{mag} {basis}"
-                pieces.append((part < 0, text))
+        factors = _key_factors(a.space, key)
+        for part, imag in ((val.re, False), (val.im, True)):
+            if not part:
+                continue
+            mag = _fmt_scalar_part(part, imag)
+            if factors:
+                text = f"{mag}*{factors} {basis}"
+            elif mag == "1" and idx:
+                text = basis
+            else:
+                text = f"{mag} {basis}"
+            pieces.append((part < 0, text))
     if not pieces:
         return "0"
     out = []

@@ -18,7 +18,6 @@ from itertools import combinations
 
 from .bracket import fn_bracket, lie_tensor
 from .exterior import (
-    CoefficientFunction,
     DegreeError,
     DifferentialForm,
     ModelSpace,
@@ -116,21 +115,15 @@ class NormalValuedForm(_Components):
 # ---------------------------------------------------------------------------
 
 
-def _lift_coefficient(f: CoefficientFunction, model: FlatAssociativeModel) -> CoefficientFunction:
+def _lift_form(a: DifferentialForm, model: FlatAssociativeModel) -> DifferentialForm:
+    """Pull a plane form back along the projection: indices and exponents
+    move to the plane's ambient positions."""
     out = {}
-    for key, val in f.terms.items():
+    for (idx, key), val in a.terms.items():
         new = [0] * 7
         for r, e in enumerate(key):
             new[model.plane[r] - 1] = e
-        out[tuple(new)] = val
-    return CoefficientFunction._of(AMBIENT, out)
-
-
-def _lift_form(a: DifferentialForm, model: FlatAssociativeModel) -> DifferentialForm:
-    out = {}
-    for idx, coeff in a.terms.items():
-        new_idx = tuple(model.plane[r - 1] for r in idx)
-        out[new_idx] = _lift_coefficient(coeff, model)
+        out[tuple(model.plane[r - 1] for r in idx), tuple(new)] = val
     return DifferentialForm._of(AMBIENT, a.degree, out)
 
 
@@ -146,36 +139,25 @@ def vertical_lift(omega: NormalValuedForm) -> VectorValuedForm:
     return VectorValuedForm(AMBIENT, omega.degree, comps)
 
 
-def _restrict_coefficient(f: CoefficientFunction, model: FlatAssociativeModel) -> CoefficientFunction:
-    normal_pos = [i - 1 for i in model.normal]
-    plane_pos = [i - 1 for i in model.plane]
-    out = {}
-    for key, val in f.terms.items():
-        if any(key[p] for p in normal_pos):
-            continue  # vanishes on the zero section
-        # surviving keys are zero at all normal positions, so no collisions
-        out[tuple(key[p] for p in plane_pos)] = val
-    return CoefficientFunction._of(PLANE_SPACE, out)
-
-
 def project_P(K: VectorValuedForm, model: FlatAssociativeModel) -> NormalValuedForm:
     """Restriction to the plane followed by the normal projection."""
     if K.space != AMBIENT:
         raise ValueError("projection expects an ambient tangent-valued form")
-    plane_set = set(model.plane)
     if K.degree > 3:
         return NormalValuedForm.zero(model, K.degree)
+    rank = {p: r + 1 for r, p in enumerate(model.plane)}
+    normal_pos = [i - 1 for i in model.normal]
+    plane_pos = [i - 1 for i in model.plane]
     comps = []
     for a in model.normal:
-        form = K.components[a - 1]
         out = {}
-        for idx, coeff in form.terms.items():
-            if not set(idx) <= plane_set:
+        for (idx, key), val in K.components[a - 1].terms.items():
+            if any(i not in rank for i in idx):
                 continue  # a normal coframe factor dies on restriction
-            restricted = _restrict_coefficient(coeff, model)
-            if restricted:
-                rank = {p: r + 1 for r, p in enumerate(model.plane)}
-                out[tuple(rank[i] for i in idx)] = restricted
+            if any(key[p] for p in normal_pos):
+                continue  # a normal coordinate vanishes on the zero section
+            # surviving keys are zero at all normal positions, so no collisions
+            out[tuple(rank[i] for i in idx), tuple(key[p] for p in plane_pos)] = val
         comps.append(DifferentialForm._of(PLANE_SPACE, K.degree, out))
     return NormalValuedForm(model, K.degree, comps)
 

@@ -1,10 +1,10 @@
 """Combinatorics of strictly increasing multi-indices.
 
 Multi-indices are tuples of 1-based coframe indices, strictly increasing.
-These helpers carry all wedge/star/insertion sign bookkeeping.  The sparse
+These helpers carry all wedge/star/insertion sign bookkeeping.  The flat
 kernels exterior._wedge_terms, _insert_frame_terms and _star_terms apply
-them to {multi-index: scalar} maps of any scalar type, so the exact forms,
-the G2 Gram matrix and the pointwise-numeric lane share one implementation.
+them to {(multi-index, key): scalar} maps of any scalar type, so the exact
+forms, the G2 Gram matrix and the pointwise-numeric lane share them.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ from .exterior import (
     CoefficientFunction,
     DifferentialForm,
     VectorValuedForm,
-    _add_terms,
     _insert_frame_terms,
+    _insert_terms,
     _wedge_terms,
     codifferential,
     contract_metric,
@@ -84,7 +84,7 @@ def check_psi(psi: DifferentialForm) -> None:
     forms whose per-mode blocks this module computes."""
     if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
         raise ValueError("mode templates need a constant 4-form on the 7-torus")
-    if any(c.constant_value().im for c in psi.terms.values()):
+    if any(val.im for val in psi.terms.values()):
         raise ValueError("mode templates need a 4-form with real coefficients")
 
 
@@ -116,24 +116,24 @@ def mode_form(k: tuple[int, ...], idx: tuple[int, ...]) -> DifferentialForm:
     return DifferentialForm(T7, len(idx), {idx: CoefficientFunction.fourier(T7, k)})
 
 
-def _mode_entries(k: tuple[int, ...], form: DifferentialForm):
-    """(frame index, value) of every term of a mode-k image; an image term
+def _mode_terms(k: tuple[int, ...], form: DifferentialForm) -> dict:
+    """The flat terms of a mode-k image, one per frame index; an image term
     at any other frequency raises AssertionError."""
-    for idx, coeff in form.terms.items():
-        for freq, val in coeff.terms.items():
-            if freq != k:
-                raise AssertionError(f"operator moved mode {k} to {freq}; not mode-diagonal")
-            yield idx, val
+    for _, freq in form.terms:
+        if freq != k:
+            raise AssertionError(f"operator moved mode {k} to {freq}; not mode-diagonal")
+    return form.terms
 
 
 def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
     """The matrix on the frame basis of Lambda^deg_in whose column idx holds
-    image(idx), a sparse {multi-index: entry} map into Lambda^deg_out."""
+    image(idx), a flat {(multi-index, key): entry} map into Lambda^deg_out
+    with one key per index."""
     pos = index_position(N, deg_out)
     cols = all_indices(N, deg_in)
     M = [[zero] * len(cols) for _ in range(space_dim(N, deg_out))]
     for c, idx in enumerate(cols):
-        for out_idx, val in image(idx).items():
+        for (out_idx, _), val in image(idx).items():
             M[pos[out_idx]][c] = val
     return M
 
@@ -141,7 +141,7 @@ def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
 def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]]:
     """Exact matrix of a mode-preserving operator on the mode-k basis."""
     k = tuple(k)
-    image = lambda idx: dict(_mode_entries(k, op(mode_form(k, idx))))
+    image = lambda idx: _mode_terms(k, op(mode_form(k, idx)))
     return _assemble(deg_in, deg_out, image, GaussianRational(0))
 
 
@@ -176,18 +176,13 @@ class ModeTemplates:
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
         check_psi(psi)
-        self._psi = psi.scale(lcm(*(c.constant_value().re.denominator for c in psi.terms.values())))
-        terms = {idx: c.constant_value().re.numerator for idx, c in self._psi.terms.items()}
+        self._psi = psi.scale(lcm(*(val.re.denominator for val in psi.terms.values())))
+        basis = lambda idx: {(idx, ()): 1}  # e^idx; integer constant maps carry the empty key
+        terms = {(idx, ()): val.re.numerator for (idx, _), val in self._psi.terms.items()}
         hat = [_insert_frame_terms(b, terms) for b in range(1, N + 1)]
-
-        def iota(idx):  # sum_b psi_hat_b ^ iota_{e_b} e^idx
-            out: dict = {}
-            for b, h in enumerate(hat, 1):
-                _add_terms(out, _wedge_terms(h, _insert_frame_terms(b, {idx: 1})))
-            return out
-
-        wedge_j = [partial(_wedge_terms, {(j,): 1}) for j in range(1, N + 1)]
-        eps = {m: [_assemble(m, m + 1, lambda idx: e({idx: 1})) for e in wedge_j] for m in range(N)}
+        iota = lambda idx: _insert_terms(hat, basis(idx))  # sum_b psi_hat_b ^ iota_{e_b} e^idx
+        wedge_j = [partial(_wedge_terms, basis((j,))) for j in range(1, N + 1)]
+        eps = {m: [_assemble(m, m + 1, lambda i: e(basis(i))) for e in wedge_j] for m in range(N)}
         ins = {m: _assemble(m, m + STEP - 1, iota) for m in range(N + 2 - STEP)}
         # lists of matrices, which perfbench's tracer sizes, go to `int_matmul`
         self.L = {
@@ -222,7 +217,7 @@ class ModeTemplates:
             X = sharp(mode_form(k, (c + 1,)))
             image = fn_bracket(psi_hat, VectorValuedForm.from_vector_field(X))
             for s, comp in enumerate(image.components):
-                for idx, val in _mode_entries(k, comp):
+                for (idx, _), val in _mode_terms(k, comp).items():
                     M[s * block + pos[idx]][c] = val
         return M
 

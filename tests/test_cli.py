@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -451,6 +454,22 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exact_suites_start_without_numpy():
+    # the exact suites never reach the float lane or the torus sweep, so a
+    # fresh interpreter that runs them loads neither numpy nor a process pool
+    script = (
+        "import sys\n"
+        "from fncalc import cli\n"
+        "codes = [cli.main(['vdata']), cli.main(['mc-check', '--psi', 'star-phi'])]\n"
+        "print(codes, [m for m in ('numpy', 'multiprocessing') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_trusted_constructors_are_not_called_where_input_enters():

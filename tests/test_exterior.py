@@ -263,7 +263,7 @@ def constant_form(space, degree, rng):
 
 
 def float_image(form):
-    return {idx: complex(c.constant_value()) for idx, c in form.terms.items()}
+    return {(idx, ()): complex(c.constant_value()) for idx, c in form.coefficients().items()}
 
 
 class TestSparseKernels:
@@ -296,14 +296,14 @@ def laplace_minor(matrix, rows, cols):
 
 
 def laplace_transform(n, terms, matrix):
-    """The coframe change with every minor expanded on its own, adding the
-    terms in the same order as transform_terms."""
+    """The coframe change of flat form terms with every minor expanded on
+    its own, adding the terms in the same order as transform_terms."""
     out = {}
-    for idx, coeff in terms.items():
+    for (idx, key), coeff in terms.items():
         for target in all_indices(n, len(idx)):
             det = laplace_minor(matrix, idx, target)
             if det:
-                _add_term(out, target, coeff * det)
+                _add_term(out, (target, key), coeff * det)
     return out
 
 
@@ -326,9 +326,11 @@ class TestTransformTerms:
         rng = random.Random(31)
         f = random_coefficient(R4, rng)
         M = rational_matrix(4, rng)
-        assert self.check(R4, {(): f}, M) == {(): f}
+        scalar = DifferentialForm.from_scalar(f).terms
+        assert self.check(R4, scalar, M) == scalar
         det = laplace_minor(M, (1, 2, 3, 4), (1, 2, 3, 4))
-        assert self.check(R4, {(1, 2, 3, 4): f}, M) == {(1, 2, 3, 4): f.scale(det)}
+        top = DifferentialForm(R4, 4, {(1, 2, 3, 4): f})
+        assert self.check(R4, top.terms, M) == top.scale(det).terms
 
     def test_dolbeault_matrices(self):
         rng = random.Random(32)
@@ -353,8 +355,8 @@ class TestTransformTerms:
         rng = random.Random(34)
         M = rational_matrix(4, rng)
         M[2] = [x + y for x, y in zip(M[0], M[1])]
-        top = {(1, 2, 3, 4): x(R4, 1) + CoefficientFunction.constant(R4, 2)}
-        assert self.check(R4, top, M) == {}
+        top = DifferentialForm(R4, 4, {(1, 2, 3, 4): x(R4, 1) + CoefficientFunction.constant(R4, 2)})
+        assert self.check(R4, top.terms, M) == {}
         for degree in range(4):
             self.check(R4, random_form(R4, degree, rng, max_terms=3).terms, M)
 
@@ -550,9 +552,12 @@ def assert_canonical(value):
         assert all(type(v) is GaussianRational and v for v in value.terms.values())
         assert CoefficientFunction(value.space, value.terms) == value
     elif isinstance(value, DifferentialForm):
-        assert all(type(idx) is tuple and coeff for idx, coeff in value.terms.items())
-        assert DifferentialForm(value.space, value.degree, value.terms) == value
-        for coeff in value.terms.values():
+        assert all(
+            type(idx) is tuple and type(key) is tuple and type(v) is GaussianRational and v
+            for (idx, key), v in value.terms.items()
+        )
+        assert DifferentialForm(value.space, value.degree, value.coefficients()) == value
+        for coeff in value.coefficients().values():
             assert_canonical(coeff)
     else:  # vector fields, tangent- and normal-valued forms
         for part in value.components:

@@ -95,7 +95,7 @@ def honest_gram(phi, point):
         row = []
         for j in range(1, 8):
             w = wedge(wedge(insert_frame(i, phi), insert_frame(j, phi)), phi)
-            coeff = w.terms.get(vol, CoefficientFunction.zero(R7))
+            coeff = w.coefficients().get(vol, CoefficientFunction.zero(R7))
             row.append(coeff.eval_exact(point))
         B.append(row)
     return B
@@ -122,7 +122,7 @@ class TestGramMatrix:
 
     def test_non_constant_form_at_a_rational_point(self):
         # a non-constant phi is frozen with eval_exact before the products
-        terms = dict(STANDARD.phi.terms)
+        terms = STANDARD.phi.coefficients()
         terms[(1, 2, 7)] = CoefficientFunction.coordinate(R7, 1).scale(
             GaussianRational(Fraction(1, 2))
         )
@@ -183,7 +183,7 @@ class TestCrossProductTensor:
         assert not fn_bracket(X, X)
 
     def test_non_closed_perturbation_breaks_the_bracket(self):
-        terms = dict(STANDARD.phi.terms)
+        terms = STANDARD.phi.coefficients()
         terms[(1, 2, 7)] = CoefficientFunction.coordinate(R7, 1).scale(
             GaussianRational(Fraction(1, 2))
         )
@@ -318,7 +318,7 @@ class TestCompanionStructures:
     def test_spin7_form_has_fourteen_terms(self):
         phi8 = g2.spin7_form()
         assert phi8.degree == 4 and phi8.space.dim == 8
-        assert len(phi8.terms) == 14
+        assert len(phi8.coefficients()) == 14
 
 
 class TestComplexDifferential:

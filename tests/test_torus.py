@@ -499,8 +499,8 @@ class TestModeArithmetic:
         a = torus.mode_form((1, 0, 0, 0, 0, 0, 0), (1,))
         b = torus.mode_form((0, 1, 0, 0, 0, 0, 0), (2,))
         prod = wedge(a, b)
-        assert list(prod.terms) == [(1, 2)]
-        assert list(prod.terms[(1, 2)].terms) == [(1, 1, 0, 0, 0, 0, 0)]
+        assert list(prod.coefficients()) == [(1, 2)]
+        assert list(prod.coefficients()[(1, 2)].terms) == [(1, 1, 0, 0, 0, 0, 0)]
 
     def test_mode_matrix_rejects_mode_mixing_operators(self):
         shift = CoefficientFunction.fourier(torus.T7, (0, 1, 0, 0, 0, 0, 0))
