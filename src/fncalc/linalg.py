@@ -7,9 +7,11 @@ matrices are integral after a global unit factor is stripped).
 
 The integer lane works on stacks: `int_ranks` runs one Bareiss elimination
 vectorized over many matrices at once, and `int_matmul` forms their
-products.  Both run in int64 behind explicit bounds and switch to
-Python-int (`object`) arrays when a bound fails, so both are exact.  Its
-reference in the tests is the field lane here and a Fraction elimination.
+products.  Both run on doubles behind explicit bounds and switch to
+Python-int (`object`) arrays when a bound fails, so both are exact: a
+double holds every integer below 2**53, and IEEE arithmetic rounds an
+exact integer result to itself.  Its reference in the tests is the field
+lane here and a Fraction elimination.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import numpy as np
 
 from .scalars import GaussianRational
 
-# |x|, |y| < 2**31 keeps x*y - u*v inside int64; a product whose bound
-# max|A| * max|B| * inner stays below 2**62 cannot overflow either
-_RANK_BOUND = 2**31
-_PRODUCT_BOUND = 2**62
+# |x|, |y|, |u|, |v| < 2**26 keeps x*y - u*v below 2**53, exact in doubles,
+# and the Bareiss quotient, an exact integer, rounds to itself; a product
+# bounded by max|A| * max|B| * inner < 2**53 has exact partial sums too
+_RANK_BOUND = 2**26
+_PRODUCT_BOUND = 2**53
 
 Matrix = list  # list of rows; rows are lists of entries
 
@@ -167,25 +170,36 @@ def _max_abs(X: np.ndarray) -> int:
 
 def _int_array(X) -> np.ndarray:
     """X as an exact integer array.  numpy reads nested lists holding
-    Python ints past 2**63 as uint64 or float64, which the int64 lane would
-    wrap or round, so such input becomes a Python-int (`object`) array."""
+    Python ints past 2**63 as uint64 or float64, which would wrap or round,
+    so such input becomes a Python-int (`object`) array.  A float, complex
+    or Fraction entry raises TypeError rather than pass as an integer."""
     A = np.asarray(X)
-    return A if A.dtype.kind in "iO" else np.array(X, dtype=object)
+    if A.dtype.kind != "i":
+        A = np.array(X, dtype=object)
+        if bad := [x for x in A.flat if not isinstance(x, (int, np.integer))]:
+            raise TypeError(f"the integer kernels take integer entries, not {bad[0]!r}")
+    return A
+
+
+def _python_ints(X: np.ndarray) -> np.ndarray:
+    """The integers of X (int64, object, or doubles below 2**53) as Python ints."""
+    return (X.astype(np.int64) if X.dtype == float else X).astype(object, order="C")
 
 
 def int_matmul(A, B) -> np.ndarray:
     """Exact products A[i] @ B[i] of two integer stacks (arrays, or
     sequences of matrices, of shapes (..., m, n) and (..., n, p)).
 
-    Runs in int64 when max|A| * max|B| * n < 2**62, and on Python ints
-    (dtype `object`) otherwise.
+    Runs in doubles, returned as int64, when max|A| * max|B| * n < 2**53,
+    and on Python ints (dtype `object`) otherwise.
     """
     A, B = _int_array(A), _int_array(B)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if _max_abs(A) * _max_abs(B) * A.shape[-1] >= _PRODUCT_BOUND:
-        A, B = A.astype(object), B.astype(object)
-    return A @ B
+    a, b = _max_abs(A), _max_abs(B)
+    if a * b * A.shape[-1] < _PRODUCT_BOUND and max(a, b) < _PRODUCT_BOUND:
+        return (A.astype(float) @ B.astype(float)).astype(np.int64)
+    return _python_ints(A) @ _python_ints(B)
 
 
 def int_ranks(stack) -> list[int]:
@@ -197,8 +211,9 @@ def int_ranks(stack) -> list[int]:
     pivot row beyond it, so the rows still free for later pivots are
     exactly the nonzero ones, and a matrix without a pivot in a column
     (pv = prev, no nonzero entry in it) is left as it is.  The stack runs
-    in int64 while every entry is below 2**31 in absolute value, and on
-    Python ints (dtype `object`) for the rest of the loop once one is not.
+    in doubles while every entry is below 2**26 in absolute value, where
+    the exact quotient is a true division, and on Python ints (dtype
+    `object`), floor-divided, for the rest of the loop once one is not.
     """
     A = _int_array(stack)
     s, m, n = A.shape
@@ -207,12 +222,10 @@ def int_ranks(stack) -> list[int]:
     # (rank(A) = rank(A^T))
     A = A.transpose(2, 0, 1) if m >= n else A.transpose(1, 0, 2)
     m, n = max(m, n), min(m, n)
-    A = np.array(A, dtype=object if A.dtype == object else np.int64, order="C")
     ranks = np.zeros(s, dtype=np.int64)
     if not (s and m and n):
         return ranks.tolist()
-    if A.dtype != object and _max_abs(A) >= _RANK_BOUND:
-        A = A.astype(object)
+    A = np.array(A, dtype=float, order="C") if _max_abs(A) < _RANK_BOUND else _python_ints(A)
     work = np.empty_like(A)
     prev = np.ones(s, dtype=A.dtype)
     at = np.arange(s)
@@ -231,8 +244,8 @@ def int_ranks(stack) -> list[int]:
         rest *= pv[:, None]
         np.multiply(prow[:, :, None], col, out=tmp)
         rest -= tmp
-        rest //= prev[:, None]
+        (np.true_divide if A.dtype == float else np.floor_divide)(rest, prev[:, None], out=rest)
         prev = pv
-        if A.dtype != object and _max_abs(rest) >= _RANK_BOUND:
-            A, work, prev = A.astype(object), work.astype(object), prev.astype(object)
+        if A.dtype == float and _max_abs(rest) >= _RANK_BOUND:
+            A, work, prev = _python_ints(A), np.empty(A.shape, object), _python_ints(prev)
     return ranks.tolist()

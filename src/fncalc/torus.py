@@ -16,14 +16,16 @@ fraction-free integer elimination.  The honest lane, `ModeCalculus.block`,
 assembles any mode from the exact maps on forms that `operators` lists
 once.  The test suite compares the two lanes on every templated operator.
 
-The sweep works on stacks of `_CHUNK` modes at once.  The templates are
-integer arrays of shape (7, rows, cols); one `np.tensordot` forms a block
-for every mode of the stack, and `linalg.int_ranks` runs one Bareiss
-elimination over the whole stack.  It and the product `linalg.int_matmul`
-stay in int64 only behind explicit bounds (entries below 2**31 before
-each elimination step; max|A| * max|B| * inner below 2**62) and otherwise
-continue on Python ints (dtype `object`), so a failed bound costs speed,
-never exactness.
+The sweep works on stacks of `_CHUNK` (64) modes at once, which spreads
+numpy's per-call cost over many of the small blocks (8 to 35 rows).  The
+templates are integer arrays of shape (7, rows, cols); one `np.tensordot`
+forms a block for every mode of the stack, and `linalg.int_ranks` runs one
+Bareiss elimination over the whole stack.  It and the product
+`linalg.int_matmul` run on doubles, which are exact there, only behind
+explicit bounds (entries below 2**26 before each elimination step, so every
+product and difference stays below 2**53; max|A| * max|B| * inner below
+2**53) and otherwise continue on Python ints (dtype `object`), so a failed
+bound costs speed, never exactness.
 
 A sweep forms only the ranks of the row fields it is asked for:
 torus-cohomology asks for the harmonic and cohomology dimensions,
@@ -488,7 +490,7 @@ def _classify(r: int, rows: int, cols: int) -> str:
 # -- parallel sweep machinery (fork-shared templates) -----------------------
 
 _WORKER_SUMMARIES = None
-_CHUNK = 16  # modes per stack, and per task sent to a worker
+_CHUNK = 64  # modes per stack, and per task sent to a worker
 
 
 def _worker_summaries(chunk):

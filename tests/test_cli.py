@@ -407,8 +407,9 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     [
         # torus-cohomology reports no regularity: its sweep forms no product
         (("torus-cohomology", "--max-freq", "1", "--jobs", "1"), 0),
-        # symbol-check keeps its five L* L products on each of 137 stacks
-        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * 137),
+        # symbol-check keeps its five L* L products on each of the
+        # ceil(2187 / _CHUNK) stacks
+        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * -(-2187 // torus._CHUNK)),
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
@@ -511,18 +512,19 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "jobs, cpus, n_modes, expected",
-    [  # pool sizes for stacks of _CHUNK = 16 modes: ceil(n_modes / 16) stacks
+    [  # pool sizes for stacks of _CHUNK modes: ceil(n_modes / _CHUNK) stacks
         (10**6, 4, 2187, [4]),  # capped by the CPUs
-        (10**6, 64, 65, [5]),  # capped by the 5 stacks
+        (10**6, 64, 4 * torus._CHUNK + 1, [5]),  # capped by the 5 stacks
         (3, 64, 2187, [3]),  # the request itself
         (None, 2, 2187, [2]),  # default: all CPUs
-        (8, 8, 32, [2]),  # capped by the 2 stacks
+        (8, 8, 2 * torus._CHUNK, [2]),  # capped by the 2 stacks
         (1, 8, 2187, []),
-        (8, 8, 16, []),  # one stack runs in-process
+        (8, 8, torus._CHUNK, []),  # one stack runs in-process
     ],
 )
 def test_sweep_workers_are_clamped(monkeypatch, jobs, cpus, n_modes, expected):
-    assert torus._CHUNK == 16
+    # 2187 modes span more stacks than the 4 CPUs of the first row
+    assert -(-2187 // torus._CHUNK) > 4
     sizes = []
     ctx = multiprocessing.get_context("fork")
     monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))

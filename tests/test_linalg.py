@@ -162,12 +162,76 @@ def test_stacked_ranks_near_2_40_take_the_object_lane(stack):
         assert seen[0] >= linalg._RANK_BOUND  # the first check moves to Python ints
 
 
-def test_stacked_ranks_leave_int64_mid_elimination():
-    # entries start below 2**31; the first step makes 2**40 - 1
-    stack = [[[2**20, 1, 0], [1, 2**20, 1], [0, 1, 2**20]], [[2**20, 2**20, 1]] * 3]
+def fallback_record(monkeypatch):
+    """The dtype kind of every array the kernels move to Python ints."""
+    kinds = []
+    original = linalg._python_ints
+
+    def spy(X):
+        kinds.append(X.dtype.kind)
+        return original(X)
+
+    monkeypatch.setattr(linalg, "_python_ints", spy)
+    return kinds
+
+
+def test_stacked_ranks_leave_doubles_mid_elimination(monkeypatch):
+    # entries start below 2**26; the first step makes 2**28 - 1, so the
+    # stack and its previous pivots move from doubles to Python ints
+    stack = [[[2**14, 1, 0], [1, 2**14, 1], [0, 1, 2**14]], [[2**14, 2**14, 1]] * 3]
+    kinds = fallback_record(monkeypatch)
     ranks, seen = ranks_with_guard_record(stack)
     assert ranks == [reference_rank(M) for M in stack] == [3, 1]
     assert seen[0] < linalg._RANK_BOUND <= max(seen)
+    assert kinds == ["f", "f"]
+
+
+def test_ranks_at_the_double_bound(monkeypatch):
+    # entries just below 2**26 stay in doubles: the step's products come
+    # within 2**28 of 2**52 and their difference is det M = -1, still exact;
+    # an entry of 2**26 moves the int64 input to Python ints before any step
+    a = 2**26 - 1
+    kinds = fallback_record(monkeypatch)
+    M = [[a, a - 1], [a - 1, a - 2]]
+    assert linalg.int_ranks([M]) == [reference_rank(M)] == [2]
+    assert kinds == []
+    M = [[a + 1, a + 2], [a, a + 1]]
+    assert linalg.int_ranks([M]) == [reference_rank(M)] == [2]
+    assert kinds == ["i"]
+
+
+def test_the_double_bound_carries_the_exactness(monkeypatch):
+    # det M = 1, but in doubles 2**60 - 1 rounds to 2**60 and the step
+    # cancels the second pivot, so a raised bound gives a wrong rank
+    M = [[2**30, 2**30 + 1], [2**30 - 1, 2**30]]
+    assert linalg.int_ranks([M]) == [reference_rank(M)] == [2]
+    monkeypatch.setattr(linalg, "_RANK_BOUND", 2**62)
+    assert linalg.int_ranks([M]) == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_stacks(st.integers(-(2**26), 2**26)))
+def test_stacked_ranks_within_the_double_bound_match_bareiss(stack):
+    assert linalg.int_ranks(np.array(stack)) == [reference_rank(M) for M in stack]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, Fraction(1, 2), 1.0, 1j, np.float64(2.0)],
+    ids=["float", "fraction", "integral-float", "complex", "float64"],
+)
+def test_integer_kernels_reject_non_integer_entries(bad):
+    # a float lane would round 0.5 and floor-divide a Fraction as if each
+    # were an integer: int_ranks([[0.5, 1], [1, 3]]) once gave rank 1
+    M = [[bad, 1], [1, 3]]
+    with pytest.raises(TypeError, match="integer entries"):
+        linalg.int_ranks([M])
+    with pytest.raises(TypeError, match="integer entries"):
+        linalg.int_matmul([M], [[[2], [1]]])
+    with pytest.raises(TypeError, match="integer entries"):
+        linalg.int_matmul([[[2, 1]]], [M])
+    with pytest.raises(TypeError, match="integer entries"):
+        linalg.int_ranks(np.array([M], dtype=complex if bad == 1j else float))
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64])
@@ -177,6 +241,9 @@ def test_integer_kernels_read_nested_lists_past_int64_exactly(big):
     M = [[big, big + 1], [1, 1]]
     assert linalg.int_ranks([M]) == [reference_rank(M)] == [2]
     assert linalg.int_matmul([M], [[[1], [-1]]]).tolist() == [py_matmul(M, [[1], [-1]])]
+    # a zero factor makes the product bound 0, but an entry past the range
+    # of doubles beside it must still not be converted to one
+    assert linalg.int_matmul([[[big**20]]], [[[0]]]).tolist() == [[[0]]]
 
 
 def test_stacked_ranks_of_empty_shapes():
@@ -200,12 +267,30 @@ def test_stacked_products_match_python_ints(stack, p, data):
     assert P.tolist() == [py_matmul(A, B) for A, B in zip(stack, right)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(20, 30), st.integers(20, 30), st.data())
+def test_int_matmul_is_exact_on_both_sides_of_2_53(bits_a, bits_b, data):
+    # entries near 2**bits put max|A| max|B| inner on either side of 2**53:
+    # the product is int64 below the bound and Python ints at or past it
+    s, m, n, p = (data.draw(st.integers(1, 4)) for _ in range(4))
+    matrices = lambda bits, r, c: st.lists(
+        st.lists(st.lists(st.integers(-(2**bits), 2**bits), min_size=c, max_size=c), min_size=r, max_size=r),
+        min_size=s, max_size=s,
+    )
+    A, B = data.draw(matrices(bits_a, m, n)), data.draw(matrices(bits_b, n, p))
+    P = linalg.int_matmul(A, B)
+    fits = linalg._max_abs(np.array(A)) * linalg._max_abs(np.array(B)) * n < 2**53
+    assert P.dtype == (np.int64 if fits else object)
+    assert P.tolist() == [py_matmul(X, Y) for X, Y in zip(A, B)]
+
+
 @pytest.mark.parametrize(
     "a, b, dtype",
     [
         (2**31, 2**30, object),  # max|A| max|B| inner = 2**62: the guard moves to Python ints
-        (2**31 - 1, 2**30, np.int64),  # just below the bound
-        (2**40, 2**40, object),  # far past it, where int64 would wrap
+        (2**26, 2**26, object),  # max|A| max|B| inner = 2**53, the bound itself
+        (2**26 - 1, 2**26, np.int64),  # just below the bound, in doubles
+        (2**40, 2**40, object),  # far past it, where doubles would round
     ],
 )
 def test_int_matmul_guard_boundary(a, b, dtype):

@@ -278,8 +278,8 @@ class TestDimensions:
 
     def test_large_frequencies_stay_exact(self):
         # blocks are homogeneous in k, so every rank at c*k equals the rank
-        # at k: c = 2**40 trips the int64 guards of the rank and the
-        # product, and c = 2**61 forms the blocks on Python ints
+        # at k: c = 2**40 trips the double guards of the rank (2**26) and
+        # the product (2**53), and c = 2**61 forms the blocks on Python ints
         k = (1, -1, 0, 1, 0, 0, 1)
         base = CALC.mode_summary(k)
         for c in (2**40, 2**61):
@@ -382,7 +382,7 @@ class TestStructuralChecks:
             assert CALC.one_form_kernel_check(random_mode(rng, 2))
 
     def test_one_form_kernel_check_stays_exact_at_large_frequencies(self):
-        # c = 2**40 puts the stripped blocks past the int64 rank bound, and
+        # c = 2**40 puts the stripped blocks past the double rank bound, and
         # c = 2**61 forms them on Python ints
         k = (1, -1, 0, 1, 0, 0, 1)
         for c in (1, 2**40, 2**61):
@@ -460,11 +460,12 @@ class TestDecomposition:
         honest = [honest_decomposition(k) for k in modes]
         fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part")
         # the repeated mixed list spans two stacks of _CHUNK modes
-        assert len(modes * 2) > torus._CHUNK
+        reps = torus._CHUNK // len(modes) + 1
+        assert torus._CHUNK < len(modes * reps) <= 2 * torus._CHUNK
         for l in range(8):
-            rows = torus.sweep_modes(partial(CALC.mode_summaries, degree=l), modes * 2, jobs=1)
+            rows = torus.sweep_modes(partial(CALC.mode_summaries, degree=l), modes * reps, jobs=1)
             stacked = [r["split"] for r in rows]
-            assert stacked == [CALC.mode_summary(k, l)["split"] for k in modes * 2]
+            assert stacked == [CALC.mode_summary(k, l)["split"] for k in modes] * reps
             for k, rep, expected in zip(modes, stacked, honest):
                 # d carries the coexact part one-to-one into degree l + 1
                 assert expected[l]["up_d_part"] == rep.dstar_part, (k, l)
@@ -549,10 +550,10 @@ class TestRealComplexBookkeeping:
 
 
 def test_small_sweep_serial_equals_parallel(monkeypatch):
-    # 40 shuffled modes span three stacks; the serial stacked sweep, a fork
-    # pool of two workers and one-mode summaries give equal rows, in order,
-    # with and without a degree split
-    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 40)
+    # 2.5 stacks of shuffled modes span three stacks; the serial stacked
+    # sweep, a fork pool of two workers and one-mode summaries give equal
+    # rows, in order, with and without a degree split
+    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 5 * torus._CHUNK // 2)
     assert len(modes) > 2 * torus._CHUNK
     sizes = []
     ctx = multiprocessing.get_context("fork")
@@ -580,8 +581,10 @@ def test_a_pooled_sweep_builds_ad_once_in_the_parent(monkeypatch):
 @pytest.mark.parametrize("fields", [("harmonic", "cohomology"), ("symbols", "regular")])
 def test_field_restricted_rows_equal_the_full_rows(monkeypatch, fields):
     # each suite's field set, with and without a split, serially and in a
-    # fork pool of two workers, gives the full rows restricted to its fields
-    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 40)
+    # fork pool of two workers, gives the full rows restricted to its fields;
+    # 2.5 stacks of modes span three stacks, so the pool has work for both
+    modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 5 * torus._CHUNK // 2)
+    assert len(modes) > 2 * torus._CHUNK
     monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
     symbols = ("symbol_3", "symbol_4", "symbol_7") if "symbols" in fields else ()
     keys = {"k", "split", *fields, *symbols}
@@ -591,3 +594,21 @@ def test_field_restricted_rows_equal_the_full_rows(monkeypatch, fields):
         summarize = partial(CALC.mode_summaries, degree=degree, fields=fields)
         for jobs in (1, 2):
             assert torus.sweep_modes(summarize, modes, jobs=jobs) == expected
+
+
+@pytest.mark.parametrize("degree", [None, 2])
+def test_a_default_sweep_stack_stays_in_doubles(monkeypatch, degree):
+    # the sweep's speed is the double lane: one stack of the default G2
+    # sweep at |k|_inf <= 1 (the zero mode, the unit modes and seeded
+    # others), plain and with the degree-2 split, never moves a rank or a
+    # product to Python ints
+    others = sorted(set(product((-1, 0, 1), repeat=7)) - {K0, *UNITS})
+    modes = [K0, *UNITS, *random.Random(16).sample(others, torus._CHUNK - 8)]
+    moved = []
+    real = linalg._python_ints
+    monkeypatch.setattr(linalg, "_python_ints", lambda X: moved.append(X.dtype) or real(X))
+    rows = CALC.mode_summaries(modes, degree, fields=("harmonic", "cohomology"))
+    assert len(rows) == torus._CHUNK and moved == []
+    # the spy sees a stack whose entries leave the bound
+    CALC.mode_summaries([tuple(2**30 * x for x in K1)], degree, fields=("harmonic", "cohomology"))
+    assert moved
