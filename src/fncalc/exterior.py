@@ -768,9 +768,10 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
     """Re-expand flat form terms in a new constant coframe f^1..f^n.
 
     matrix[i][b] gives e^{i+1} = sum_b matrix[i][b] f^{b+1} (entries exact
-    scalars).  The coefficient of f^A in the output is sum_I c_I det(M[I, A]),
-    and the minors det(M[I, A]) are the coefficients of the wedge of the
-    rows of M indexed by I, constant maps with the empty key.
+    scalars, or ints with int coefficients).  The coefficient of f^A in the
+    output is sum_I c_I det(M[I, A]), and the minors det(M[I, A]) are the
+    coefficients of the wedge of the rows of M indexed by I, constant maps
+    with the empty key; the empty index's minor is ONE.
     """
     n = space.dim
     rows = [{((b,), ()): x for b, x in enumerate(row, start=1) if x} for row in matrix]
@@ -778,7 +779,8 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
     minors: dict = {}  # of each index, shared by its keys
     for (idx, key), coeff in terms.items():
         if idx not in minors:
-            minors[idx] = reduce(_wedge_terms, (rows[i - 1] for i in idx), {((), ()): ONE})
+            first, *rest = [rows[i - 1] for i in idx] or [{((), ()): ONE}]
+            minors[idx] = reduce(_wedge_terms, rest, first)
         for target in all_indices(n, len(idx)):
             det = minors[idx].get((target, ()))
             if det is not None:

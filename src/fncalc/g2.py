@@ -11,22 +11,33 @@ the standard form yields the identity metric (c = 6^{-2/9}).
 
 The pointwise numeric lane (cayley_map, numeric_bracket_of_chi) runs the
 exterior module's flat-map kernels (_wedge_terms, _insert_frame_terms,
-_star_terms) on float coefficient maps, and gram_matrix runs them on
-constant exact scalars, each map keyed by (multi-index, ()) with the empty
-key of a constant; only the scalar type differs from the exact lane.
-numpy and the exact linear algebra are imported where the float lane and
-the type decomposition start, so the exact suites never load them.
-pullback_chi_tensor visits only the nonzero entries of its tensor and fixes
-in code the summation order of numpy's unoptimized einsum, so its floats
-equal that einsum's bit for bit; only cayley_map's einsums still take
-numpy's order.
+_star_terms) on float coefficient maps, each keyed by (multi-index, ())
+with the empty key of a constant.  The metric and the pullback of phi run
+on Python ints, as the torus templates do: gram_matrix runs the same
+kernels on phi's real coefficients at the point scaled by the lcm D of
+their denominators, which gives D^3 B; _det takes det(D^3 B) = D^21 det B
+by fraction-free (Bareiss) elimination; and pullback_3form runs
+exterior.transform_terms on lcm-scaled A and phi, dividing each result
+coefficient once.  Every float of a metric is an int quotient (b / D^3,
+det / D^21), which Python rounds correctly, so it equals float() of the
+exact rational.  The standard form is recognized as D^3 B = 6 D^3 I before
+any determinant, so its metric needs neither numpy nor linalg; numpy and
+the exact linear algebra are imported where the float lane and the type
+decomposition start, and the exact suites never load them.
+pullback_chi_tensor fixes in code the summation order of numpy's
+unoptimized einsum, so its floats equal that einsum's bit for bit: it
+visits only the nonzero rows of its tensor and adds one outer product per
+nonzero entry.  Only cayley_map's einsums still take numpy's order.
+_form_to_tensor sums nothing; it writes sign * value at every permutation
+of each index in one assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .exterior import (
     CoefficientFunction,
@@ -75,6 +86,11 @@ class G2Structure:
         if self.phi.degree != 3:
             raise DegreeError("a G2 structure is a 3-form")
 
+    @cached_property
+    def _metrics(self) -> dict:
+        """The induced metrics built so far, by point."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PointwiseMetric:
@@ -106,45 +122,63 @@ def _const(space, value):
     return CoefficientFunction.constant(space, value)
 
 
-def gram_matrix(phi: DifferentialForm, point) -> list[list[GaussianRational]]:
-    """Exact density matrix B with B(x,y) vol = i_x phi ^ i_y phi ^ phi.
+def gram_matrix(phi: DifferentialForm, point) -> tuple[list[list[int]], int]:
+    """Density matrix B with B(x,y) vol = i_x phi ^ i_y phi ^ phi, as the
+    integer matrix D^3 B and the lcm D of the denominators of phi at the
+    (rational) point.
 
-    phi is frozen once to constant exact scalars at the (rational) point,
-    and all 49 entries are formed on those scalars.
+    phi is frozen once to its real coefficients at the point, scaled by D
+    to integers, and all 49 entries are formed on those integers.  A
+    non-real coefficient raises NonPositiveFormError before any product:
+    such a form induces no real metric.
     """
     const = phi.is_constant()
-    pt = {
-        (idx, ()): c.constant_value() if const else c.eval_exact(point)
+    values = {
+        idx: c.constant_value() if const else c.eval_exact(point)
         for idx, c in phi.coefficients().items()
     }
+    ints, D = _over_lcm(_real(values.values()))
+    pt = {(idx, ()): n for idx, n in zip(values, ints)}
     contractions = [_insert_frame_terms(i, pt) for i in range(1, 8)]
     # B_ij = [i_i phi ^ (i_j phi ^ phi)]_vol = <i_i phi, *(i_j phi ^ phi)>
     duals = [_star_terms(_wedge_terms(cj, pt), 7) for cj in contractions]
-    zero = GaussianRational(0)
-    return [
-        [sum((v * w[idx] for idx, v in ci.items() if idx in w), zero) for w in duals]
+    B = [
+        [sum(v * w[idx] for idx, v in ci.items() if idx in w) for w in duals]
         for ci in contractions
     ]
+    return B, D
 
 
-def _det(M) -> GaussianRational:
-    n = len(M)
+def _real(values) -> list[Fraction]:
+    """The real parts of a 3-form's coefficients, which must be real."""
+    values = list(values)
+    if any(x.im for x in values):
+        raise NonPositiveFormError("a 3-form with non-real coefficients induces no real metric")
+    return [x.re for x in values]
+
+
+def _over_lcm(values: list[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integers over the lcm D of their denominators: [x D], D."""
+    D = lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
+def _det(M: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
     rows = [list(r) for r in M]
-    det = GaussianRational(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
+    sign, prev = 1, 1
+    while rows:
+        p = next((i for i, r in enumerate(rows) if r[0]), None)
         if p is None:
-            return GaussianRational(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det = det * pv
-        for i in range(c + 1, n):
-            f = rows[i][c] / pv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            return 0
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        (pv, *head), *rest = rows
+        rows = [[(pv * x - r[0] * y) // prev for x, y in zip(r[1:], head)] for r in rest]
+        prev = pv
+    return sign * prev
 
 
 def metric_from_3form(structure: G2Structure, point=(0,) * 7) -> PointwiseMetric:
@@ -152,35 +186,35 @@ def metric_from_3form(structure: G2Structure, point=(0,) * 7) -> PointwiseMetric
 
     Exact (identity) on the standard form; numerically normalized through
     (det B)^{-1/9} otherwise, since the ninth root leaves the rationals.
+    Each structure builds its metric at a point once.
     """
-    B = gram_matrix(structure.phi, point)
-    det = _det(B)
-    if not det or det.im or det.re <= 0:
-        raise NonPositiveFormError(f"density determinant {det} is not positive")
-    six = GaussianRational(6)
-    if all(
-        B[i][j] == (six if i == j else GaussianRational(0))
-        for i in range(7)
-        for j in range(7)
-    ):
-        one = GaussianRational(1)
-        zero = GaussianRational(0)
-        matrix = tuple(
-            tuple(one if i == j else zero for j in range(7)) for i in range(7)
-        )
-        return PointwiseMetric(tuple(point), matrix, exact=True)
-    for row in B:
-        for x in row:
-            if x.im:
-                raise NonPositiveFormError("density matrix is not real")
+    point = tuple(point)
+    metrics = structure._metrics
+    if point not in metrics:
+        metrics[point] = _induced_metric(structure.phi, point)
+    return metrics[point]
+
+
+def _induced_metric(phi: DifferentialForm, point: tuple) -> PointwiseMetric:
+    B, D = gram_matrix(phi, point)
+    D3 = D**3
+    if all(B[i][j] == (6 * D3 if i == j else 0) for i in range(7) for j in range(7)):
+        one, zero = GaussianRational(1), GaussianRational(0)
+        matrix = tuple(tuple(one if i == j else zero for j in range(7)) for i in range(7))
+        return PointwiseMetric(point, matrix, exact=True)
+    det, D21 = _det(B), D3**7  # det B = det / D^21
+    if det <= 0:
+        raise NonPositiveFormError(f"density determinant {Fraction(det, D21)} is not positive")
     import numpy as np
 
-    Bf = np.array([[float(x.re) for x in row] for row in B])
-    g = (6.0 ** (-2.0 / 9.0)) * float(det.re) ** (-1.0 / 9.0) * Bf
+    # int / int is correctly rounded, so each float is that of the exact
+    # rational, as float(Fraction) gives it
+    Bf = np.array([[b / D3 for b in row] for row in B])
+    g = (6.0 ** (-2.0 / 9.0)) * (det / D21) ** (-1.0 / 9.0) * Bf
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 1e-9:
         raise NonPositiveFormError(f"induced metric is not positive definite: {eigs}")
-    return PointwiseMetric(tuple(point), tuple(map(tuple, g.tolist())), exact=False)
+    return PointwiseMetric(point, tuple(map(tuple, g.tolist())), exact=False)
 
 
 def chi(structure: G2Structure) -> VectorValuedForm:
@@ -200,31 +234,32 @@ def chi(structure: G2Structure) -> VectorValuedForm:
 
 
 def _form_to_tensor(coeffs: dict, degree: int) -> np.ndarray:
-    """Antisymmetric ndarray from constant flat coefficients (float)."""
+    """Antisymmetric ndarray from constant flat coefficients (float): sign *
+    value at every permutation of each index, in one assignment."""
     import numpy as np
 
-    T = np.zeros((7,) * degree)
-    for (idx, _), val in coeffs.items():
-        base = tuple(i - 1 for i in idx)
-        for perm, sign in _perms_with_signs(degree):
-            T[tuple(base[p] for p in perm)] = sign * val
-    return T
+    pos, slots, signs = _antisymmetric_slots(degree)
+    rows = np.fromiter((pos[idx] for idx, _ in coeffs), np.intp, len(coeffs))
+    T = np.zeros(7**degree)
+    T[slots[rows]] = signs * np.fromiter(coeffs.values(), float, len(coeffs))[:, None]
+    return T.reshape((7,) * degree)
 
 
 @lru_cache(maxsize=None)
-def _perms_with_signs(degree: int):
-    from itertools import permutations
+def _antisymmetric_slots(degree: int):
+    """The position of each degree-index on R^7, the flat positions in a
+    (7,)*degree array of its permutations, and the permutations' signs."""
+    import numpy as np
+    from itertools import combinations, permutations
 
-    out = []
-    for perm in permutations(range(degree)):
-        inv = sum(
-            1
-            for a in range(degree)
-            for b in range(a + 1, degree)
-            if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inv % 2 else 1))
-    return tuple(out)
+    perms = list(permutations(range(degree)))
+    pairs = list(combinations(range(degree), 2))
+    signs = np.array([(-1.0) ** sum(p[a] > p[b] for a, b in pairs) for p in perms])
+    slots = np.array([
+        [np.ravel_multi_index([idx[p] - 1 for p in perm], (7,) * degree) for perm in perms]
+        for idx in all_indices(7, degree)
+    ], dtype=np.intp)
+    return index_position(7, degree), slots, signs
 
 
 def _tensor_to_coeffs(T: np.ndarray, degree: int) -> dict:
@@ -279,14 +314,22 @@ def _rationalize(point):
 
 def pullback_3form(A: np.ndarray, structure: G2Structure) -> G2Structure:
     """Exact pullback A*phi for a rational matrix A (A*phi)(x,y,z) =
-    phi(Ax, Ay, Az); A given as a nested sequence of ints/Fractions."""
+    phi(Ax, Ay, Az); A given as a nested sequence of ints/Fractions.
+
+    Runs on integers: A scaled by the lcm D of its denominators and phi's
+    real coefficients by theirs, E; each coefficient of the result is
+    divided by E D^3 once.  A non-real phi raises NonPositiveFormError.
+    """
     space = structure.space
-    rows = [
-        [GaussianRational(Fraction(A[i][j])) for j in range(7)] for i in range(7)
-    ]
+    entries, D = _over_lcm([Fraction(x) for row in A for x in row])
+    rows = [entries[i : i + 7] for i in range(0, 49, 7)]
+    terms = structure.phi.terms
+    values, E = _over_lcm(_real(terms.values()))
     # pullback on the coframe: A*(e^i) = sum_a A[i][a] e^a, i.e. substitute
-    terms = transform_terms(space, structure.phi.terms, rows)
-    return G2Structure(space, DifferentialForm._of(space, 3, terms))
+    scaled = transform_terms(space, dict(zip(terms, values)), rows)
+    den = E * D**3
+    pulled = {key: GaussianRational(Fraction(n, den)) for key, n in scaled.items()}
+    return G2Structure(space, DifferentialForm._of(space, 3, pulled))
 
 
 def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -294,20 +337,23 @@ def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     (A*T)(x,y,z) = A^{-1} T(Ax, Ay, Az).
 
     Rows (p,q,r) of T with a nonzero entry are visited in C order, and each
-    sums ((A_pa A_qb) A_rc) Ainv_ds T_pqrs over its nonzero s before adding
-    to the output: the order of the unoptimized einsum "pa,qb,rc,ds,pqrs".
+    sums ((A_pa A_qb) A_rc) Ainv_ds T_pqrs over its nonzero s, one 343 x 7
+    outer product per s, before adding to the output: the order of the
+    unoptimized einsum "pa,qb,rc,ds,pqrs".
     """
     import numpy as np
 
     Ainv = np.linalg.inv(A)
-    out = np.zeros((7, 7, 7, 7))
+    out = np.zeros(7**4)
     for p, q, r in zip(*np.nonzero(T.any(axis=3))):
-        ABC = (A[p][:, None, None] * A[q][None, :, None]) * A[r][None, None, :]
-        acc = np.zeros((7, 7, 7, 7))
-        for s in np.flatnonzero(T[p, q, r]):
-            acc += (ABC[..., None] * Ainv[:, s]) * T[p, q, r, s]
-        out += acc
-    return out
+        ABC = ((A[p][:, None] * A[q]).ravel()[:, None] * A[r]).ravel()
+        row = T[p, q, r]
+        s, *more = np.flatnonzero(row)
+        acc = np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+        for s in more:
+            acc += np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+        out += acc.ravel()
+    return out.reshape((7,) * 4)
 
 
 def _chi_field_coeffs(structure: G2Structure, point) -> list[dict]:

@@ -417,16 +417,21 @@ class ModeCalculus:
         if degree is not None:
             # dim(ker S_j cap Im D) = rank D - rank(S_j D): the exact part
             # (D = d_{l-1}) and the coexact part (D = d*_{l+1}) at j = l,
-            # and the image of the coexact part under d (D = d_l) at j = l + 1
+            # and the image of the coexact part under d (D = d_l) at j = l + 1.
+            # Rank d*_{l+1} is rank d_l, as d*_{l+1} = -d_l^T.
             l = degree
             parts = []
+            rank_d = {}
             for j, table, m in ((l, tpl.d, l - 1), (l, tpl.dstar, l + 1), (l + 1, tpl.d, l)):
                 if m not in table:
                     parts.append([0] * len(modes))
                     continue
                 D = np.tensordot(K, table[m], 1)
+                base = m if table is tpl.d else m - 1
+                if base not in rank_d:
+                    rank_d[base] = linalg.int_ranks(D)
                 SD = linalg.int_matmul(list(S(j)), list(D))
-                parts.append([a - b for a, b in zip(linalg.int_ranks(D), linalg.int_ranks(SD))])
+                parts.append([a - b for a, b in zip(rank_d[base], linalg.int_ranks(SD))])
 
         summaries = []
         for i, k in enumerate(modes):

@@ -473,6 +473,40 @@ def test_exact_suites_start_without_numpy():
     assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+def test_g2_suite_runs_without_the_exact_linear_algebra():
+    # the standard metric (the g2-pointwise set-up) needs no numpy, and the
+    # whole suite takes its determinants without fncalc.linalg
+    script = (
+        "import sys\n"
+        "from fncalc import cli, g2\n"
+        "g2.metric_from_3form(g2.standard_phi())\n"
+        "numpy = 'numpy' in sys.modules\n"
+        "code = cli.main(['g2-equivariance'])\n"
+        "print(code, numpy, 'fncalc.linalg' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_g2_suite_builds_the_standard_metric_once(monkeypatch, capsys):
+    from fncalc import g2
+
+    forms = []
+    real = g2.gram_matrix
+    monkeypatch.setattr(g2, "gram_matrix", lambda phi, point: forms.append(phi) or real(phi, point))
+    standard = g2.standard_phi().phi
+    for runs in (1, 2):
+        code, _, _ = run_cli(capsys, "g2-equivariance", "--seed", "3")
+        assert code == 0
+        # each invocation: the standard form once, 20 sampled pullbacks and
+        # the injectivity witness
+        assert len(forms) == 22 * runs
+        assert sum(phi == standard for phi in forms) == runs
+
+
 def test_trusted_constructors_are_not_called_where_input_enters():
     # form strings, seeded samples, suite configs and argv reach the exact
     # core here, so they must go through the validating constructors

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -101,40 +103,189 @@ def honest_gram(phi, point):
     return B
 
 
+def field_det(M):
+    """Determinant by elimination over the rationals, the reference for the
+    fraction-free _det."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    n, det = len(rows), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def honest_metric(phi, point=(0,) * 7):
+    """The normalized metric from honest_gram and field_det, each float
+    converted from its exact rational."""
+    B = [[x.re for x in row] for row in honest_gram(phi, point)]
+    Bf = np.array([[float(x) for x in row] for row in B])
+    return (6.0 ** (-2.0 / 9.0)) * float(field_det(B)) ** (-1.0 / 9.0) * Bf
+
+
+def mixed_denominator_phi():
+    # the standard form with e^123 scaled by 1/3 and e^145 by 2/5: positive,
+    # since the coframe scalings reach any positive coefficients of phi
+    terms = STANDARD.phi.coefficients()
+    terms[(1, 2, 3)] = CoefficientFunction.constant(R7, GaussianRational(Fraction(1, 3)))
+    terms[(1, 4, 5)] = CoefficientFunction.constant(R7, GaussianRational(Fraction(2, 5)))
+    return DifferentialForm(R7, 3, terms)
+
+
+def affine_phi():
+    terms = STANDARD.phi.coefficients()
+    terms[(1, 2, 7)] = CoefficientFunction.coordinate(R7, 1).scale(
+        GaussianRational(Fraction(1, 2))
+    )
+    terms[(2, 4, 6)] = terms[(2, 4, 6)] + CoefficientFunction.coordinate(
+        R7, 3
+    ) * CoefficientFunction.coordinate(R7, 5)
+    return DifferentialForm(R7, 3, terms)
+
+
+def seeded_pullbacks(seed, count):
+    from fncalc.suites import random_glplus
+
+    rng = random.Random(seed)
+    return [g2.pullback_3form(random_glplus(rng)[0], STANDARD) for _ in range(count)]
+
+
 class TestGramMatrix:
+    def check(self, phi, point, D):
+        """gram_matrix gives D^3 B on Python ints, B the honest Gram."""
+        B, got_D = g2.gram_matrix(phi, point)
+        assert got_D == D
+        assert all(type(x) is int for row in B for x in row)
+        assert B == [[D**3 * x for x in row] for row in honest_gram(phi, point)]
+        return B
+
     def test_standard_form(self):
-        B = g2.gram_matrix(STANDARD.phi, (0,) * 7)
-        assert B == honest_gram(STANDARD.phi, (0,) * 7)
-        assert B == [[GaussianRational(6 if i == j else 0) for j in range(7)] for i in range(7)]
+        B = self.check(STANDARD.phi, (0,) * 7, 1)
+        assert B == [[6 if i == j else 0 for j in range(7)] for i in range(7)]
 
     def test_seeded_pullbacks(self):
-        from fncalc.suites import random_glplus
-
-        rng = random.Random(5)
-        for _ in range(3):
-            A, _ = random_glplus(rng)
-            phi = g2.pullback_3form(A, STANDARD).phi
-            B = g2.gram_matrix(phi, (0,) * 7)
-            assert B == honest_gram(phi, (0,) * 7)
+        for pulled in seeded_pullbacks(5, 3):
+            D = lcm(*(x.re.denominator for x in pulled.phi.terms.values()))
+            assert D > 1
+            B = self.check(pulled.phi, (0,) * 7, D)
             assert any(B[i][j] for i in range(7) for j in range(7) if i != j)
             # all 49 entries are computed, so symmetry is a check
             assert B == [list(col) for col in zip(*B)]
 
+    def test_mixed_denominators(self):
+        self.check(mixed_denominator_phi(), (0,) * 7, 15)
+
     def test_non_constant_form_at_a_rational_point(self):
         # a non-constant phi is frozen with eval_exact before the products
-        terms = STANDARD.phi.coefficients()
-        terms[(1, 2, 7)] = CoefficientFunction.coordinate(R7, 1).scale(
-            GaussianRational(Fraction(1, 2))
-        )
-        terms[(2, 4, 6)] = terms[(2, 4, 6)] + CoefficientFunction.coordinate(
-            R7, 3
-        ) * CoefficientFunction.coordinate(R7, 5)
-        phi = DifferentialForm(R7, 3, terms)
+        phi = affine_phi()
         assert not phi.is_constant()
         pt = (Fraction(1, 3), -2, Fraction(5, 7), 1, 0, Fraction(-1, 2), 3)
-        B = g2.gram_matrix(phi, pt)
-        assert B == honest_gram(phi, pt)
-        assert B != g2.gram_matrix(phi, (0,) * 7)
+        # the coefficient at e^127 is 1/6 there, and x5 = 0 leaves e^246 at 1
+        B = self.check(phi, pt, 6)
+        assert B != self.check(phi, (0,) * 7, 1)
+
+    def test_non_real_form_is_rejected_before_any_product(self, monkeypatch):
+        terms = STANDARD.phi.coefficients()
+        terms[(1, 2, 3)] = CoefficientFunction.constant(R7, GaussianRational(1, 1))
+        structure = g2.G2Structure(R7, DifferentialForm(R7, 3, terms))
+
+        def product(*args):
+            raise AssertionError("a product was formed")
+
+        for kernel in ("_insert_frame_terms", "_wedge_terms", "_star_terms", "transform_terms"):
+            monkeypatch.setattr(g2, kernel, product)
+        with pytest.raises(g2.NonPositiveFormError, match="non-real"):
+            g2.metric_from_3form(structure)
+        with pytest.raises(g2.NonPositiveFormError, match="non-real"):
+            g2.pullback_3form(np.eye(7, dtype=int).tolist(), structure)
+
+
+class TestIntegerLane:
+    def test_bareiss_det_equals_field_elimination(self):
+        rng = random.Random(11)
+        mats = [[[rng.randint(-6, 6) * (rng.random() < 0.7) for _ in range(n)] for _ in range(n)]
+                for n in (1, 2, 3, 5, 7, 7, 7, 7) for _ in range(6)]
+        mats.append([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # two swaps: det +1
+        mats.append([[0, 1], [1, 0]])  # one swap: det -1
+        mats.append([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular
+        mats.append([[0, 0], [3, 4]])  # no pivot in the first column
+        mats += [g2.gram_matrix(p.phi, (0,) * 7)[0] for p in seeded_pullbacks(6, 2)]
+        for M in mats:
+            det = g2._det(M)
+            assert type(det) is int
+            assert det == field_det(M), M
+        assert g2._det([[1, 2], [3, 4]]) == -2
+
+    def test_metric_floats_are_those_of_the_exact_rationals(self):
+        # a wrong power of D in either float conversion changes these bits
+        forms = [p.phi for p in seeded_pullbacks(7, 3)] + [mixed_denominator_phi()]
+        for phi in forms:
+            metric = g2.metric_from_3form(g2.G2Structure(R7, phi))
+            assert not metric.exact
+            assert np.array_equal(metric.as_array(), honest_metric(phi))
+
+    def test_pullback_equals_the_exact_coframe_change(self):
+        from fncalc.exterior import transform_terms
+        from fncalc.suites import random_glplus
+
+        rng = random.Random(8)
+        for structure in (STANDARD, g2.G2Structure(R7, mixed_denominator_phi())):
+            A, _ = random_glplus(rng)
+            rows = [[GaussianRational(x) for x in row] for row in A]
+            expected = transform_terms(R7, structure.phi.terms, rows)
+            got = g2.pullback_3form(A, structure).phi.terms
+            # same values in the same order
+            assert list(got.items()) == list(expected.items())
+
+    def test_each_structure_builds_its_metric_once_per_point(self, monkeypatch):
+        calls = []
+        real = g2.gram_matrix
+        monkeypatch.setattr(g2, "gram_matrix", lambda phi, point: calls.append(point) or real(phi, point))
+        st = g2.standard_phi()
+        first = g2.metric_from_3form(st)
+        assert g2.metric_from_3form(st, (Fraction(0),) * 7) is first
+        g2.chi(st)
+        g2.cayley_map(st)
+        assert len(calls) == 1
+        g2.metric_from_3form(st, (1,) + (0,) * 6)
+        g2.metric_from_3form(g2.standard_phi())
+        assert len(calls) == 3
+
+
+def loop_form_to_tensor(coeffs, degree):
+    """The permutation loop that _form_to_tensor replaces."""
+    T = np.zeros((7,) * degree)
+    for (idx, _), val in coeffs.items():
+        base = tuple(i - 1 for i in idx)
+        for perm in permutations(range(degree)):
+            inv = sum(perm[a] > perm[b] for a in range(degree) for b in range(a + 1, degree))
+            T[tuple(base[p] for p in perm)] = (-1 if inv % 2 else 1) * val
+    return T
+
+
+class TestFormToTensor:
+    def test_equals_the_permutation_loop_bit_for_bit(self):
+        from fncalc.multiindex import all_indices
+
+        rng = random.Random(9)
+        for degree in (1, 2, 3, 4):
+            for _ in range(4):
+                coeffs = {
+                    (idx, ()): rng.choice((0.0, -0.0, rng.uniform(-3, 3), -1e-300))
+                    for idx in all_indices(7, degree)
+                    if rng.random() < 0.5
+                }
+                got, expected = g2._form_to_tensor(coeffs, degree), loop_form_to_tensor(coeffs, degree)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not g2._form_to_tensor({}, 3).any()
 
 
 class TestCrossProductTensor:
