@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -123,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        # numpy loads inside the suites: one BLAS thread for their small
+        # products beside the sweep's own fork pool, unless the user set it
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         started = time.monotonic()
         report = run_suite(config)
         elapsed = time.monotonic() - started

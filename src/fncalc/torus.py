@@ -8,13 +8,13 @@ metric contraction of a parallel 4-form Psi, raising degree by 3), its
 formal adjoint L*, and the bracket differential on vector fields, and
 computes harmonic, cohomology, and regularity data per mode.
 
-Two independent derivations give the blocks, keyed alike by (kind,
-domain degree).  The fast lane, `ModeTemplates`, builds integer unit
-templates from the symbol formula without the form engine, as every block
-is i times an integer linear form in k; the sweep then runs in
-fraction-free integer elimination.  The honest lane, `ModeCalculus.block`,
-assembles any mode from the exact maps on forms that `operators` lists
-once.  The test suite compares the two lanes on every templated operator.
+Two independent derivations give the blocks.  The fast lane,
+`ModeTemplates`, builds every integer unit template, `ad` included, from
+the symbol formula without the form engine, as every block is i times an
+integer linear form in k; the sweep then runs in fraction-free integer
+elimination.  The honest lane, `ModeCalculus.block`, assembles any mode
+from the exact maps on forms that `operators` lists once.  The test suite
+compares the two lanes on every template, `ad` against `fn_bracket`.
 
 The sweep works on stacks of `_CHUNK` (64) modes at once, which spreads
 numpy's per-call cost over many of the small blocks (8 to 35 rows).  The
@@ -42,14 +42,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 from math import lcm
 
 import numpy as np
 
 from . import linalg
-from .bracket import fn_bracket, nijenhuis_lie
+from .bracket import nijenhuis_lie
 from .exterior import (
     CoefficientFunction,
     DifferentialForm,
@@ -159,10 +159,6 @@ def _strip_i(M) -> list[list[int]]:
     return [[x.im.numerator for x in row] for row in M]
 
 
-def _unit(j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(N))
-
-
 class ModeTemplates:
     """Unit-frequency integer templates of the sweep operators, from the
     symbol formula: on the mode k, d = i eps_k with eps_k = k ^ ., and L =
@@ -170,10 +166,14 @@ class ModeTemplates:
     iota_{e_b} alpha.  So block(k)/i = sum_j k_j T_j with T^d_j = eps_j,
     T^L_j = iota eps_j - eps_j iota, T^{L*}_j = -(T^L_j)^T and T^{d*}_j =
     -(T^d_j)^T (the adjoints are conjugate transposes), for psi scaled by
-    the lcm of its coefficient denominators, which changes no rank.  `L`,
-    `Lstar`, `d` and `dstar` map a domain degree m to one (7, rows, cols)
-    array, int64 when its entries fit and Python ints (`object`) otherwise,
-    so the blocks of a stack of modes K (s x 7) are `np.tensordot(K, T, 1)`."""
+    the lcm of its coefficient denominators, which changes no rank.  The
+    bracket differential v e^{i<k,x>} -> [psi_hat, v e^{i<k,x>}] on vector
+    fields has T^ad_j v with component s = v_s psi_hat_j - eps_j iota_v
+    psi_hat_s, a tangent-valued 3-form.  `L`, `Lstar`, `d` and `dstar` map
+    a domain degree m to one (7, rows, cols) array, and `ad` is one (7, 7 *
+    35, 7) array whose rows are component-major; each is int64 when its
+    entries fit and Python ints (`object`) otherwise, so the blocks of a
+    stack of modes K (s x 7) are `np.tensordot(K, T, 1)`."""
 
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
@@ -195,33 +195,16 @@ class ModeTemplates:
         self.d = {m: linalg._int_array(E) for m, E in eps.items()}
         self.Lstar = {m + STEP: -T.swapaxes(1, 2) for m, T in self.L.items()}
         self.dstar = {m + 1: -T.swapaxes(1, 2) for m, T in self.d.items()}
+        # ad: component s of T_j v is v_s psi_hat_j - eps_j iota_v psi_hat_s,
+        # with psi_hat_j = iota e^j, column j of iota on Lambda^1
+        iota_hat = [_assemble(1, STEP - 1, lambda i: _insert_frame_terms(*i, h)) for h in hat]
+        ad = -linalg.int_matmul([[E] for E in eps[STEP - 1]], iota_hat)  # (j, s, row, v)
+        hats = linalg._int_array(ins[1]).T
+        for s in range(N):
+            ad[:, s, :, s] += hats
+        self.ad = ad.reshape(N, -1, N)  # rows s * dim Lambda^3 + row
         # every block entry at k is at most N * max|k_j| * entry_bound
-        self._entry_bound = max(map(linalg._max_abs, (*self.L.values(), *self.d.values())))
-
-    @cached_property
-    def ad(self) -> np.ndarray:
-        """The bracket differential's unit templates, built on first use; read
-        it before `frequencies` of a stack that uses it, since it bounds them."""
-        psi_hat = contract_metric(self._psi)
-        ad = linalg._int_array([_strip_i(self._ad_matrix(psi_hat, _unit(j))) for j in range(N)])
-        self._entry_bound = max(self._entry_bound, linalg._max_abs(ad))
-        return ad
-
-    @staticmethod
-    def _ad_matrix(psi_hat: VectorValuedForm, k):
-        """Exact bracket differential on mode-k vector fields, as a matrix
-        into component-major coefficients of tangent-valued 3-forms."""
-        k = tuple(k)
-        block = space_dim(N, STEP)
-        pos = index_position(N, STEP)
-        M = [[GaussianRational(0)] * N for _ in range(N * block)]
-        for c in range(N):
-            X = sharp(mode_form(k, (c + 1,)))
-            image = fn_bracket(psi_hat, VectorValuedForm.from_vector_field(X))
-            for s, comp in enumerate(image.components):
-                for (idx, _), val in _mode_terms(k, comp).items():
-                    M[s * block + pos[idx]][c] = val
-        return M
+        self._entry_bound = max(map(linalg._max_abs, (*self.L.values(), *self.d.values(), self.ad)))
 
     def frequencies(self, modes) -> np.ndarray:
         """The modes as the rows of an (s, 7) integer array: int64 when
@@ -375,8 +358,9 @@ class ModeCalculus:
         """The requested `FIELDS` of each mode's row, for a stack of modes:
         per degree l, the "harmonic" and "cohomology" dimensions and the
         "regular"ity split; the "vector_kernel" of the bracket on vector
-        fields; at k != 0, the "symbols" of L into degrees 3, 4 and 7; and,
-        given a degree, the split of its harmonic space under "split".
+        fields, 7 - rank ad(k); at k != 0, the "symbols" of L into degrees
+        3, 4 and 7; and, given a degree, the split of its harmonic space
+        under "split".
         torus-cohomology asks for harmonic and cohomology, symbol-check for
         symbols and regular.  Only the blocks and ranks those fields need
         are formed, each once, and each kind of rank in one elimination.
@@ -387,7 +371,6 @@ class ModeCalculus:
         if not modes:
             return []
         tpl = self.templates
-        ad = tpl.ad if "vector_kernel" in fields else None  # built before K, which it bounds
         K = tpl.frequencies(modes)
         dims = [space_dim(N, l) for l in range(N + 1)]
         L = {m: np.tensordot(K, T, 1) for m, T in tpl.L.items()}  # domain degree
@@ -412,8 +395,8 @@ class ModeCalculus:
                 l: linalg.int_ranks(linalg.int_matmul(list(Ls(l)), list(L[l - STEP])))
                 for l in tpl.Lstar
             }
-        if ad is not None:
-            rank_ad = linalg.int_ranks(np.tensordot(K, ad, 1))
+        if "vector_kernel" in fields:
+            rank_ad = linalg.int_ranks(np.tensordot(K, tpl.ad, 1))
         if degree is not None:
             # dim(ker S_j cap Im D) = rank D - rank(S_j D): the exact part
             # (D = d_{l-1}) and the coexact part (D = d*_{l+1}) at j = l,
@@ -449,7 +432,7 @@ class ModeCalculus:
                 summary["regular"] = [
                     l not in rank_LsL or rank_LsL[l][i] == ranks[l - STEP] for l in range(N + 1)
                 ]
-            if ad is not None:
+            if "vector_kernel" in fields:
                 summary["vector_kernel"] = N - rank_ad[i]
             if "symbols" in fields and any(k):
                 # injective/surjective type of L into degree l, the principal
@@ -467,8 +450,6 @@ class ModeCalculus:
     ) -> list[dict]:
         """`mode_summaries` of every mode with |k|_inf <= max_freq, in lexicographic order."""
         modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
-        if "vector_kernel" in fields:
-            self.templates.ad  # built once here, not in every pool worker
         return sweep_modes(partial(self.mode_summaries, degree=degree, fields=fields), modes, jobs)
 
 
@@ -502,15 +483,23 @@ def _worker_summaries(chunk):
     return _WORKER_SUMMARIES(chunk)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_modes(summarize, modes, jobs: int | None = None) -> list[dict]:
     """The rows of every mode, in order, from `summarize` (a
     `ModeCalculus.mode_summaries`, perhaps with its degree bound) on stacks
     of `_CHUNK` modes.  Workers are never more than `jobs` (default: all
-    CPUs), the CPUs, or the stacks to share."""
+    the CPUs this process may run on, `_cpus`), those CPUs, or the stacks
+    to share."""
     global _WORKER_SUMMARIES
     modes = list(modes)
     chunks = [modes[i : i + _CHUNK] for i in range(0, len(modes), _CHUNK)]
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     jobs = min(cpus if jobs is None else jobs, cpus, len(chunks))
     if jobs <= 1:
         return [s for chunk in chunks for s in summarize(chunk)]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -413,10 +414,11 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
-    torus.default_calculus()  # built before counting: its L templates use int_matmul
+    torus.default_calculus()  # built before counting: its templates use int_matmul
     counts = {"sweep": 0, "other": 0, "ad": 0}
     in_sweep = []
     real_summaries, real_matmul = torus.ModeCalculus.mode_summaries, linalg.int_matmul
+    real_ranks = linalg.int_ranks
 
     def summaries(self, *args, **kwargs):
         in_sweep.append(True)
@@ -429,13 +431,13 @@ def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, arg
         counts["sweep" if in_sweep else "other"] += 1
         return real_matmul(A, B)
 
-    def ad(self):  # a data descriptor, so it also sees an `ad` built earlier
-        counts["ad"] += 1
-        return torus.ModeTemplates.__dict__["ad"].func(self)
+    def ranks(stack):  # an `ad` stack is (modes, 7 * 35, 7)
+        counts["ad"] += np.shape(stack)[1:] == (7 * 35, 7)
+        return real_ranks(stack)
 
     monkeypatch.setattr(torus.ModeCalculus, "mode_summaries", summaries)
     monkeypatch.setattr(linalg, "int_matmul", matmul)
-    monkeypatch.setattr(torus.ModeTemplates, "ad", property(ad))
+    monkeypatch.setattr(linalg, "int_ranks", ranks)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert counts["sweep"] == sweep_products
@@ -550,7 +552,7 @@ class _RecordingPool:
         (10**6, 4, 2187, [4]),  # capped by the CPUs
         (10**6, 64, 4 * torus._CHUNK + 1, [5]),  # capped by the 5 stacks
         (3, 64, 2187, [3]),  # the request itself
-        (None, 2, 2187, [2]),  # default: all CPUs
+        (None, 2, 2187, [2]),  # default: all the CPUs it may run on
         (8, 8, 2 * torus._CHUNK, [2]),  # capped by the 2 stacks
         (1, 8, 2187, []),
         (8, 8, torus._CHUNK, []),  # one stack runs in-process
@@ -562,7 +564,47 @@ def test_sweep_workers_are_clamped(monkeypatch, jobs, cpus, n_modes, expected):
     sizes = []
     ctx = multiprocessing.get_context("fork")
     monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))
-    monkeypatch.setattr(torus.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(torus, "_cpus", lambda: cpus)
     modes = list(range(n_modes))
     assert torus.sweep_modes(list, modes, jobs) == modes
     assert sizes == expected
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    # a sweep confined to one of the host's 8 CPUs builds no pool by default
+    sizes = []
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(ctx, "Pool", lambda processes: _RecordingPool(sizes, processes))
+    monkeypatch.setattr(torus.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(torus.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    modes = list(range(2187))
+    assert torus._cpus() == 1
+    assert torus.sweep_modes(list, modes) == modes and sizes == []
+    # without an affinity call the host's CPU count serves
+    monkeypatch.delattr(torus.os, "sched_getaffinity")
+    assert torus._cpus() == 8
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_a_torus_suite_runs_without_a_blas_thread_pool(preset, expected):
+    # cli.main asks for one OpenBLAS thread before a suite loads numpy, so
+    # the process ends with its main thread alone; a preset value stays
+    script = (
+        "import contextlib, io, os\n"
+        "from fncalc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['torus-cohomology', '--max-freq', '0', '--jobs', '1'])\n"
+        "print(code, len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    code, tasks, value = run.stdout.split()
+    assert (code, value) == ("0", expected)
+    if preset is None:
+        assert tasks == "1"

@@ -14,20 +14,24 @@ from fncalc import bracket, exterior, linalg, torus
 from fncalc.exterior import (
     CoefficientFunction,
     DifferentialForm,
+    VectorValuedForm,
     contract_metric,
+    sharp,
     wedge,
 )
-from fncalc.multiindex import space_dim
+from fncalc.multiindex import index_position, space_dim
 from fncalc.scalars import GaussianRational
 from fncalc.suites import named_psi
 
 CALC = torus.default_calculus()
 K1 = (1, 0, 0, 0, 0, 0, 0)
 K0 = (0,) * 7
-UNITS = [torus._unit(j) for j in range(7)]
+UNITS = [tuple(int(i == j) for i in range(7)) for j in range(7)]
 TEMPLATED = ("L", "Lstar", "d", "dstar")  # the kinds with integer templates
 # a toroidal psi beyond the G2 default, with a non-unit coefficient
 TOROIDAL = "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}"
+# a rational psi, whose templates hold it scaled by the lcm 6
+RATIONAL = "toroidal:7:1/2 e{1,2,3,4} + 3 e{1,2,5,6} - 2/3 e{3,4,5,7} + e{2,4,6,7}"
 
 
 def random_mode(rng, bound=1):
@@ -44,6 +48,35 @@ def lane_mismatches(calc, tpl, modes):
         for k in modes
         if torus._strip_i(calc.block(kind, m, k)) != tpl.block(kind, m, k)
     }
+
+
+def ad_matrix(psi_hat, k):
+    """The honest bracket differential on mode-k vector fields, from
+    `fn_bracket`, as a matrix into component-major coefficients of
+    tangent-valued 3-forms."""
+    k = tuple(k)
+    block, pos = space_dim(7, 3), index_position(7, 3)
+    M = [[GaussianRational(0)] * 7 for _ in range(7 * block)]
+    for c in range(7):
+        X = sharp(torus.mode_form(k, (c + 1,)))
+        image = bracket.fn_bracket(psi_hat, VectorValuedForm.from_vector_field(X))
+        for s, comp in enumerate(image.components):
+            for (idx, _), val in torus._mode_terms(k, comp).items():
+                M[s * block + pos[idx]][c] = val
+    return M
+
+
+def ad_mismatches(tpl, modes):
+    """The modes at which sum_j k_j T^ad_j differs from the stripped honest
+    bracket differential of the templates' lcm-scaled psi."""
+    psi_hat = contract_metric(tpl._psi)
+    return [
+        k for k in modes
+        if torus._strip_i(ad_matrix(psi_hat, k)) != np.tensordot(k, tpl.ad, 1).tolist()
+    ]
+
+
+AD_MODES = UNITS + random.Random(17).sample(sorted(product((-1, 0, 1), repeat=7)), 6)
 
 
 class TestModeBlocks:
@@ -116,16 +149,49 @@ class TestModeBlocks:
         calls = []
         for module, name in (
             (torus, "mode_matrix"), (torus, "_strip_i"), (torus, "nijenhuis_lie"),
-            (bracket, "nijenhuis_lie"), (torus, "formal_adjoint"), (exterior, "formal_adjoint"),
+            (bracket, "nijenhuis_lie"), (bracket, "fn_bracket"),
+            (torus, "formal_adjoint"), (exterior, "formal_adjoint"),
         ):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, partial(lambda n, f, *a: calls.append(n) or f(*a), name, real))
         for psi in (None, named_psi(TOROIDAL)):
             tpl = torus.ModeTemplates(psi)
             assert sum(len(getattr(tpl, kind)) for kind in TEMPLATED) == 24
+            assert tpl.ad.shape == (7, 7 * 35, 7)
         assert calls == []
-        tpl.ad  # the lazy vector-field template still reads the exact lane
-        assert "_strip_i" in calls
+
+    @pytest.mark.parametrize("psi", [None, RATIONAL], ids=["star-phi", "rational"])
+    def test_ad_template_equals_the_bracket(self, psi):
+        # sum_j k_j T^ad_j against fn_bracket on mode-k vector fields, at
+        # the unit modes, which cover every k by linearity, and sampled ones
+        tpl = torus.ModeTemplates(psi and named_psi(psi))
+        assert ad_mismatches(tpl, AD_MODES) == []
+
+    def test_ad_comparison_catches_a_dropped_term(self):
+        # without v_s psi_hat_j, component s of T^ad_j v is -eps_j iota_v psi_hat_s
+        tpl = copy.copy(CALC.templates)
+        tpl.ad, pos = tpl.ad.copy(), index_position(7, 3)
+        for j, comp in enumerate(contract_metric(tpl._psi).components):
+            for (idx, _), val in comp.terms.items():
+                for s in range(7):
+                    tpl.ad[j, 35 * s + pos[idx], s] -= val.re.numerator
+        assert ad_mismatches(tpl, UNITS) == UNITS
+
+    def test_ad_comparison_catches_a_flipped_contraction_entry(self, monkeypatch):
+        # one entry of one iota_v psi_hat_s, the insertion into a 3-form
+        real, flipped = torus._insert_frame_terms, []
+
+        def flip_once(i, terms):
+            out = real(i, terms)
+            if not flipped and out and all(len(idx) == 3 for idx, _ in terms):
+                key = next(iter(out))
+                out[key] = -out[key]
+                flipped.append(key)
+            return out
+
+        monkeypatch.setattr(torus, "_insert_frame_terms", flip_once)
+        tpl = torus.ModeTemplates()
+        assert flipped and ad_mismatches(tpl, AD_MODES)
 
     def test_nonconstant_psi_rejected(self):
         psi = DifferentialForm(
@@ -192,7 +258,7 @@ def honest_summary(k):
         regular.append(
             ok and linalg.rank(linalg.matmul(down, L[l - 3], zero)) == rank_in
         )
-    ad = torus.ModeTemplates._ad_matrix(contract_metric(CALC.psi), k)
+    ad = ad_matrix(contract_metric(CALC.psi), k)
     out = {
         "k": list(k),
         "harmonic": harmonic,
@@ -455,7 +521,7 @@ class TestDecomposition:
 
     def test_stacked_split_matches_honest_lane(self):
         rng = random.Random(14)
-        modes = [K0] + [torus._unit(j) for j in range(7)]
+        modes = [K0] + UNITS
         modes += [random_mode(rng, 2) for _ in range(3)]
         honest = [honest_decomposition(k) for k in modes]
         fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part")
@@ -559,7 +625,7 @@ def test_small_sweep_serial_equals_parallel(monkeypatch):
     ctx = multiprocessing.get_context("fork")
     real_pool = ctx.Pool
     monkeypatch.setattr(ctx, "Pool", lambda processes: sizes.append(processes) or real_pool(processes))
-    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
     for degree in (None, 3):
         summarize = partial(CALC.mode_summaries, degree=degree)
         serial = torus.sweep_modes(summarize, modes, jobs=1)
@@ -570,22 +636,16 @@ def test_small_sweep_serial_equals_parallel(monkeypatch):
     assert sizes == [2, 2]
 
 
-def test_a_pooled_sweep_builds_ad_once_in_the_parent(monkeypatch):
-    # read before the workers fork, the lazy template is not rebuilt in each
-    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
-    calc = torus.ModeCalculus()
-    calc.sweep(max_freq=1, jobs=2, fields=("vector_kernel",))
-    assert "ad" in calc.templates.__dict__
-
-
-@pytest.mark.parametrize("fields", [("harmonic", "cohomology"), ("symbols", "regular")])
+@pytest.mark.parametrize(
+    "fields", [("harmonic", "cohomology"), ("symbols", "regular"), ("vector_kernel",)]
+)
 def test_field_restricted_rows_equal_the_full_rows(monkeypatch, fields):
     # each suite's field set, with and without a split, serially and in a
     # fork pool of two workers, gives the full rows restricted to its fields;
     # 2.5 stacks of modes span three stacks, so the pool has work for both
     modes = random.Random(13).sample(sorted(product((-1, 0, 1), repeat=7)), 5 * torus._CHUNK // 2)
     assert len(modes) > 2 * torus._CHUNK
-    monkeypatch.setattr(torus.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
     symbols = ("symbol_3", "symbol_4", "symbol_7") if "symbols" in fields else ()
     keys = {"k", "split", *fields, *symbols}
     for degree in (None, 3):
