@@ -116,11 +116,16 @@ def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
     betas = [(j, b.terms, _d_terms(b.terms, affine)) for j, b in enumerate(L.components, 1) if b]
     for i, alpha, d_alpha in alphas:
         for j, beta, d_beta in betas:
-            # [e_i, e_j] = 0, so the bracket term of the formula drops out
-            _wedge_terms(alpha, _deriv_terms(beta, i, affine), comps[j - 1])
-            _wedge_terms(_deriv_terms(alpha, j, affine), beta, comps[i - 1], True)
-            _wedge_terms(d_alpha, _insert_frame_terms(i, beta), comps[j - 1], odd_k)
-            _wedge_terms(_insert_frame_terms(j, alpha), d_beta, comps[i - 1], odd_k)
+            # [e_i, e_j] = 0, so the bracket term of the formula drops out;
+            # a product with an empty derived or inserted factor is skipped
+            if t := _deriv_terms(beta, i, affine):
+                _wedge_terms(alpha, t, comps[j - 1])
+            if t := _deriv_terms(alpha, j, affine):
+                _wedge_terms(t, beta, comps[i - 1], True)
+            if d_alpha and (t := _insert_frame_terms(i, beta)):
+                _wedge_terms(d_alpha, t, comps[j - 1], odd_k)
+            if d_beta and (t := _insert_frame_terms(j, alpha)):
+                _wedge_terms(t, d_beta, comps[i - 1], odd_k)
     comps = [DifferentialForm._of(space, degree, c) for c in comps]
     return VectorValuedForm(space, degree, comps)
 

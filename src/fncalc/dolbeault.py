@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exterior import DifferentialForm, _add_term, _partial, transform_terms
 from .multiindex import merge_sign
-from .scalars import GaussianRational, I, ONE
+from .scalars import GaussianRational, I
 
 HALF = GaussianRational(Fraction(1, 2))
 MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))
@@ -24,8 +24,7 @@ I_HALF = GaussianRational(0, Fraction(1, 2))
 def _real_to_complex_matrix(m: int):
     """Rows express e^i in the coframe (dz_1..dz_m, dzbar_1..dzbar_m)."""
     n = 2 * m
-    zero = GaussianRational(0)
-    M = [[zero] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for j in range(1, m + 1):
         M[2 * j - 2][j - 1] = HALF
         M[2 * j - 2][m + j - 1] = HALF
@@ -37,12 +36,11 @@ def _real_to_complex_matrix(m: int):
 def _complex_to_real_matrix(m: int):
     """Rows express dz_j / dzbar_j back in the real coframe."""
     n = 2 * m
-    zero = GaussianRational(0)
-    M = [[zero] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for j in range(1, m + 1):
-        M[j - 1][2 * j - 2] = ONE
+        M[j - 1][2 * j - 2] = 1
         M[j - 1][2 * j - 1] = I
-        M[m + j - 1][2 * j - 2] = ONE
+        M[m + j - 1][2 * j - 2] = 1
         M[m + j - 1][2 * j - 1] = -I
     return M
 

@@ -3,7 +3,11 @@
 Scalar coefficients are finite exact sums: polynomials in the coordinates on
 the affine flavor, finite Fourier sums exp(i<k,x>) on the toroidal flavor.
 A coefficient function is a sparse map from keys (exponent tuples, affine;
-frequency vectors, toroidal) to Gaussian rationals.  Differential forms are
+frequency vectors, toroidal) to exact scalars, which are plain ints for real
+integers and Gaussian rationals otherwise (the canonical rule of
+`scalars`): the validating constructors and `scale` bring every value to
+that form, and the kernels keep it, since they combine values only by +, *,
+unary - and truth.  Differential forms are
 one flat sparse map {(multi-index, key): scalar} over strictly increasing
 multi-indices; `DifferentialForm.coefficients()` groups it into the scalar
 field of each index on demand.  Tangent-valued forms are tuples of
@@ -36,7 +40,7 @@ from .multiindex import (
     insertion_terms,
     merge_sign,
 )
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, _exact
 
 
 class SpaceMismatch(ValueError):
@@ -82,7 +86,7 @@ def torus_space(n: int) -> ModelSpace:
 
 
 def _same_space(a, b) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatch(f"mixed model spaces {a.space} and {b.space}")
 
 
@@ -129,7 +133,7 @@ class _Sparse:
         return self + (-other)
 
     def scale(self, c):
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        c = _exact(c)
         if not c:
             return self._like({})
         return self._like({k: v * c for k, v in self.terms.items()})
@@ -190,8 +194,8 @@ class CoefficientFunction(_Sparse):
     """Exact scalar function: finite monomial or Fourier sum.
 
     Keys are exponent tuples (affine) or integer frequency vectors
-    (toroidal), values Gaussian rationals; zero coefficients are pruned so
-    equality is canonical.
+    (toroidal), values exact scalars in canonical form; zero coefficients
+    are pruned so equality is canonical.
     """
 
     __slots__ = ("space", "terms")
@@ -200,8 +204,7 @@ class CoefficientFunction(_Sparse):
         pruned = {}
         if terms:
             for key, val in terms.items():
-                if not isinstance(val, GaussianRational):
-                    val = GaussianRational(val)
+                val = _exact(val)
                 if not val:
                     continue
                 if len(key) != space.dim:
@@ -244,10 +247,10 @@ class CoefficientFunction(_Sparse):
         if not space.is_affine:
             raise ValueError("coordinate functions exist on the affine flavor only")
         key = tuple(1 if i == j else 0 for i in range(1, space.dim + 1))
-        return cls(space, {key: ONE})
+        return cls(space, {key: 1})
 
     @classmethod
-    def fourier(cls, space: ModelSpace, freq: tuple[int, ...], value=ONE) -> "CoefficientFunction":
+    def fourier(cls, space: ModelSpace, freq: tuple[int, ...], value=1) -> "CoefficientFunction":
         """The basis function value * exp(i<freq, x>) (toroidal flavor)."""
         if space.is_affine:
             raise ValueError("Fourier terms exist on the toroidal flavor only")
@@ -293,17 +296,17 @@ class CoefficientFunction(_Sparse):
         zero_key = (0,) * self.space.dim
         return all(k == zero_key for k in self.terms)
 
-    def constant_value(self) -> GaussianRational:
+    def constant_value(self) -> "int | GaussianRational":
         if not self.is_constant():
             raise ValueError("coefficient function is not constant")
-        return self.terms.get((0,) * self.space.dim, GaussianRational(0))
+        return self.terms.get((0,) * self.space.dim, 0)
 
-    def eval_exact(self, point) -> GaussianRational:
+    def eval_exact(self, point) -> "int | GaussianRational":
         """Exact evaluation at a rational point (affine flavor only)."""
         if not self.space.is_affine:
             raise ValueError("exact evaluation requires the affine flavor")
-        coords = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in point]
-        total = GaussianRational(0)
+        coords = [_exact(c) for c in point]
+        total = 0
         for key, val in self.terms.items():
             term = val
             for c, e in zip(coords, key):
@@ -448,7 +451,7 @@ class VectorField(_Components):
         if len(components) != space.dim:
             raise ValueError("component count must equal the space dimension")
         for f in components:
-            if f.space != space:
+            if f.space is not space and f.space != space:
                 raise SpaceMismatch("component on a different model space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "components", components)
@@ -484,7 +487,7 @@ class VectorValuedForm(_Components):
         if len(components) != space.dim:
             raise ValueError("component count must equal the space dimension")
         for a in components:
-            if a.space != space:
+            if a.space is not space and a.space != space:
                 raise SpaceMismatch("component on a different model space")
             if a.degree != degree:
                 raise DegreeError("components must share the stated degree")
@@ -534,10 +537,11 @@ class VectorValuedForm(_Components):
 
 def _partial(key: tuple, pos: int, affine: bool) -> tuple:
     """d/dx^{pos+1} of the basis function of a key with key[pos] != 0, as
-    (new key, factor): e x^(e-1) for x^e, i k exp(i<k,x>) for exp(i<k,x>)."""
+    (new key, factor): e x^(e-1) for x^e, i k exp(i<k,x>) for exp(i<k,x>);
+    the affine factor is the int e."""
     e = key[pos]
     if affine:
-        return key[:pos] + (e - 1,) + key[pos + 1:], GaussianRational._raw(e, 0, 1)
+        return key[:pos] + (e - 1,) + key[pos + 1:], e
     return key, GaussianRational._raw(0, e, 1)
 
 
@@ -771,7 +775,7 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
     scalars, or ints with int coefficients).  The coefficient of f^A in the
     output is sum_I c_I det(M[I, A]), and the minors det(M[I, A]) are the
     coefficients of the wedge of the rows of M indexed by I, constant maps
-    with the empty key; the empty index's minor is ONE.
+    with the empty key; the empty index's minor is 1.
     """
     n = space.dim
     rows = [{((b,), ()): x for b, x in enumerate(row, start=1) if x} for row in matrix]
@@ -779,7 +783,7 @@ def transform_terms(space: ModelSpace, terms: dict, matrix) -> dict:
     minors: dict = {}  # of each index, shared by its keys
     for (idx, key), coeff in terms.items():
         if idx not in minors:
-            first, *rest = [rows[i - 1] for i in idx] or [{((), ()): ONE}]
+            first, *rest = [rows[i - 1] for i in idx] or [{((), ()): 1}]
             minors[idx] = reduce(_wedge_terms, rest, first)
         for target in all_indices(n, len(idx)):
             det = minors[idx].get((target, ()))

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import lcm
 
 from .exterior import (
@@ -58,7 +59,7 @@ from .exterior import (
     wedge,
 )
 from .multiindex import all_indices, index_position, space_dim
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _exact
 
 PHI_TERMS = (
     ((1, 2, 3), 1),
@@ -152,9 +153,9 @@ def gram_matrix(phi: DifferentialForm, point) -> tuple[list[list[int]], int]:
 def _real(values) -> list[Fraction]:
     """The real parts of a 3-form's coefficients, which must be real."""
     values = list(values)
-    if any(x.im for x in values):
+    if any(x.imag for x in values):
         raise NonPositiveFormError("a 3-form with non-real coefficients induces no real metric")
-    return [x.re for x in values]
+    return [x.real for x in values]
 
 
 def _over_lcm(values: list[Fraction]) -> tuple[list[int], int]:
@@ -328,7 +329,7 @@ def pullback_3form(A: np.ndarray, structure: G2Structure) -> G2Structure:
     # pullback on the coframe: A*(e^i) = sum_a A[i][a] e^a, i.e. substitute
     scaled = transform_terms(space, dict(zip(terms, values)), rows)
     den = E * D**3
-    pulled = {key: GaussianRational(Fraction(n, den)) for key, n in scaled.items()}
+    pulled = {key: _exact(Fraction(n, den)) for key, n in scaled.items()}
     return G2Structure(space, DifferentialForm._of(space, 3, pulled))
 
 
@@ -339,19 +340,20 @@ def pullback_chi_tensor(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     Rows (p,q,r) of T with a nonzero entry are visited in C order, and each
     sums ((A_pa A_qb) A_rc) Ainv_ds T_pqrs over its nonzero s, one 343 x 7
     outer product per s, before adding to the output: the order of the
-    unoptimized einsum "pa,qb,rc,ds,pqrs".
+    unoptimized einsum "pa,qb,rc,ds,pqrs".  One `np.nonzero(T)` lists every
+    nonzero (p, q, r, s) in C order, so each row's entries are consecutive.
     """
     import numpy as np
 
     Ainv = np.linalg.inv(A)
     out = np.zeros(7**4)
-    for p, q, r in zip(*np.nonzero(T.any(axis=3))):
+    entries = zip(*(ix.tolist() for ix in np.nonzero(T)))
+    for (p, q, r), row in groupby(entries, key=lambda e: e[:3]):
         ABC = ((A[p][:, None] * A[q]).ravel()[:, None] * A[r]).ravel()
-        row = T[p, q, r]
-        s, *more = np.flatnonzero(row)
-        acc = np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+        s, *more = [e[3] for e in row]
+        acc = np.multiply.outer(ABC, Ainv[:, s]) * T[p, q, r, s]
         for s in more:
-            acc += np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+            acc += np.multiply.outer(ABC, Ainv[:, s]) * T[p, q, r, s]
         out += acc.ravel()
     return out.reshape((7,) * 4)
 

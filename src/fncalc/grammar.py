@@ -224,7 +224,7 @@ def serialize_form(a: DifferentialForm) -> str:
         val = a.terms[idx, key]
         basis = "e{" + ",".join(str(i) for i in idx) + "}" if idx else "1"
         factors = _key_factors(a.space, key)
-        for part, imag in ((val.re, False), (val.im, True)):
+        for part, imag in ((val.real, False), (val.imag, True)):
             if not part:
                 continue
             mag = _fmt_scalar_part(part, imag)

@@ -1,7 +1,7 @@
 """Exact linear algebra kernels.
 
-Two lanes: generic Gaussian elimination over the Gaussian-rational field
-(used by structure algebra and for kernel bases), and fraction-free Bareiss
+Two lanes: generic Gaussian elimination over the exact scalars (ints and
+Gaussian rationals; used by structure algebra and for kernel bases), and fraction-free Bareiss
 elimination over plain integers (used by the per-mode torus sweep, whose
 matrices are integral after a global unit factor is stripped).
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalars import GaussianRational
+from .scalars import ONE
 
 # |x|, |y|, |u|, |v| < 2**26 keeps x*y - u*v below 2**53, exact in doubles,
 # and the Bareiss quotient, an exact integer, rounds to itself; a product
@@ -71,14 +71,16 @@ def conjugate_transpose(M: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# field lane (GaussianRational entries)
+# field lane (exact scalar entries: ints and Gaussian rationals)
 # ---------------------------------------------------------------------------
 
 
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over the Gaussian rationals.
 
-    Returns (R, pivot_columns); exact, with division by pivots.
+    Returns (R, pivot_columns); exact: each pivot row is multiplied by the
+    Gaussian-rational reciprocal of its pivot, so no int / int can make a
+    float.
     """
     rows = [list(r) for r in M]
     m, n = shape(rows)
@@ -93,8 +95,8 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -112,22 +114,20 @@ def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
-def nullspace(M: Matrix) -> list[list[GaussianRational]]:
+def nullspace(M: Matrix) -> list[list]:
     """Basis of the right kernel, exact."""
     m, n = shape(M)
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
     if n == 0:
         return []
     if m == 0:
-        return [[one if j == i else zero for j in range(n)] for i in range(n)]
+        return identity(n, 1, 0)
     R, pivots = rref(M)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
+        vec = [0] * n
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
             val = R[r][fc]
             if val:
@@ -141,9 +141,7 @@ def invert(M: Matrix) -> Matrix:
     m, n = shape(M)
     if m != n:
         raise ValueError("inverse of a non-square matrix")
-    one = GaussianRational(1)
-    zero = GaussianRational(0)
-    aug = [list(M[i]) + identity(n, one, zero)[i] for i in range(n)]
+    aug = [list(M[i]) + row for i, row in enumerate(identity(n, 1, 0))]
     R, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

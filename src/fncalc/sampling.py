@@ -1,7 +1,9 @@
 """Seeded random generators for property suites.
 
 All suites draw from random.Random(seed) so identical configurations
-reproduce identical samples, reports, and exit codes.
+reproduce identical samples, reports, and exit codes.  Sampled
+coefficients are small integers, so under the canonical rule of `scalars`
+they are stored as plain ints, never as Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .exterior import (
     VectorValuedForm,
 )
 from .multiindex import all_indices
-from .scalars import GaussianRational
 
 
 def random_coefficient(space: ModelSpace, rng: Random, coeff_degree: int = 2) -> CoefficientFunction:
@@ -31,7 +32,7 @@ def random_coefficient(space: ModelSpace, rng: Random, coeff_degree: int = 2) ->
             key = [rng.randint(-1, 1) for _ in range(space.dim)]
         value = rng.randint(-3, 3)
         if value:
-            terms[tuple(key)] = GaussianRational(value)
+            terms[tuple(key)] = value
     return CoefficientFunction(space, terms)
 
 

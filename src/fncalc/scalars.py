@@ -1,8 +1,15 @@
-"""Exact Gaussian-rational scalars.
+"""Exact scalars: plain ints and Gaussian rationals.
 
 Every coefficient in the calculus is a Gaussian rational a + b*i with a, b
-rational.  Values are stored over a common positive denominator in lowest
-terms, so equality is canonical and hashing is safe.
+rational.  The exact scalar domain is `int | GaussianRational` under one
+canonical rule: a value that a kernel, constructor or operator stores or
+returns is a plain Python int when it is a real integer, and a
+`GaussianRational` otherwise.  `GaussianRational` arithmetic returns its
+results in that form (`_norm`), and `_exact` brings any int, Fraction or
+Gaussian rational to it.  A `GaussianRational` is stored over a common
+positive denominator in lowest terms, so equality is canonical and hashing
+is safe; ints and Gaussian rationals agree on ==, hash and str, and both
+answer `real` and `imag`.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from math import gcd
 
 
 class GaussianRational:
-    """Immutable exact complex rational (re_num + im_num*i) / den."""
+    """Immutable exact complex rational (a + b*i) / d.  The calculus stores
+    one only for a value that is not a real integer, which is a plain int."""
 
     __slots__ = ("_a", "_b", "_d")
 
@@ -25,7 +33,7 @@ class GaussianRational:
         d = ad * bd
         if d < 0:
             a, b, d = -a, -b, -d
-        g = gcd(gcd(abs(a), abs(b)), d)
+        g = gcd(a, b, d)
         if g > 1:
             a //= g
             b //= g
@@ -43,42 +51,35 @@ class GaussianRational:
         v._d = d
         return v
 
-    @classmethod
-    def _norm(cls, a: int, b: int, d: int) -> "GaussianRational":
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(gcd(abs(a), abs(b)), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        return cls._raw(a, b, d)
+    @staticmethod
+    def _norm(a: int, b: int, d: int) -> "int | GaussianRational":
+        """(a + b*i) / d in canonical form: the int a when b == 0 and d == 1,
+        else reduced over a positive denominator."""
+        if d != 1:
+            if d < 0:
+                a, b, d = -a, -b, -d
+            g = gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
+        if not b and d == 1:
+            return a
+        v = object.__new__(GaussianRational)
+        v._a = a
+        v._b = b
+        v._d = d
+        return v
 
     # -- field access ----------------------------------------------------
 
     @property
-    def re(self) -> Fraction:
+    def real(self) -> Fraction:
         return Fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
+    def imag(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    @property
-    def re_num(self) -> int:
-        return self.re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self.re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self.im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self.im.denominator
 
     # -- predicates ------------------------------------------------------
 
@@ -88,8 +89,7 @@ class GaussianRational:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
         d1, d2 = self._d, other._d
         return GaussianRational._norm(
@@ -99,8 +99,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
         d1, d2 = self._d, other._d
         return GaussianRational._norm(
@@ -114,11 +113,10 @@ class GaussianRational:
         return other.__sub__(self)
 
     def __neg__(self):
-        return GaussianRational._raw(-self._a, -self._b, self._d)
+        return GaussianRational._norm(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return GaussianRational._norm(
@@ -149,18 +147,13 @@ class GaussianRational:
             return NotImplemented
         return other.__truediv__(self)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self._a, -self._b, self._d)
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
+    def conjugate(self) -> "int | GaussianRational":
+        return GaussianRational._norm(self._a, -self._b, self._d)
 
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
@@ -182,7 +175,7 @@ class GaussianRational:
         return self._a / self._d
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({self.real!r}, {self.imag!r})"
 
     def __str__(self) -> str:
         if self._b == 0:
@@ -222,17 +215,27 @@ def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+        return GaussianRational._raw(x.numerator, 0, x.denominator)
     return None
+
+
+def _exact(x) -> "int | GaussianRational":
+    """An int, Fraction or Gaussian rational in canonical form: a plain int
+    when it is a real integer, else a GaussianRational."""
+    if type(x) is not int:
+        x = x if type(x) is GaussianRational else GaussianRational(x)
+        if not x._b and x._d == 1:
+            return x._a
+    return x
 
 
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def rational(num: int, den: int = 1) -> GaussianRational:
-    """Exact real rational num/den."""
-    return GaussianRational(Fraction(num, den))
+def rational(num: int, den: int = 1) -> "int | GaussianRational":
+    """Exact real rational num/den, in canonical form."""
+    return _exact(Fraction(num, den))
 
 
 def imaginary(num: int, den: int = 1) -> GaussianRational:

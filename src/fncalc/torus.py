@@ -86,7 +86,7 @@ def check_psi(psi: DifferentialForm) -> None:
     forms whose per-mode blocks this module computes."""
     if psi.space != T7 or psi.degree != STEP + 1 or not psi.is_constant():
         raise ValueError("mode templates need a constant 4-form on the 7-torus")
-    if any(val.im for val in psi.terms.values()):
+    if any(val.imag for val in psi.terms.values()):
         raise ValueError("mode templates need a 4-form with real coefficients")
 
 
@@ -154,9 +154,9 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
 
 def _strip_i(M) -> list[list[int]]:
     """Divide a purely imaginary integer matrix by i, checking every entry."""
-    if bad := next((x for row in M for x in row if x.re or x.im.denominator != 1), None):
+    if bad := next((x for row in M for x in row if x.real or x.imag.denominator != 1), None):
         raise AssertionError(f"entry {bad} is not i times an integer")
-    return [[x.im.numerator for x in row] for row in M]
+    return [[x.imag.numerator for x in row] for row in M]
 
 
 class ModeTemplates:
@@ -178,9 +178,9 @@ class ModeTemplates:
     def __init__(self, psi: DifferentialForm | None = None):
         psi = star_phi_on_torus() if psi is None else psi
         check_psi(psi)
-        self._psi = psi.scale(lcm(*(val.re.denominator for val in psi.terms.values())))
+        self._psi = psi.scale(lcm(*(val.real.denominator for val in psi.terms.values())))
         basis = lambda idx: {(idx, ()): 1}  # e^idx; integer constant maps carry the empty key
-        terms = {(idx, ()): val.re.numerator for (idx, _), val in self._psi.terms.items()}
+        terms = {(idx, ()): val for (idx, _), val in self._psi.terms.items()}  # real ints
         hat = [_insert_frame_terms(b, terms) for b in range(1, N + 1)]
         iota = lambda idx: _insert_terms(hat, basis(idx))  # sum_b psi_hat_b ^ iota_{e_b} e^idx
         wedge_j = [partial(_wedge_terms, basis((j,))) for j in range(1, N + 1)]

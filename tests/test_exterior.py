@@ -545,15 +545,24 @@ def test_values_differing_in_a_tag_are_unequal_and_do_not_add(a, b, error, messa
         assert type(info.value) is error and str(info.value) == message
 
 
+def is_canonical_scalar(v) -> bool:
+    """v is a plain int exactly when it is a real integer: never a float,
+    and never a GaussianRational that holds a real integer."""
+    if type(v) is int:
+        return True
+    return type(v) is GaussianRational and not (v.imag == 0 and v.real.denominator == 1)
+
+
 def assert_canonical(value):
-    """value equals the validating public constructor re-run on its terms
-    and holds no zero coefficient at any level."""
+    """value equals the validating public constructor re-run on its terms,
+    holds no zero coefficient at any level, and stores every coefficient in
+    the canonical scalar form."""
     if isinstance(value, CoefficientFunction):
-        assert all(type(v) is GaussianRational and v for v in value.terms.values())
+        assert all(is_canonical_scalar(v) and v for v in value.terms.values())
         assert CoefficientFunction(value.space, value.terms) == value
     elif isinstance(value, DifferentialForm):
         assert all(
-            type(idx) is tuple and type(key) is tuple and type(v) is GaussianRational and v
+            type(idx) is tuple and type(key) is tuple and is_canonical_scalar(v) and v
             for (idx, key), v in value.terms.items()
         )
         assert DifferentialForm(value.space, value.degree, value.coefficients()) == value
@@ -598,3 +607,35 @@ def test_operator_outputs_pass_the_validating_constructors(space, rnd):
         outputs.append(g2_type_project(random_form(R7, 3, rnd), "3_27"))
     for value in outputs:
         assert_canonical(value)
+
+
+@pytest.mark.parametrize("space", [R4, T4], ids=str)
+def test_int_lane_equals_the_gaussian_rational_lane(space):
+    # sampled coefficients are ints, so the kernels run on plain ints (and
+    # on i k factors on the torus); the same inputs scaled by 1/5 hold only
+    # Gaussian rationals, since no sampled |c| <= 3 is a multiple of 5, and
+    # the operators' results scaled back must agree
+    rng = random.Random(19)
+    fifth = Fraction(1, 5)
+    for _ in range(25):
+        a, b = (random_form(space, rng.randint(0, 4), rng) for _ in range(2))
+        X = random_vector_field(space, rng)
+        K, L = (random_vvform(space, rng, max_degree=2) for _ in range(2))
+        cases = [
+            (wedge, (a, b)), (ext_deriv, (a,)), (insert_vector, (X, a)),
+            (lambda a: insert_frame(2, a), (a,)), (insert_vvform, (K, a)), (hodge_star, (a,)),
+            (fn_bracket, (K, L)), (nijenhuis_lie, (K, a)), (lie_tensor, (X, K)),
+        ]
+        if space.is_affine:
+            cases.append((dc, (a,)))
+        for op, ints in cases:
+            fifths = [v.scale(fifth) for v in ints]
+            for v in fifths:
+                for part in getattr(v, "components", [v]):
+                    assert all(type(c) is GaussianRational for c in part.terms.values())
+            fast = op(*ints)
+            assert_canonical(fast)
+            if space.is_affine and op is not dc:  # d^c passes through i/2 factors
+                for part in getattr(fast, "components", [fast]):
+                    assert all(type(c) is int for c in part.terms.values()), op
+            assert op(*fifths).scale(5 ** len(ints)) == fast, op

@@ -125,7 +125,7 @@ def field_det(M):
 def honest_metric(phi, point=(0,) * 7):
     """The normalized metric from honest_gram and field_det, each float
     converted from its exact rational."""
-    B = [[x.re for x in row] for row in honest_gram(phi, point)]
+    B = [[x.real for x in row] for row in honest_gram(phi, point)]
     Bf = np.array([[float(x) for x in row] for row in B])
     return (6.0 ** (-2.0 / 9.0)) * float(field_det(B)) ** (-1.0 / 9.0) * Bf
 
@@ -172,7 +172,7 @@ class TestGramMatrix:
 
     def test_seeded_pullbacks(self):
         for pulled in seeded_pullbacks(5, 3):
-            D = lcm(*(x.re.denominator for x in pulled.phi.terms.values()))
+            D = lcm(*(x.real.denominator for x in pulled.phi.terms.values()))
             assert D > 1
             B = self.check(pulled.phi, (0,) * 7, D)
             assert any(B[i][j] for i in range(7) for j in range(7) if i != j)
@@ -236,13 +236,20 @@ class TestIntegerLane:
         from fncalc.suites import random_glplus
 
         rng = random.Random(8)
+        doubling = [[2 * (i == j) for j in range(7)] for i in range(7)]
         for structure in (STANDARD, g2.G2Structure(R7, mixed_denominator_phi())):
-            A, _ = random_glplus(rng)
-            rows = [[GaussianRational(x) for x in row] for row in A]
-            expected = transform_terms(R7, structure.phi.terms, rows)
-            got = g2.pullback_3form(A, structure).phi.terms
-            # same values in the same order
-            assert list(got.items()) == list(expected.items())
+            # the doubling map pulls the standard form back to integers
+            for A in (random_glplus(rng)[0], doubling):
+                rows = [[GaussianRational(x) for x in row] for row in A]
+                expected = transform_terms(R7, structure.phi.terms, rows)
+                got = g2.pullback_3form(A, structure).phi.terms
+                # same values in the same order, each an int exactly when it
+                # is a real integer
+                assert list(got.items()) == list(expected.items())
+                assert all(
+                    type(v) is int or type(v) is GaussianRational and v.real.denominator > 1
+                    for v in got.values()
+                )
 
     def test_each_structure_builds_its_metric_once_per_point(self, monkeypatch):
         calls = []
@@ -349,9 +356,38 @@ def einsum_pullback(A, T):
     return np.einsum("pa,qb,rc,ds,pqrs->abcd", A, A, A, np.linalg.inv(A), T)
 
 
+def row_loop_pullback(A, T):
+    """The kernel's earlier form, one np.flatnonzero per nonzero row (p, q, r)."""
+    Ainv = np.linalg.inv(A)
+    out = np.zeros(7**4)
+    for p, q, r in zip(*np.nonzero(T.any(axis=3))):
+        ABC = ((A[p][:, None] * A[q]).ravel()[:, None] * A[r]).ravel()
+        row = T[p, q, r]
+        s, *more = np.flatnonzero(row)
+        acc = np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+        for s in more:
+            acc += np.multiply.outer(ABC, Ainv[:, s]) * row[s]
+        out += acc.ravel()
+    return out.reshape((7,) * 4)
+
+
 class TestPullbackKernel:
     # the sparse kernel fixes numpy's unoptimized summation order, so its
     # floats must equal the einsum's bit for bit, not merely closely
+
+    def test_equals_the_row_loop_bit_for_bit(self):
+        from fncalc.suites import random_glplus
+
+        rng = random.Random(24)
+        nprng = np.random.default_rng(24)
+        tensors = [g2.cayley_map(STANDARD), g2.cayley_map(g2.G2Structure(R7, mixed_denominator_phi()))]
+        for _ in range(4):
+            T = nprng.standard_normal((7, 7, 7, 7))
+            T[nprng.random((7, 7, 7, 7)) < 0.6] = 0.0
+            tensors.append(T)
+        for T in tensors:
+            _, arr = random_glplus(rng)
+            assert np.array_equal(g2.pullback_chi_tensor(arr, T), row_loop_pullback(arr, T))
 
     def test_chi_tensor_bits(self):
         from fncalc.suites import random_glplus

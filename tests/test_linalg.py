@@ -97,6 +97,44 @@ def test_exact_inverse_round_trip():
         )
 
 
+def is_canonical(x) -> bool:
+    """x is an exact scalar in canonical form: an int exactly when it is a
+    real integer, never a float."""
+    if type(x) is int:
+        return True
+    return type(x) is GaussianRational and not (x.imag == 0 and x.real.denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "M, inverse",
+    [
+        ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+        ([[2, 1], [4, 4]], [[1, Fraction(-1, 4)], [-1, Fraction(1, 2)]]),
+        ([[3, 0, 1], [1, 2, 0], [0, 1, 5]], None),
+    ],
+)
+def test_int_matrices_with_non_unit_pivots_stay_exact(M, inverse):
+    # int / int would be a float: each lane must return exact entries only
+    n = len(M)
+    R, pivots = linalg.rref(M)
+    assert pivots == list(range(n)) and linalg.rank(M) == n
+    assert all(is_canonical(x) for row in R for x in row)
+    assert R == [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = linalg.invert(M)
+    assert all(is_canonical(x) for row in inv for x in row)
+    if inverse is not None:
+        assert inv == inverse
+    assert linalg.matmul(M, inv, 0) == [[int(i == j) for j in range(n)] for i in range(n)]
+    # a wide int matrix, whose kernel is spanned by (-7 M^-1 1, 1)
+    wide = [row + [7] for row in M]
+    (v,) = linalg.nullspace(wide)
+    assert all(is_canonical(x) for x in v)
+    assert v == [-7 * sum(row) for row in inv] + [1]
+    assert py_matmul(wide, [[x] for x in v]) == [[0]] * n
+    R, _ = linalg.rref(wide)
+    assert all(is_canonical(x) for row in R for x in row)
+
+
 def test_empty_shapes():
     assert linalg.rank([]) == 0
     assert linalg.nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]

@@ -173,8 +173,9 @@ class TestModeBlocks:
         tpl.ad, pos = tpl.ad.copy(), index_position(7, 3)
         for j, comp in enumerate(contract_metric(tpl._psi).components):
             for (idx, _), val in comp.terms.items():
+                assert type(val) is int  # the lcm-scaled psi is integral
                 for s in range(7):
-                    tpl.ad[j, 35 * s + pos[idx], s] -= val.re.numerator
+                    tpl.ad[j, 35 * s + pos[idx], s] -= val
         assert ad_mismatches(tpl, UNITS) == UNITS
 
     def test_ad_comparison_catches_a_flipped_contraction_entry(self, monkeypatch):
