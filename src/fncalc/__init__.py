@@ -26,9 +26,7 @@ from .exterior import (
     flat_pairing,
     hodge_star,
     insert_vector,
-    insert_vvform,
     laplacian,
-    lie_vector_form,
     sharp,
     torus_space,
     volume_form,
@@ -67,9 +65,7 @@ __all__ = [
     "flat_pairing",
     "hodge_star",
     "insert_vector",
-    "insert_vvform",
     "laplacian",
-    "lie_vector_form",
     "sharp",
     "torus_space",
     "volume_form",

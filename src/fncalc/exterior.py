@@ -639,24 +639,20 @@ def ext_deriv(a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm._of(a.space, a.degree + 1, _d_terms(a.terms, a.space.is_affine))
 
 
-def insert_vector(X: VectorField, a: DifferentialForm) -> DifferentialForm:
-    """Interior product iota_X, a derivation of degree -1."""
-    _same_space(X, a)
-    terms = _insert_terms([_scalar_terms(f) for f in X.components], a.terms)
-    return DifferentialForm._of(a.space, max(a.degree - 1, 0), terms)
+def insert_vector(K: VectorField | VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
+    """Insertion of a vector field X, iota_X (a derivation of degree -1), or
+    of a tangent-valued k-form, iota_{kappa (x) X} = kappa ^ iota_X (a
+    derivation of degree k - 1)."""
+    if isinstance(K, VectorField):
+        K = VectorValuedForm.from_vector_field(K)
+    _same_space(K, a)
+    terms = _insert_terms([alpha.terms for alpha in K.components], a.terms)
+    return DifferentialForm._of(a.space, max(K.degree + a.degree - 1, 0), terms)
 
 
 def insert_frame(i: int, a: DifferentialForm) -> DifferentialForm:
     """iota_{e_i} for a constant frame direction (fast path)."""
     return DifferentialForm._of(a.space, max(a.degree - 1, 0), _insert_frame_terms(i, a.terms))
-
-
-def insert_vvform(K: VectorValuedForm, a: DifferentialForm) -> DifferentialForm:
-    """Insertion of a tangent-valued k-form, iota_{kappa (x) X} = kappa ^ iota_X;
-    a derivation of degree k - 1."""
-    _same_space(K, a)
-    terms = _insert_terms([alpha.terms for alpha in K.components], a.terms)
-    return DifferentialForm._of(a.space, max(K.degree + a.degree - 1, 0), terms)
 
 
 def coefficient_deriv(a: DifferentialForm, j: int) -> DifferentialForm:
@@ -665,15 +661,6 @@ def coefficient_deriv(a: DifferentialForm, j: int) -> DifferentialForm:
     if not 1 <= j <= a.space.dim:
         raise ValueError(f"coordinate index {j} out of range")
     return DifferentialForm._of(a.space, a.degree, _deriv_terms(a.terms, j, a.space.is_affine))
-
-
-def lie_vector_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
-    """Cartan formula L_X = iota_X d + d iota_X; preserves degree."""
-    _same_space(X, a)
-    first = insert_vector(X, ext_deriv(a))
-    if a.degree == 0:
-        return first
-    return first + ext_deriv(insert_vector(X, a))
 
 
 def hodge_star(a: DifferentialForm) -> DifferentialForm:

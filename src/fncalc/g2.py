@@ -21,15 +21,23 @@ exterior.transform_terms on lcm-scaled A and phi, dividing each result
 coefficient once.  Every float of a metric is an int quotient (b / D^3,
 det / D^21), which Python rounds correctly, so it equals float() of the
 exact rational.  The standard form is recognized as D^3 B = 6 D^3 I before
-any determinant, so its metric needs neither numpy nor linalg; numpy and
-the exact linear algebra are imported where the float lane and the type
-decomposition start, and the exact suites never load them.
+any determinant, so its metric needs no numpy; numpy is imported where the
+float lane starts, and the exact suites never load it; no part of the
+module loads `linalg`.
 pullback_chi_tensor fixes in code the summation order of numpy's
 unoptimized einsum, so its floats equal that einsum's bit for bit: it
 visits only the nonzero rows of its tensor and adds one outer product per
 nonzero entry.  Only cayley_map's einsums still take numpy's order.
 _form_to_tensor sums nothing; it writes sign * value at every permutation
 of each index in one assignment.
+
+The G2 type projections are closed forms: each span piece of Lambda^2 =
+Lambda^2_7 + Lambda^2_14 and Lambda^3 = Lambda^3_1 + Lambda^3_7 +
+Lambda^3_27 is spanned by pairwise-orthogonal forms of one squared norm c
+(i_{e_i} phi, phi, i_{e_i} *phi: c = 3, 7, 4), so its projection is
+P(a) = c^{-1} sum_s <a, s> s, and the 14 and the 27 are the complements.
+multisymplectic_check takes the same Bareiss determinant as the metric,
+of the integer Gram matrix of the contractions of the lcm-scaled form.
 """
 
 from __future__ import annotations
@@ -46,20 +54,20 @@ from .exterior import (
     DifferentialForm,
     ModelSpace,
     VectorValuedForm,
-    _add_term,
     _add_terms,
     _insert_frame_terms,
     _star_terms,
     _wedge_terms,
     affine_space,
     contract_metric,
+    flat_pairing,
     hodge_star,
     insert_frame,
     transform_terms,
     wedge,
 )
-from .multiindex import all_indices, index_position, space_dim
-from .scalars import GaussianRational, _exact
+from .multiindex import all_indices, index_position
+from .scalars import _exact
 
 PHI_TERMS = (
     ((1, 2, 3), 1),
@@ -200,8 +208,7 @@ def _induced_metric(phi: DifferentialForm, point: tuple) -> PointwiseMetric:
     B, D = gram_matrix(phi, point)
     D3 = D**3
     if all(B[i][j] == (6 * D3 if i == j else 0) for i in range(7) for j in range(7)):
-        one, zero = GaussianRational(1), GaussianRational(0)
-        matrix = tuple(tuple(one if i == j else zero for j in range(7)) for i in range(7))
+        matrix = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
         return PointwiseMetric(point, matrix, exact=True)
     det, D21 = _det(B), D3**7  # det B = det / D^21
     if det <= 0:
@@ -428,66 +435,49 @@ def chi_tensor_exact(structure: G2Structure) -> np.ndarray:
 
 
 def multisymplectic_check(psi: DifferentialForm) -> bool:
-    """Whether v -> i_v psi is injective (constant-coefficient forms)."""
+    """Whether v -> i_v psi is injective, for a constant real form: whether
+    the integer Gram matrix G_ij = <i_{e_i} psi, i_{e_j} psi> of psi scaled
+    by the lcm of its denominators is nonsingular (G = M^T M, with M the
+    matrix of v -> i_v psi, so rank G = rank M)."""
     if not psi.is_constant():
         raise ValueError("multi-symplectic check expects constant coefficients")
-    from . import linalg
-
-    n = psi.space.dim
-    if psi.degree < 1:
-        return False
-    pos = index_position(n, psi.degree - 1)
-    rows = [[GaussianRational(0)] * n for _ in range(space_dim(n, psi.degree - 1))]
-    for i in range(1, n + 1):
-        for (idx, _), val in insert_frame(i, psi).terms.items():
-            rows[pos[idx]][i - 1] = val
-    return linalg.rank(rows) == n
-
-
-@lru_cache(maxsize=None)
-def _type_projections(degree: int):
-    """Exact orthogonal projections onto the G2 type pieces of Lambda^2
-    (7, 14) or Lambda^3 (1, 7, 27): Gram projections onto the spans
-    Lambda^2_7 = <i_{e_i} phi>, Lambda^3_1 = <phi> and Lambda^3_7 =
-    <i_{e_i} *phi>, and I minus these for the last piece."""
-    from . import linalg
-
-    space = affine_space(7)
-    phi = standard_phi(space).phi
-    spans = (
-        [[insert_frame(i, phi) for i in range(1, 8)]]
-        if degree == 2
-        else [[phi], [insert_frame(i, hodge_star(phi)) for i in range(1, 8)]]
-    )
-    pos = index_position(7, degree)
-    dim = space_dim(7, degree)
-    zero, one = GaussianRational(0), GaussianRational(1)
-
-    def col(form):
-        v = [zero] * dim
-        for (idx, _), val in form.terms.items():  # constant: one key per index
-            v[pos[idx]] = val
-        return v
-
-    def gram_projection(forms):
-        B = linalg.columns_from_vectors([col(f) for f in forms])
-        Bt = linalg.transpose(B)
-        Ginv = linalg.invert(linalg.matmul(Bt, B, zero))
-        return linalg.matmul(linalg.matmul(B, Ginv, zero), Bt, zero)
-
-    parts = [gram_projection(forms) for forms in spans]
-    rest = [
-        [(one if i == j else zero) - sum((P[i][j] for P in parts), zero) for j in range(dim)]
-        for i in range(dim)
-    ]
-    return (*parts, rest)
+    if any(x.imag for x in psi.terms.values()):
+        raise ValueError("multi-symplectic check expects real coefficients")
+    ints, _ = _over_lcm([x.real for x in psi.terms.values()])
+    terms = dict(zip(psi.terms, ints))
+    rows = [_insert_frame_terms(i, terms) for i in range(1, psi.space.dim + 1)]
+    return _det([[sum(v * w.get(t, 0) for t, v in r.items()) for w in rows] for r in rows]) != 0
 
 
 G2_COMPONENTS = {"2_7": (2, 0), "2_14": (2, 1), "3_1": (3, 0), "3_7": (3, 1), "3_27": (3, 2)}
 
 
+@lru_cache(maxsize=None)
+def _type_spans(space: ModelSpace, degree: int) -> list[tuple[list[DifferentialForm], int]]:
+    """The spanning forms of the G2 type pieces of Lambda^2 (the 7) or
+    Lambda^3 (the 1 and the 7) that are spans, each with the squared norm c
+    its forms share: Lambda^2_7 = <i_{e_i} phi> (c = 3), Lambda^3_1 = <phi>
+    (c = 7) and Lambda^3_7 = <i_{e_i} *phi> (c = 4).  Raises ValueError
+    unless the forms of one degree are pairwise orthogonal, each of its
+    span's norm."""
+    phi = standard_phi(space).phi
+    spans = (
+        [([insert_frame(i, phi) for i in range(1, 8)], 3)]
+        if degree == 2
+        else [([phi], 7), ([insert_frame(i, hodge_star(phi)) for i in range(1, 8)], 4)]
+    )
+    forms = [(s, c) for span, c in spans for s in span]
+    for i, (s, c) in enumerate(forms):
+        for j, (t, _) in enumerate(forms[i:], i):
+            if flat_pairing(s, t).constant_value() != (c if j == i else 0):
+                raise ValueError(f"the G2 type spans are not orthonormal up to {c}: {s}, {t}")
+    return spans
+
+
 def g2_type_project(a: DifferentialForm, component: str) -> DifferentialForm:
-    """Projection onto an irreducible G2 type component of a 2- or 3-form."""
+    """Projection onto an irreducible G2 type component of a 2- or 3-form:
+    P(a) = c^{-1} sum_s <a, s> s over the spanning forms s of a span piece,
+    and a minus the span pieces' projections for the last piece."""
     if component not in G2_COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     degree, slot = G2_COMPONENTS[component]
@@ -495,29 +485,23 @@ def g2_type_project(a: DifferentialForm, component: str) -> DifferentialForm:
         raise DegreeError(f"component {component} needs degree {degree}")
     if a.space.dim != 7:
         raise ValueError("G2 projections need dimension 7")
-    return apply_constant_matrix(a, _type_projections(degree)[slot], degree)
-
-
-def apply_constant_matrix(a: DifferentialForm, matrix, degree_out: int) -> DifferentialForm:
-    """Apply an exact constant operator matrix to a form's coefficients."""
-    out_idx = all_indices(a.space.dim, degree_out)
-    pos_in = index_position(a.space.dim, a.degree)
-    out: dict = {}
-    for (idx, key), coeff in a.terms.items():
-        c = pos_in[idx]
-        for r, target in enumerate(out_idx):
-            entry = matrix[r][c]
-            if not entry:
-                continue
-            _add_term(out, (target, key), coeff * entry)
-    return DifferentialForm._of(a.space, degree_out, out)
+    spans = _type_spans(a.space, degree)
+    out = DifferentialForm.zero(a.space, degree)
+    for forms, c in spans[slot : slot + 1] or spans:  # a last piece's complement: all spans
+        for s in forms:
+            out = out + s.mul_function(flat_pairing(a, s)).scale(Fraction(1, c))
+    return out if slot < len(spans) else a - out
 
 
 def projection_matrix_rank(component: str) -> int:
-    from . import linalg
-
-    degree, slot = G2_COMPONENTS[component]
-    return linalg.rank(list(_type_projections(degree)[slot]))
+    """Rank of the projection onto a type component: its trace
+    sum_I <P(e^I), e^I> over the frame basis."""
+    space = affine_space(7)
+    trace = 0
+    for idx in all_indices(7, G2_COMPONENTS[component][0]):
+        basis = DifferentialForm.coframe(space, idx)
+        trace += flat_pairing(g2_type_project(basis, component), basis).constant_value()
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +533,3 @@ def spin7_form() -> DifferentialForm:
     e8 = DifferentialForm.coframe(r8, (8,))
     return wedge(e8, phi8) + star7_8
 
-
-def auxiliary_structures() -> dict:
-    """The companion parallel forms used by the Maurer-Cartan suites."""
-    return {
-        "kahler_r4": kahler_form(2),
-        "kahler_r6": kahler_form(3),
-        "spin7": spin7_form(),
-    }

@@ -1,164 +1,26 @@
-"""Exact linear algebra kernels.
+"""Exact integer linear algebra: fraction-free Bareiss elimination over
+plain integers, used by the per-mode torus sweep, whose matrices are
+integral after a global unit factor is stripped.
 
-Two lanes: generic Gaussian elimination over the exact scalars (ints and
-Gaussian rationals; used by structure algebra and for kernel bases), and fraction-free Bareiss
-elimination over plain integers (used by the per-mode torus sweep, whose
-matrices are integral after a global unit factor is stripped).
-
-The integer lane works on stacks: `int_ranks` runs one Bareiss elimination
+The lane works on stacks: `int_ranks` runs one Bareiss elimination
 vectorized over many matrices at once, and `int_matmul` forms their
 products.  Both run on doubles behind explicit bounds and switch to
 Python-int (`object`) arrays when a bound fails, so both are exact: a
 double holds every integer below 2**53, and IEEE arithmetic rounds an
-exact integer result to itself.  Its reference in the tests is the field
-lane here and a Fraction elimination.
+exact integer result to itself.  Its references in the tests are the
+field lane of `tests/reference.py` (Gaussian elimination over the exact
+scalars) and a Fraction elimination.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scalars import ONE
-
 # |x|, |y|, |u|, |v| < 2**26 keeps x*y - u*v below 2**53, exact in doubles,
 # and the Bareiss quotient, an exact integer, rounds to itself; a product
 # bounded by max|A| * max|B| * inner < 2**53 has exact partial sums too
 _RANK_BOUND = 2**26
 _PRODUCT_BOUND = 2**53
-
-Matrix = list  # list of rows; rows are lists of entries
-
-
-def identity(n: int, one, zero) -> Matrix:
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = one
-    return out
-
-
-def shape(M: Matrix) -> tuple[int, int]:
-    return len(M), len(M[0]) if M else 0
-
-
-def matmul(A: Matrix, B: Matrix, zero) -> Matrix:
-    ma, na = shape(A)
-    mb, nb = shape(B)
-    if na != mb:
-        raise ValueError(f"shape mismatch {ma}x{na} @ {mb}x{nb}")
-    out = []
-    for i in range(ma):
-        row_a = A[i]
-        row = []
-        for j in range(nb):
-            acc = zero
-            for k in range(na):
-                a = row_a[k]
-                if a:
-                    acc = acc + a * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def transpose(M: Matrix) -> Matrix:
-    m, n = shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
-
-
-def conjugate_transpose(M: Matrix) -> Matrix:
-    m, n = shape(M)
-    return [[M[i][j].conjugate() for i in range(m)] for j in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# field lane (exact scalar entries: ints and Gaussian rationals)
-# ---------------------------------------------------------------------------
-
-
-def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over the Gaussian rationals.
-
-    Returns (R, pivot_columns); exact: each pivot row is multiplied by the
-    Gaussian-rational reciprocal of its pivot, so no int / int can make a
-    float.
-    """
-    rows = [list(r) for r in M]
-    m, n = shape(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
-def rank(M: Matrix) -> int:
-    if not M or not M[0]:
-        return 0
-    return len(rref(M)[1])
-
-
-def nullspace(M: Matrix) -> list[list]:
-    """Basis of the right kernel, exact."""
-    m, n = shape(M)
-    if n == 0:
-        return []
-    if m == 0:
-        return identity(n, 1, 0)
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            val = R[r][fc]
-            if val:
-                vec[pc] = -val
-        basis.append(vec)
-    return basis
-
-
-def invert(M: Matrix) -> Matrix:
-    """Exact inverse of a small square matrix."""
-    m, n = shape(M)
-    if m != n:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(M[i]) + row for i, row in enumerate(identity(n, 1, 0))]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
-
-
-def columns_from_vectors(vectors: list[list]) -> Matrix:
-    """Stack kernel-style vectors as the columns of a matrix."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    return [[v[i] for v in vectors] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# integer lane (fraction-free Bareiss)
-# ---------------------------------------------------------------------------
 
 
 def _max_abs(X: np.ndarray) -> int:

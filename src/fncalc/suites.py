@@ -329,7 +329,7 @@ def _suite_g2_equivariance(config: SuiteConfig, report: SuiteReport) -> None:
     )
     metric = g2.metric_from_3form(st)
     report.add("standard-metric-calibration", metric.exact and all(
-        metric.matrix[i][j] == GaussianRational(1 if i == j else 0)
+        metric.matrix[i][j] == int(i == j)
         for i in range(7)
         for j in range(7)
     ))

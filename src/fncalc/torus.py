@@ -2,19 +2,19 @@
 
 Constant-coefficient first-order operators are block-diagonal over the
 Fourier modes exp(i<k,x>), and on each mode they restrict to finite
-matrices on Lambda^l C^7.  This module realizes d, d*, the Laplacian, the
-parallel-form differential L (the Nijenhuis-Lie derivative along the
-metric contraction of a parallel 4-form Psi, raising degree by 3), its
+matrices on Lambda^l C^7.  This module holds the integer templates of d,
+d*, the parallel-form differential L (the Nijenhuis-Lie derivative along
+the metric contraction of a parallel 4-form Psi, raising degree by 3), its
 formal adjoint L*, and the bracket differential on vector fields, and
-computes harmonic, cohomology, and regularity data per mode.
+sweeps the modes for harmonic, cohomology, and regularity data.
 
-Two independent derivations give the blocks.  The fast lane,
-`ModeTemplates`, builds every integer unit template, `ad` included, from
+`ModeTemplates` builds every integer unit template, `ad` included, from
 the symbol formula without the form engine, as every block is i times an
 integer linear form in k; the sweep then runs in fraction-free integer
-elimination.  The honest lane, `ModeCalculus.block`, assembles any mode
-from the exact maps on forms that `operators` lists once.  The test suite
-compares the two lanes on every template, `ad` against `fn_bracket`.
+elimination.  The test suite holds every template against an independent
+derivation, `tests/reference.py`, which assembles any mode's blocks (the
+Laplacian's too) from the exact maps on forms, and `ad` against
+`fn_bracket`.
 
 The sweep works on stacks of `_CHUNK` (64) modes at once, which spreads
 numpy's per-call cost over many of the small blocks (8 to 35 rows).  The
@@ -49,27 +49,16 @@ from math import lcm
 import numpy as np
 
 from . import linalg
-from .bracket import nijenhuis_lie
 from .exterior import (
-    CoefficientFunction,
     DifferentialForm,
-    VectorValuedForm,
     _insert_frame_terms,
     _insert_terms,
     _wedge_terms,
-    codifferential,
-    contract_metric,
-    ext_deriv,
-    formal_adjoint,
     hodge_star,
-    laplacian,
-    lie_vector_form,
-    sharp,
     torus_space,
 )
 from .g2 import standard_phi
 from .multiindex import all_indices, index_position, space_dim
-from .scalars import GaussianRational
 
 T7 = torus_space(7)
 N = 7
@@ -90,41 +79,12 @@ def check_psi(psi: DifferentialForm) -> None:
         raise ValueError("mode templates need a 4-form with real coefficients")
 
 
-def operators(psi_hat: VectorValuedForm) -> dict:
-    """Each per-mode operator once, as kind -> (degree shift, exact map on
-    forms), with L the Nijenhuis-Lie derivative along psi_hat.  The
-    Laplacian is quadratic in k, so it has no integer template and serves
-    the exact lane only."""
-    L = partial(nijenhuis_lie, psi_hat)
-    return {
-        "d": (1, ext_deriv),
-        "dstar": (-1, codifferential),
-        "L": (STEP, L),
-        "Lstar": (-STEP, partial(formal_adjoint, L)),
-        "lap": (0, laplacian),
-    }
-
-
 FIELDS = ("harmonic", "cohomology", "symbols", "regular", "vector_kernel")  # of a sweep row
 
 
 def _domain(shift: int) -> range:
     """The degrees m with both Lambda^m and Lambda^{m+shift} in range."""
     return range(max(0, -shift), N + 1 - max(0, shift))
-
-
-def mode_form(k: tuple[int, ...], idx: tuple[int, ...]) -> DifferentialForm:
-    """Basis form exp(i<k,x>) e^idx."""
-    return DifferentialForm(T7, len(idx), {idx: CoefficientFunction.fourier(T7, k)})
-
-
-def _mode_terms(k: tuple[int, ...], form: DifferentialForm) -> dict:
-    """The flat terms of a mode-k image, one per frame index; an image term
-    at any other frequency raises AssertionError."""
-    for _, freq in form.terms:
-        if freq != k:
-            raise AssertionError(f"operator moved mode {k} to {freq}; not mode-diagonal")
-    return form.terms
 
 
 def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
@@ -140,23 +100,9 @@ def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
     return M
 
 
-def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]]:
-    """Exact matrix of a mode-preserving operator on the mode-k basis."""
-    k = tuple(k)
-    image = lambda idx: _mode_terms(k, op(mode_form(k, idx)))
-    return _assemble(deg_in, deg_out, image, GaussianRational(0))
-
-
 # ---------------------------------------------------------------------------
 # integer templates (the fast lane)
 # ---------------------------------------------------------------------------
-
-
-def _strip_i(M) -> list[list[int]]:
-    """Divide a purely imaginary integer matrix by i, checking every entry."""
-    if bad := next((x for row in M for x in row if x.real or x.imag.denominator != 1), None):
-        raise AssertionError(f"entry {bad} is not i times an integer")
-    return [[x.imag.numerator for x in row] for row in M]
 
 
 class ModeTemplates:
@@ -215,15 +161,6 @@ class ModeTemplates:
             K = K.astype(np.int64)
         return K
 
-    def block(self, kind: str, m: int, k) -> list[list[int]]:
-        """Stripped integer block of `kind` on Lambda^m at k; [] out of
-        range."""
-        table = getattr(self, kind)
-        if m not in table:
-            return []
-        return np.tensordot(self.frequencies([k])[0], table[m], 1).tolist()
-
-
 # ---------------------------------------------------------------------------
 # per-mode dimensions and checks
 # ---------------------------------------------------------------------------
@@ -271,42 +208,6 @@ class ModeCalculus:
     def __init__(self, psi: DifferentialForm | None = None):
         self.psi = star_phi_on_torus() if psi is None else psi
         self.templates = ModeTemplates(self.psi)
-        self._operators = operators(contract_metric(self.psi))
-        # the 1-form kernel check strips i from blocks beside the templates,
-        # so both sides use the templates' lcm-scaled psi (no rank changes)
-        self._star_psi = hodge_star(self.templates._psi)
-
-    # -- spec-level operations ----------------------------------------------
-
-    def block(self, kind: str, m: int, k) -> list[list[GaussianRational]]:
-        """Exact block of `kind` on Lambda^m at k, assembled from the map on
-        forms (the honest lane); [] out of range."""
-        shift, op = self._operators[kind]
-        return mode_matrix(k, m, m + shift, op) if m in _domain(shift) else []
-
-    def anticommutation_check(self, k) -> bool:
-        """Exact per-mode identities L d = -d L, L d* = -d* L and
-        L lap = lap L on every Lambda^m, from direct matrix products of the
-        honest blocks; a block out of range is the zero map."""
-        zero = GaussianRational(0)
-
-        @cache
-        def blk(kind, m):
-            return self.block(kind, m, k)
-
-        def prod(outer, inner, c=1):  # c * outer inner; [] when either is a zero map
-            A, B = blk(*outer), blk(*inner)
-            return [[c * x for x in row] for row in linalg.matmul(A, B, zero)] if A and B else []
-
-        for kind, c in (("d", 1), ("dstar", 1), ("lap", -1)):  # L X + c X L = 0
-            shift = self._operators[kind][0]
-            for m in range(N + 1):
-                terms = (prod(("L", m + shift), (kind, m)), prod((kind, m + STEP), ("L", m), c))
-                terms = [M for M in terms if M]
-                # the sum of the equally shaped nonzero terms must vanish
-                if any(sum(xs, zero) for rows in zip(*terms) for xs in zip(*rows)):
-                    return False
-        return True
 
     def anticommutation_linear_check(self) -> bool:
         """The coefficient identities implying L d = -d L and L d* = -d* L
@@ -321,8 +222,8 @@ class ModeCalculus:
                 list(left), [right[a]]
             )
 
-        for kind in ("d", "dstar"):  # L X + X L = 0
-            X, shift = getattr(tpl, kind), self._operators[kind][0]
+        for kind, shift in (("d", 1), ("dstar", -1)):  # L X + X L = 0
+            X = getattr(tpl, kind)
             for m in range(N + 1):
                 factors = [
                     (outer[i], inner[m])
@@ -333,26 +234,6 @@ class ModeCalculus:
                     if factors and sum(sym(P, Q, a) for P, Q in factors).any():
                         return False
         return True
-
-    def one_form_kernel_check(self, k) -> bool:
-        """Per-mode kernel characterization on 1-forms: ker(L on Lambda^1)
-        = { alpha : Lie_{alpha-sharp}(*Psi) = 0 and d* alpha = 0 }."""
-        k = tuple(k)
-        if not any(k):
-            return True  # both sides are all of Lambda^1 at the zero mode
-        lhs = self.templates.block("L", 1, k)
-        lie = mode_matrix(
-            k, 1, self._star_psi.degree, lambda a: lie_vector_form(sharp(a), self._star_psi)
-        )
-        rhs = _strip_i(lie + self.block("dstar", 1, k))
-        r_lhs, r_rhs, r_both = (linalg.int_ranks([M])[0] for M in (lhs, rhs, lhs + rhs))
-        return r_lhs == r_rhs == r_both
-
-    # -- sweeps ---------------------------------------------------------------
-
-    def mode_summary(self, k, degree: int | None = None) -> dict:
-        """`mode_summaries` of the single mode k."""
-        return self.mode_summaries([k], degree)[0]
 
     def mode_summaries(self, modes, degree: int | None = None, fields=FIELDS) -> list[dict]:
         """The requested `FIELDS` of each mode's row, for a stack of modes:

@@ -362,8 +362,8 @@ def _mismatched_matmul(A, B, real=linalg.int_matmul):
     return real(A, A)
 
 
-def _broken_operators(psi_hat):
-    raise ValueError("operator table broke")
+def _broken_assemble(deg_in, deg_out, image, zero=0):
+    raise ValueError("template assembly broke")
 
 
 @pytest.mark.parametrize(
@@ -381,9 +381,9 @@ def _broken_operators(psi_hat):
         ),
         (
             # a ValueError past the psi check is a bug, not malformed input
-            torus, "operators", _broken_operators,
+            torus, "_assemble", _broken_assemble,
             ("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4}", "--max-freq", "0"),
-            "fncalc: internal error: ValueError: operator table broke",
+            "fncalc: internal error: ValueError: template assembly broke",
         ),
         (
             torus.ModeCalculus, "mode_summaries", _unbalanced_split,
@@ -491,6 +491,25 @@ def test_g2_suite_runs_without_the_exact_linear_algebra():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_g2_type_checks_run_without_numpy_or_the_integer_lane():
+    # the closed-form type projections, their traces and the Gram-determinant
+    # multisymplectic check need neither numpy nor fncalc.linalg
+    script = (
+        "import sys\n"
+        "from fncalc import g2\n"
+        "phi = g2.standard_phi().phi\n"
+        "parts = [g2.g2_type_project(phi, c) for c in ('3_1', '3_7', '3_27')]\n"
+        "ranks = [g2.projection_matrix_rank(c) for c in g2.G2_COMPONENTS]\n"
+        "print(parts[0] == phi, not any(parts[1:]), ranks, g2.multisymplectic_check(phi),\n"
+        "      [m for m in ('numpy', 'fncalc.linalg') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "True True [7, 14, 1, 7, 27] True []"
 
 
 def test_g2_suite_builds_the_standard_metric_once(monkeypatch, capsys):

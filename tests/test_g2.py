@@ -8,6 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+import reference
 from fncalc import g2
 from fncalc.bracket import fn_bracket, mc_check, nijenhuis_lie
 from fncalc.dolbeault import dc
@@ -20,8 +21,10 @@ from fncalc.exterior import (
     evaluate,
     hodge_star,
     insert_frame,
+    torus_space,
     wedge,
 )
+from fncalc.multiindex import all_indices, index_position, space_dim
 from fncalc.sampling import random_form
 from fncalc.scalars import GaussianRational
 
@@ -35,8 +38,6 @@ def frame(i):
 
 
 def const_form(space, degree, rng, density=0.5):
-    from fncalc.multiindex import all_indices
-
     terms = {}
     for idx in all_indices(space.dim, degree):
         if rng.random() < density:
@@ -73,6 +74,11 @@ class TestInducedMetric:
             for i in range(7)
             for j in range(7)
         )
+
+    def test_standard_metric_entries_are_plain_ints(self):
+        # the canonical rule of `scalars`: a real integer is stored as an int
+        matrix = g2.metric_from_3form(g2.standard_phi()).matrix
+        assert all(type(x) is int for row in matrix for x in row)
 
     def test_linear_pullback_transforms_metric(self):
         A = [[Fraction(2 if i == 0 and j == 0 else (1 if i == j else 0)) for j in range(7)] for i in range(7)]
@@ -432,6 +438,44 @@ class TestMultisymplectic:
         psi = DifferentialForm.coframe(r3, (1, 2))
         assert not g2.multisymplectic_check(psi)
 
+    def test_gram_determinant_equals_the_field_rank(self):
+        # seeded constant real forms with rational coefficients on R^2 to
+        # R^6: psi is multisymplectic iff v -> i_v psi has rank n in the
+        # field lane of the reference
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(320):
+            n = rng.randint(2, 6)
+            space = affine_space(n)
+            degree, density = rng.randint(1, n), rng.choice((0.3, 0.6, 0.9))
+            terms = {
+                idx: CoefficientFunction.constant(space, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                for idx in all_indices(n, degree)
+                if rng.random() < density
+            }
+            psi = DifferentialForm(space, degree, terms)
+            verdicts.append(g2.multisymplectic_check(psi))
+            assert verdicts[-1] == (reference.rank(contraction_matrix(psi)) == n), psi
+        assert 50 <= sum(verdicts) <= len(verdicts) - 50  # both verdicts are well sampled
+
+    def test_non_real_form_raises(self):
+        psi = DifferentialForm.coframe(R4, (1, 2)) + DifferentialForm.coframe(
+            R4, (3, 4), GaussianRational(0, 1)
+        )
+        with pytest.raises(ValueError, match="real coefficients"):
+            g2.multisymplectic_check(psi)
+
+
+def contraction_matrix(psi):
+    """The matrix of v -> i_v psi on the frame bases, exact entries."""
+    n = psi.space.dim
+    pos = index_position(n, psi.degree - 1)
+    rows = [[0] * n for _ in range(space_dim(n, psi.degree - 1))]
+    for i in range(1, n + 1):
+        for (idx, _), val in insert_frame(i, psi).terms.items():
+            rows[pos[idx]][i - 1] = val
+    return rows
+
 
 class TestTypeDecomposition:
     def test_projection_ranks(self):
@@ -479,6 +523,55 @@ class TestTypeDecomposition:
                 assert p, component
                 assert hodge_star(wedge(STANDARD.phi, p)) == p.scale(GaussianRational(eigenvalue))
 
+    def test_closed_form_projections_equal_the_gram_projections(self):
+        # every (component, basis form) pair: 2 * 21 + 3 * 35 = 147
+        pairs = 0
+        for component, (degree, _) in g2.G2_COMPONENTS.items():
+            for idx in all_indices(7, degree):
+                basis = DifferentialForm.coframe(R7, idx)
+                expected = reference.gram_type_project(basis, component)
+                assert g2.g2_type_project(basis, component) == expected, (component, idx)
+                pairs += 1
+        assert pairs == 147
+
+    def test_closed_form_projections_of_variable_coefficients(self):
+        # seeded polynomial forms, each with an x^3 e^{1,2(,3)} term
+        rng = random.Random(32)
+        x3 = CoefficientFunction.coordinate(R7, 3)
+        for component, (degree, _) in g2.G2_COMPONENTS.items():
+            first = DifferentialForm.coframe(R7, tuple(range(1, degree + 1)))
+            b = random_form(R7, degree, rng, max_terms=4) + first.mul_function(x3)
+            expected = reference.gram_type_project(b, component)
+            assert g2.g2_type_project(b, component) == expected, component
+
+    def test_projections_on_the_torus_equal_those_on_r7(self):
+        # the spans are built on the form's own space
+        T7 = torus_space(7)
+        for component, (degree, _) in g2.G2_COMPONENTS.items():
+            for idx in random.Random(33).sample(all_indices(7, degree), 5):
+                flat = g2.g2_type_project(DifferentialForm.coframe(R7, idx), component)
+                on_torus = g2.g2_type_project(DifferentialForm.coframe(T7, idx), component)
+                assert on_torus.space == T7 and on_torus.terms == flat.terms
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_span_check_catches_a_dropped_term(self, monkeypatch, degree):
+        # i_{e_1} phi (degree 2) or i_{e_1} *phi (degree 3) without its last
+        # term has squared norm 2 or 3, not its span's 3 or 4
+        real = g2.insert_frame
+
+        def dropped(i, a):
+            out = real(i, a)
+            if i == 1:
+                *_, last = out.terms
+                out = DifferentialForm._of(
+                    out.space, out.degree, {k: v for k, v in out.terms.items() if k != last}
+                )
+            return out
+
+        monkeypatch.setattr(g2, "insert_frame", dropped)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            g2._type_spans.__wrapped__(R7, degree)  # the uncached build
+
     def test_wrong_degree_rejected(self):
         with pytest.raises(Exception):
             g2.g2_type_project(DifferentialForm.coframe(R7, (1,)), "2_7")
@@ -494,11 +587,10 @@ class TestTypeDecomposition:
 
 class TestCompanionStructures:
     def test_all_parallel_forms_are_maurer_cartan(self):
-        aux = g2.auxiliary_structures()
-        assert mc_check(aux["kahler_r4"]).holds
-        assert mc_check(aux["kahler_r6"]).holds
-        assert mc_check(aux["spin7"]).holds
-        w = aux["kahler_r6"]
+        assert mc_check(g2.kahler_form(2)).holds
+        assert mc_check(g2.kahler_form(3)).holds
+        assert mc_check(g2.spin7_form()).holds
+        w = g2.kahler_form(3)
         half_square = wedge(w, w).scale(GaussianRational(Fraction(1, 2)))
         assert mc_check(half_square).holds
 

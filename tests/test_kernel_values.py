@@ -21,7 +21,6 @@ from fncalc.exterior import (
     ext_deriv,
     hodge_star,
     insert_vector,
-    insert_vvform,
     torus_space,
     wedge,
 )
@@ -50,8 +49,9 @@ KERNELS = {
     "insert_vector": lambda s, rng: serialize_form(
         insert_vector(random_vector_field(s, rng), form(s, rng, 1, s.dim))
     ),
+    # insert_vector along a tangent-valued form, under its pinned name
     "insert_vvform": lambda s, rng: serialize_form(
-        insert_vvform(random_vvform(s, rng, max_degree=2), form(s, rng, 1))
+        insert_vector(random_vvform(s, rng, max_degree=2), form(s, rng, 1))
     ),
     "hodge_star": lambda s, rng: serialize_form(hodge_star(form(s, rng, 0, s.dim))),
     "coefficient_deriv": lambda s, rng: (
