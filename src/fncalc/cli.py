@@ -17,8 +17,11 @@ import time
 from .grammar import FormSyntaxError
 from .suites import SuiteConfig, SuiteError, run_suite
 
-# the exhaustive sweep lists all (2F+1)^7 modes first: 78,125 at F = 2
+# a sweep computes one row per rational line but still lists and reports
+# all (2F+1)^7 modes: 78,125 rows and a 6.9 MB report at F = 2
 MAX_FREQ = 2
+# the Jacobi checks grow steeply with the arity: about 10 s at 10, 41 s at 12
+MAX_ARITY = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +99,12 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
             raise SuiteError(f"{flag} must be >= {low}, got {value}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise SuiteError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    if max_freq > MAX_FREQ:
-        raise SuiteError(f"--max-freq must be <= {MAX_FREQ}, got {max_freq}")
+    for flag, value, high in (
+        ("--max-freq", max_freq, MAX_FREQ),
+        ("--max-arity", max_arity, MAX_ARITY),
+    ):
+        if value > high:
+            raise SuiteError(f"{flag} must be <= {high}, got {value}")
     plane = getattr(args, "plane", "1,2,3")
     try:
         plane_idx = tuple(int(x) for x in str(plane).split(","))

@@ -35,16 +35,27 @@ The split of the harmonic space at degree l into its exact and coexact
 parts needs no kernel basis: for the harmonic stack
 S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
 so each part comes from the stacks and pass of the harmonic dimensions.
+
+`ModeCalculus.sweep` computes one row per rational line through the origin,
+at its primitive representative (k / gcd(k), first nonzero entry positive),
+and copies it to every mode on the line.  This is exact, not a sample:
+every block is linear in k, so block(c k) = c block(k), and every product
+of blocks is c^2 times its value at k, so for c != 0 no rank, and hence no
+field of a row, changes.  Only "k" and a split's `frequency` name the mode
+itself, and the split reads k only through `any(k)`.  At |k|_inf <= 1 that
+is 1,094 rows for 2,187 modes, at |k|_inf <= 2 37,970 for 78,125.
+`sweep_modes` over every mode stays the exhaustive lane, and the tests hold
+the two equal.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -329,9 +340,33 @@ class ModeCalculus:
     def sweep(
         self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None, fields=FIELDS
     ) -> list[dict]:
-        """`mode_summaries` of every mode with |k|_inf <= max_freq, in lexicographic order."""
+        """`mode_summaries` of every mode with |k|_inf <= max_freq, in
+        lexicographic order, each computed once per rational line: at the
+        line's `_primitive` representative, with "k" and a split's
+        frequency then set to the mode's own."""
         modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
-        return sweep_modes(partial(self.mode_summaries, degree=degree, fields=fields), modes, jobs)
+        line = {k: _primitive(k) for k in modes}
+        reps = sorted(set(line.values()))
+        summarize = partial(self.mode_summaries, degree=degree, fields=fields)
+        rows = dict(zip(reps, sweep_modes(summarize, reps, jobs)))
+        return [_at_mode(rows[line[k]], k) for k in modes]
+
+
+def _primitive(k: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive representative of the rational line through k: k /
+    gcd(k) with its first nonzero entry positive; the zero mode is its own."""
+    g = gcd(*k)
+    if g and next(x for x in k if x) < 0:
+        g = -g
+    return tuple(x // g for x in k) if g else k
+
+
+def _at_mode(row: dict, k: tuple[int, ...]) -> dict:
+    """A copy of a representative's row for the mode k on its line."""
+    row = {**row, "k": list(k)}
+    if "split" in row:
+        row["split"] = replace(row["split"], frequency=k)
+    return row
 
 
 def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> ModeCohomologyReport:

@@ -7,6 +7,7 @@ equivariance) is pinned at 1e-9.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -36,8 +37,13 @@ def announce(number: int, description: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def sweep_rows():
+    # the gate sees every mode: the sweep's rows, one computed per rational
+    # line, equal the exhaustive lane's over all 2187 modes
     calc = torus.default_calculus()
-    return calc, calc.sweep(max_freq=1, jobs=2)
+    rows = calc.sweep(max_freq=1, jobs=2)
+    modes = sorted(product((-1, 0, 1), repeat=7))
+    assert rows == torus.sweep_modes(calc.mode_summaries, modes, jobs=2)
+    return calc, rows
 
 
 def test_criterion_1_graded_lie_axioms():

@@ -310,6 +310,8 @@ def test_a_rational_psi_sweeps_like_its_integer_multiple(capsys):
             ("torus-cohomology", "--psi", "toroidal:7:i e{1,2,3,4}", "--max-freq", "0"),
             "mode templates need a 4-form with real coefficients",
         ),
+        # the Jacobi checks grow steeply with the arity, so it is capped
+        (("linfty-jacobi", "--max-arity", "9"), "--max-arity must be <= 8, got 9"),
     ],
 )
 def test_malformed_inputs_exit_two_with_one_line(capsys, argv, message):
@@ -409,8 +411,8 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
         # torus-cohomology reports no regularity: its sweep forms no product
         (("torus-cohomology", "--max-freq", "1", "--jobs", "1"), 0),
         # symbol-check keeps its five L* L products on each of the
-        # ceil(2187 / _CHUNK) stacks
-        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * -(-2187 // torus._CHUNK)),
+        # ceil(1094 / _CHUNK) stacks: one mode per rational line
+        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * -(-1094 // torus._CHUNK)),
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):

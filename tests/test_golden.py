@@ -100,16 +100,29 @@ def test_pinned_only_report_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
 
 
-def test_traced_run_prints_the_same_bytes():
-    # perfbench's tracer sizes `torus.sweep_modes` by (calc, modes, jobs)
-    # and `linalg.int_matmul` operands by len() and a truth test; a call
-    # shape it cannot size stops the traced run
-    argv = ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1")
+def traced(argv):
+    """The (status, stdout hash) of one CLI run under perfbench's tracer."""
     proc = subprocess.run(
         [sys.executable, "perfbench/tracer.py", "--src", "src", "--run-id", "t", "--", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
+    return result["status"], result["sha256"]
+
+
+def test_traced_run_prints_the_same_bytes():
+    # perfbench's tracer sizes `torus.sweep_modes` by (calc, modes, jobs)
+    # and `linalg.int_matmul` operands by len() and a truth test; a call
+    # shape it cannot size stops the traced run
+    argv = ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1")
     # the pinned run without --jobs: jobs is not echoed in the report
     expected = next(sha for args, _, sha in GOLDEN if args == argv[:-2])
-    assert (result["status"], result["sha256"]) == (0, expected)
+    assert traced(argv) == (0, expected)
+
+
+def test_traced_line_sweep_prints_the_same_bytes():
+    # the sweep at one mode per rational line, expanded to every mode,
+    # as the tracer sees it
+    argv = ("torus-cohomology", "--max-freq", "1", "--jobs", "1")
+    expected = next(sha for args, _, sha in GOLDEN if args == argv)
+    assert traced(argv) == (0, expected)

@@ -1,10 +1,11 @@
 """Per-mode blocks and dimension bookkeeping on the 7-torus."""
 
 import copy
+import math
 import multiprocessing
 import random
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -677,3 +678,91 @@ def test_a_default_sweep_stack_stays_in_doubles(monkeypatch, degree):
     # the spy sees a stack whose entries leave the bound
     CALC.mode_summaries([tuple(2**30 * x for x in K1)], degree, fields=("harmonic", "cohomology"))
     assert moved
+
+
+# a psi whose nonzero rows differ between modes; all nonzero rows of the
+# G2 default are equal, so it alone would not see rows copied to a wrong line
+PAIR = "toroidal:7:e{1,2,3,4} + e{1,2,3,5}"
+ALL_MODES = sorted(product((-1, 0, 1), repeat=7))
+
+
+@cache
+def calculus(psi):
+    return CALC if psi is None else torus.ModeCalculus(named_psi(psi))
+
+
+def exhaustive_equals_lines(psi, degree, fields, jobs_list=(1, 2)):
+    """Whether `sweep`, at one mode per rational line, gives the exhaustive
+    lane's rows at |k|_inf <= 1 for each `jobs`."""
+    calc = calculus(psi)
+    summarize = partial(calc.mode_summaries, degree=degree, fields=fields)
+    exhaustive = torus.sweep_modes(summarize, ALL_MODES, jobs=2)
+    return all(calc.sweep(1, jobs, degree, fields) == exhaustive for jobs in jobs_list)
+
+
+@pytest.mark.parametrize("psi", [None, PAIR], ids=["star-phi", "pair"])
+@pytest.mark.parametrize(
+    "degree, fields",
+    [
+        *(
+            pytest.param(degree, ("harmonic", "cohomology"), id=f"cohomology-degree-{degree}")
+            for degree in (None, *range(8))
+        ),
+        pytest.param(None, ("symbols", "regular", "vector_kernel"), id="symbols"),
+    ],
+)
+def test_line_sweep_equals_the_exhaustive_lane(monkeypatch, psi, degree, fields):
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
+    assert exhaustive_equals_lines(psi, degree, fields)
+
+
+def test_line_representatives_at_unit_frequency():
+    # at |k|_inf <= 1 every nonzero mode is primitive, so its line holds
+    # it and -k: 1093 lines and the zero mode
+    assert torus._primitive(K0) == K0
+    reps = {torus._primitive(k) for k in ALL_MODES}
+    assert len(reps) == 1094
+    for k in ALL_MODES:
+        p = torus._primitive(k)
+        assert k in (p, tuple(-x for x in p))
+        assert next((x for x in p if x), 1) > 0
+
+
+@pytest.mark.parametrize("psi", [None, PAIR], ids=["star-phi", "pair"])
+@pytest.mark.parametrize("degree", [None, 2, 4])
+def test_a_mode_has_the_row_of_its_primitive_representative(psi, degree):
+    # seeded modes up to |k|_inf <= 3 with their multiples 2k, 3k and -k:
+    # each row is its representative's with "k" and the split's frequency
+    # set to the mode's own
+    calc = calculus(psi)
+    rng = random.Random(21)
+    base = [random_mode(rng, bound) for bound in (1, 1, 1, 2, 3, 3)]
+    base = [k for k in base if any(k)] + [K1]
+    ks = [tuple(c * x for x in b) for b in base for c in (1, 2, 3, -1)]
+    ks = [k for k in ks if max(map(abs, k)) <= 3] + [K0]
+    assert len(ks) > 16 and max(max(map(abs, k)) for k in ks) == 3
+    reps = [torus._primitive(k) for k in ks]
+    for k, p in zip(ks, reps):  # k = +-gcd(k) p, first nonzero entry of p positive
+        g = math.gcd(*k)
+        assert k in {tuple(s * g * x for x in p) for s in (1, -1)}
+        assert p == K0 or next(x for x in p if x) > 0
+    rows = calc.mode_summaries(ks, degree)
+    rep_rows = calc.mode_summaries(reps, degree)
+    assert rows == [torus._at_mode(row, k) for row, k in zip(rep_rows, ks)]
+    if degree is not None:
+        assert [r["split"].frequency for r in rows] == ks
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        lambda k: tuple(map(abs, k)),  # a sign lost coordinatewise
+        lambda k: tuple(sorted(k)),  # entries moved between directions
+    ],
+    ids=["abs", "sorted"],
+)
+def test_a_wrong_line_map_fails_the_equivalence(monkeypatch, line):
+    # rows copied from a mode off the line differ for the pair psi
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
+    monkeypatch.setattr(torus, "_primitive", line)
+    assert not exhaustive_equals_lines(PAIR, None, ("harmonic", "cohomology"), jobs_list=(1,))
