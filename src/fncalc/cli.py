@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 from .grammar import FormSyntaxError
 from .suites import SuiteConfig, SuiteError, run_suite
@@ -33,97 +34,80 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers for mode sweeps")
+    p.add_argument("--format", choices=("json", "table"), dest="fmt")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--jobs", type=int, help="parallel workers for mode sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  No option has a default of its own: an option left
+    out is absent from the namespace, and `SuiteConfig` supplies it."""
     parser = _Parser(
         prog="fncalc",
         description="exact exterior-calculus verification suites",
     )
     sub = parser.add_subparsers(dest="suite", required=True)
+    add = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     for name in ("gla-axioms", "fn-action", "kahler-dc", "g2-equivariance"):
-        p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(add(name))
 
-    p = sub.add_parser("mc-check")
+    p = add("mc-check")
     _add_common(p)
     p.add_argument(
         "--psi",
-        default="star-phi",
         help="star-phi | kahler | kahler-r6 | kahler-squared | spin7 | flavor:dim:form",
     )
 
     for name in ("torus-cohomology", "symbol-check"):
-        p = sub.add_parser(name)
+        p = add(name)
         _add_common(p)
-        p.add_argument("--psi", default="star-phi")
-        p.add_argument("--max-freq", type=int, default=1)
+        p.add_argument("--psi")
+        p.add_argument("--max-freq", type=int)
         if name == "torus-cohomology":
-            p.add_argument("--degree", type=int, default=None, choices=range(0, 8))
+            p.add_argument("--degree", type=int, choices=range(0, 8))
 
     for name in ("linfty", "linfty-jacobi", "vdata"):
-        p = sub.add_parser(name)
+        p = add(name)
         _add_common(p)
-        p.add_argument("--plane", default="1,2,3", help="three basis indices, e.g. 1,2,3")
+        p.add_argument("--plane", help="three basis indices, e.g. 1,2,3")
         if name == "linfty":
-            p.add_argument(
-                "--check",
-                choices=("associative", "jacobi", "vdata", "brackets"),
-                default="jacobi",
-            )
-        p.add_argument("--max-arity", type=int, default=3)
+            p.add_argument("--check", choices=("associative", "jacobi", "vdata", "brackets"))
+        p.add_argument("--max-arity", type=int)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> SuiteConfig:
-    suite = args.suite
-    check = getattr(args, "check", "jacobi")
+    given = vars(args).copy()
+    suite = given.pop("suite")
     if suite == "linfty":
-        suite = "vdata" if check == "vdata" else "linfty-jacobi"
-    max_freq = getattr(args, "max_freq", 1)
-    max_arity = getattr(args, "max_arity", 3)
+        suite = "vdata" if given.get("check") == "vdata" else "linfty-jacobi"
+    config = SuiteConfig(suite, **given)  # `plane` is still its text here
     for flag, value, low in (
-        ("--max-freq", max_freq, 0),
-        ("--samples", args.samples, 0),
-        ("--max-arity", max_arity, 0),
-        ("--jobs", args.jobs, 1),
+        ("--max-freq", config.max_freq, 0),
+        ("--samples", config.samples, 0),
+        ("--max-arity", config.max_arity, 0),
+        ("--jobs", config.jobs, 1),
     ):
         if value is not None and value < low:
             raise SuiteError(f"{flag} must be >= {low}, got {value}")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise SuiteError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if not (math.isfinite(config.tolerance) and config.tolerance >= 0):
+        raise SuiteError(f"--tolerance must be finite and >= 0, got {config.tolerance}")
     for flag, value, high in (
-        ("--max-freq", max_freq, MAX_FREQ),
-        ("--max-arity", max_arity, MAX_ARITY),
+        ("--max-freq", config.max_freq, MAX_FREQ),
+        ("--max-arity", config.max_arity, MAX_ARITY),
     ):
         if value > high:
             raise SuiteError(f"{flag} must be <= {high}, got {value}")
-    plane = getattr(args, "plane", "1,2,3")
-    try:
-        plane_idx = tuple(int(x) for x in str(plane).split(","))
-    except ValueError:
-        raise SuiteError(f"bad plane spec {plane!r}")
-    return SuiteConfig(
-        suite=suite,
-        seed=args.seed,
-        samples=args.samples,
-        max_freq=max_freq,
-        degree=getattr(args, "degree", None),
-        psi=getattr(args, "psi", "star-phi"),
-        plane=plane_idx,
-        check=check,
-        max_arity=max_arity,
-        tolerance=args.tolerance,
-        jobs=args.jobs,
-        fmt=args.format,
-    )
+    if "plane" in given:
+        try:
+            config.plane = tuple(int(x) for x in given["plane"].split(","))
+        except ValueError:
+            raise SuiteError(f"bad plane spec {given['plane']!r}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

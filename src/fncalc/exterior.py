@@ -264,14 +264,8 @@ class CoefficientFunction(_Sparse):
         if not isinstance(other, CoefficientFunction):
             return NotImplemented
         _same_space(self, other)
-        out: dict = {}
-        # basis functions multiply by adding keys in both flavors
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                val = v1 * v2
-                _add_term(out, key, val)
-        return CoefficientFunction._of(self.space, out)
+        out = _wedge_terms(_scalar_terms(self), _scalar_terms(other))
+        return self._like({key: val for (_, key), val in out.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -282,13 +276,8 @@ class CoefficientFunction(_Sparse):
         """Exact coordinate derivative d/dx^j (1-based)."""
         if not 1 <= j <= self.space.dim:
             raise ValueError(f"coordinate index {j} out of range")
-        out = {}
-        pos, affine = j - 1, self.space.is_affine
-        for key, val in self.terms.items():
-            if key[pos]:
-                new, factor = _partial(key, pos, affine)
-                out[new] = val * factor
-        return CoefficientFunction._of(self.space, out)
+        out = _deriv_terms(_scalar_terms(self), j, self.space.is_affine)
+        return self._like({key: val for (_, key), val in out.items()})
 
     # -- queries -----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .exterior import (
     ModelSpace,
     VectorValuedForm,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _fmt_frac, _fmt_imag
 
 
 class FormSyntaxError(ValueError):
@@ -191,17 +191,6 @@ def parse_form(text: str, space: ModelSpace, degree: int | None = None) -> Diffe
 # ---------------------------------------------------------------------------
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _fmt_scalar_part(value: Fraction, imag: bool) -> str:
-    s = _fmt_fraction(abs(value))
-    if imag:
-        s = "i" if s == "1" else s + "i"
-    return s
-
-
 def _key_factors(space: ModelSpace, key: tuple[int, ...]) -> str:
     if space.is_affine:
         bits = []
@@ -227,7 +216,7 @@ def serialize_form(a: DifferentialForm) -> str:
         for part, imag in ((val.real, False), (val.imag, True)):
             if not part:
                 continue
-            mag = _fmt_scalar_part(part, imag)
+            mag = (_fmt_imag if imag else _fmt_frac)(abs(part.numerator), part.denominator)
             if factors:
                 text = f"{mag}*{factors} {basis}"
             elif mag == "1" and idx:

@@ -63,12 +63,7 @@ def complement_sign(idx: tuple[int, ...], dim: int):
     sign of the permutation (idx, complement) of (1..dim).
     """
     comp = tuple(i for i in range(1, dim + 1) if i not in idx)
-    inversions = 0
-    for a in idx:
-        for b in comp:
-            if a > b:
-                inversions += 1
-    return (-1 if inversions % 2 else 1), comp
+    return merge_sign(idx, comp)[0], comp
 
 
 @lru_cache(maxsize=None)

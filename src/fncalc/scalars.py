@@ -27,20 +27,9 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         an, ad = _as_ratio(re)
         bn, bd = _as_ratio(im)
-        # common denominator, then reduce by gcd(a, b, d)
-        a = an * bd
-        b = bn * ad
-        d = ad * bd
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        self._a = a
-        self._b = b
-        self._d = d
+        # over the common denominator, reduced as any result is
+        v = _coerce(GaussianRational._norm(an * bd, bn * ad, ad * bd))
+        self._a, self._b, self._d = v._a, v._b, v._d
 
     @classmethod
     def _raw(cls, a: int, b: int, d: int) -> "GaussianRational":

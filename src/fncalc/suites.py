@@ -10,7 +10,7 @@ without them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
 
@@ -63,18 +63,8 @@ class SuiteConfig:
     fmt: str = "json"
 
     def as_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_freq": self.max_freq,
-            "degree": self.degree,
-            "psi": self.psi,
-            "plane": list(self.plane),
-            "check": self.check,
-            "max_arity": self.max_arity,
-            "tolerance": self.tolerance,
-        }
+        out = {**asdict(self), "plane": list(self.plane)}
+        del out["jobs"], out["fmt"]
         return out
 
 
@@ -161,7 +151,7 @@ def _sign(p: int) -> int:
 def _suite_gla(config: SuiteConfig, report: SuiteReport) -> None:
     rng = Random(config.seed)
     skew_fail = jacobi_fail = 0
-    witness = None
+    skew_witness = jacobi_witness = None
     for space in (affine_space(4), affine_space(7)):
         for _ in range(config.samples):
             K1 = random_vvform(space, rng)
@@ -169,19 +159,20 @@ def _suite_gla(config: SuiteConfig, report: SuiteReport) -> None:
             K3 = random_vvform(space, rng)
             s12 = _sign(K1.degree * K2.degree)
             b12 = fn_bracket(K1, K2)
-            if b12 + fn_bracket(K2, K1).scale(s12):
+            defect = b12 + fn_bracket(K2, K1).scale(s12)
+            if defect:
                 skew_fail += 1
-                witness = witness or serialize_vvform(b12)
+                skew_witness = skew_witness or serialize_vvform(defect)
             p1, p2, p3 = K1.degree, K2.degree, K3.degree
             total = fn_bracket(K1, fn_bracket(K2, K3)).scale(_sign(p1 * p3))
             total = total + fn_bracket(K2, fn_bracket(K3, K1)).scale(_sign(p2 * p1))
             total = total + fn_bracket(K3, b12).scale(_sign(p3 * p2))
             if total:
                 jacobi_fail += 1
-                witness = witness or serialize_vvform(total)
+                jacobi_witness = jacobi_witness or serialize_vvform(total)
     n = 2 * config.samples
-    report.add("graded-antisymmetry", skew_fail == 0, witness if skew_fail else None, samples=n)
-    report.add("graded-jacobi", jacobi_fail == 0, witness if jacobi_fail else None, samples=n)
+    report.add("graded-antisymmetry", skew_fail == 0, skew_witness, samples=n)
+    report.add("graded-jacobi", jacobi_fail == 0, jacobi_witness, samples=n)
 
 
 def _suite_fn_action(config: SuiteConfig, report: SuiteReport) -> None:
@@ -405,7 +396,7 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
         ]
     else:
         modes_payload = [
-            {"k": r["k"], "degree": config.degree, "dims": r["split"].dims_dict()} for r in rows
+            {"k": r["k"], "degree": config.degree, "dims": r["split"]} for r in rows
         ]
     report.extras["psi"] = config.psi
     report.extras["max_freq"] = config.max_freq
@@ -459,6 +450,13 @@ def _linfty_samples(model, rng: Random, count: int, degrees=(0, 0, 0, 1, 2)):
     return out
 
 
+def _normal_witness(model, w) -> str:
+    """A normal-valued form as text: each nonzero component (x) its normal direction."""
+    return " + ".join(
+        f"{serialize_form(c)} (x) e_{model.normal[s]}" for s, c in enumerate(w.components) if c
+    )
+
+
 def _suite_linfty(config: SuiteConfig, report: SuiteReport) -> None:
     model = _plane_model(config)
     rng = Random(config.seed)
@@ -466,14 +464,7 @@ def _suite_linfty(config: SuiteConfig, report: SuiteReport) -> None:
     report.extras["plane"] = list(config.plane)
     report.extras["associative"] = associative
     if config.check == "associative":
-        wit = None
-        if not associative:
-            nz = [
-                f"{serialize_form(witness.components[s])} (x) e_{model.normal[s]}"
-                for s in range(4)
-                if witness.components[s]
-            ]
-            wit = " + ".join(nz)
+        wit = None if associative else _normal_witness(model, witness)
         report.add("associative-plane-classification", True, wit, classified=associative)
         return
     if config.check == "vdata":
@@ -486,12 +477,7 @@ def _suite_linfty(config: SuiteConfig, report: SuiteReport) -> None:
         if not associative:
             # curved case: the 0-ary bracket is the projected tensor itself
             curved = linfty.multibracket(model, [])
-            wit = " + ".join(
-                f"{serialize_form(curved.components[s])} (x) e_{model.normal[s]}"
-                for s in range(4)
-                if curved.components[s]
-            )
-            report.add("curved-zero-bracket", True, wit, classified=False)
+            report.add("curved-zero-bracket", True, _normal_witness(model, curved), classified=False)
             return
         _bracket_checks(model, rng, config, report)
         _jacobi_checks(model, rng, config, report)

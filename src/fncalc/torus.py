@@ -41,9 +41,9 @@ at its primitive representative (k / gcd(k), first nonzero entry positive),
 and copies it to every mode on the line.  This is exact, not a sample:
 every block is linear in k, so block(c k) = c block(k), and every product
 of blocks is c^2 times its value at k, so for c != 0 no rank, and hence no
-field of a row, changes.  Only "k" and a split's `frequency` name the mode
-itself, and the split reads k only through `any(k)`.  At |k|_inf <= 1 that
-is 1,094 rows for 2,187 modes, at |k|_inf <= 2 37,970 for 78,125.
+field of a row, changes.  Only "k" names the mode itself, and the split
+reads k only through `any(k)`.  At |k|_inf <= 1 that is 1,094 rows for
+2,187 modes, at |k|_inf <= 2 37,970 for 78,125.
 `sweep_modes` over every mode stays the exhaustive lane, and the tests hold
 the two equal.
 """
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import product
 from math import gcd, lcm
@@ -177,42 +176,6 @@ class ModeTemplates:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeCohomologyReport:
-    """Kernel/image/harmonic bookkeeping of one (frequency, degree) block."""
-
-    frequency: tuple[int, ...]
-    degree: int
-    kernel_dim: int
-    image_dim: int
-    harmonic_dim: int
-    cohomology_dim: int
-    harmonic_form_part: int
-    d_part: int
-    dstar_part: int
-
-    def __post_init__(self):
-        if self.cohomology_dim != self.kernel_dim - self.image_dim:
-            raise ValueError("cohomology must equal kernel minus image")
-        if self.cohomology_dim < 0:
-            raise ValueError("negative cohomology dimension")
-        if self.harmonic_form_part + self.d_part + self.dstar_part != self.harmonic_dim:
-            raise ValueError("the split's parts must add up to the harmonic dimension")
-
-    def dims_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_dim,
-            "image": self.image_dim,
-            "harmonic": self.harmonic_dim,
-            "cohomology": self.cohomology_dim,
-            "split": {
-                "harmonic_forms": self.harmonic_form_part,
-                "d_part": self.d_part,
-                "dstar_part": self.dstar_part,
-            },
-        }
-
-
 class ModeCalculus:
     """All per-mode computations for one parallel even form on T^7."""
 
@@ -251,8 +214,8 @@ class ModeCalculus:
         per degree l, the "harmonic" and "cohomology" dimensions and the
         "regular"ity split; the "vector_kernel" of the bracket on vector
         fields, 7 - rank ad(k); at k != 0, the "symbols" of L into degrees
-        3, 4 and 7; and, given a degree, the split of its harmonic space
-        under "split".
+        3, 4 and 7; and, given a degree, its dims with the split of its
+        harmonic space under "split".
         torus-cohomology asks for harmonic and cohomology, symbol-check for
         symbols and regular.  Only the blocks and ranks those fields need
         are formed, each once, and each kind of rank in one elimination.
@@ -342,14 +305,13 @@ class ModeCalculus:
     ) -> list[dict]:
         """`mode_summaries` of every mode with |k|_inf <= max_freq, in
         lexicographic order, each computed once per rational line: at the
-        line's `_primitive` representative, with "k" and a split's
-        frequency then set to the mode's own."""
-        modes = sorted(product(range(-max_freq, max_freq + 1), repeat=N))
-        line = {k: _primitive(k) for k in modes}
+        line's `_primitive` representative, with "k" then set to the
+        mode's own."""
+        line = {k: _primitive(k) for k in product(range(-max_freq, max_freq + 1), repeat=N)}
         reps = sorted(set(line.values()))
         summarize = partial(self.mode_summaries, degree=degree, fields=fields)
         rows = dict(zip(reps, sweep_modes(summarize, reps, jobs)))
-        return [_at_mode(rows[line[k]], k) for k in modes]
+        return [{**rows[p], "k": list(k)} for k, p in line.items()]
 
 
 def _primitive(k: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,17 +323,10 @@ def _primitive(k: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in k) if g else k
 
 
-def _at_mode(row: dict, k: tuple[int, ...]) -> dict:
-    """A copy of a representative's row for the mode k on its line."""
-    row = {**row, "k": list(k)}
-    if "split" in row:
-        row["split"] = replace(row["split"], frequency=k)
-    return row
-
-
-def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> ModeCohomologyReport:
-    """The report of degree l at mode k from the harmonic dimension h, the L
-    ranks by domain degree and the split's parts (d is 1-1 on the coexact one)."""
+def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> dict:
+    """The printed dims of degree l at mode k from the harmonic dimension h,
+    the L ranks by domain degree and the split's parts (d is 1-1 on the
+    coexact one)."""
     ker = space_dim(N, l) - rank_L.get(l, 0)
     image = rank_L.get(l - STEP, 0)
     if any(k):
@@ -380,8 +335,12 @@ def _split_report(k, l, h, rank_L, d_part, dstar_part, up_d_part) -> ModeCohomol
         harmonic_forms = 0  # the Laplacian block is |k|^2 id, injective
     else:
         harmonic_forms, d_part, dstar_part = h, 0, 0
-    parts = (harmonic_forms, d_part, dstar_part)
-    return ModeCohomologyReport(k, l, ker, image, h, ker - image, *parts)
+    if ker < image:
+        raise ValueError("negative cohomology dimension")
+    if harmonic_forms + d_part + dstar_part != h:
+        raise ValueError("the split's parts must add up to the harmonic dimension")
+    split = {"harmonic_forms": harmonic_forms, "d_part": d_part, "dstar_part": dstar_part}
+    return {"kernel": ker, "image": image, "harmonic": h, "cohomology": ker - image, "split": split}
 
 
 def _classify(r: int, rows: int, cols: int) -> str:

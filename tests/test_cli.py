@@ -1,5 +1,6 @@
 """CLI contract: suites, determinism, exit codes, diagnostics."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from fncalc import cli, linalg, suites, torus
 from fncalc.cli import main
+from fncalc.exterior import affine_space
+from fncalc.grammar import serialize_vvform
+from fncalc.sampling import random_vvform
 from fncalc.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -23,6 +28,49 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_suite_config_is_the_one_source_of_defaults():
+    # no option has a default of its own: an option left out reaches
+    # `config_from_args` absent, and the `SuiteConfig` field default holds
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        assert all(a.default is argparse.SUPPRESS for a in p._actions), name
+        suite = "linfty-jacobi" if name == "linfty" else name
+        assert cli.config_from_args(parser.parse_args([name])) == SuiteConfig(suite, check="jacobi")
+    argv = ["linfty", "--check", "vdata", "--plane", "1,2,4", "--format", "table", "--jobs", "2"]
+    given = SuiteConfig("vdata", check="vdata", plane=(1, 2, 4), fmt="table", jobs=2)
+    assert cli.config_from_args(parser.parse_args(argv)) == given
+
+
+def test_gla_checks_each_print_their_own_first_witness(monkeypatch, capsys):
+    # a bracket doubled on degree-0 first arguments breaks both axioms: each
+    # check prints the first failure of its own, the antisymmetry witness
+    # being the nonzero defect [K1,K2] + (-1)^{pq} [K2,K1]
+    real = suites.fn_bracket
+
+    def doubled(K, L):
+        return real(K, L).scale(2) if K.degree == 0 else real(K, L)
+
+    monkeypatch.setattr(suites, "fn_bracket", doubled)
+    code, out, _ = run_cli(capsys, "gla-axioms", "--samples", "20")
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["graded-antisymmetry"]["status"] == checks["graded-jacobi"]["status"] == "fail"
+    # the suite's own draws, replayed
+    rng, skew, jacobi = Random(0), [], []
+    for space in (affine_space(4), affine_space(7)):
+        for _ in range(20):
+            K1, K2, K3 = (random_vvform(space, rng) for _ in range(3))
+            p1, p2, p3 = K1.degree, K2.degree, K3.degree
+            skew.append(doubled(K1, K2) + doubled(K2, K1).scale((-1) ** (p1 * p2)))
+            total = doubled(K1, doubled(K2, K3)).scale((-1) ** (p1 * p3))
+            total = total + doubled(K2, doubled(K3, K1)).scale((-1) ** (p2 * p1))
+            jacobi.append(total + doubled(K3, doubled(K1, K2)).scale((-1) ** (p3 * p2)))
+    first = [serialize_vvform(next(filter(None, defects))) for defects in (skew, jacobi)]
+    assert first[0] != first[1]
+    assert [checks[c]["witness"] for c in ("graded-antisymmetry", "graded-jacobi")] == first
 
 
 def test_suite_name_catalogue():
@@ -346,8 +394,8 @@ def _inconsistent_split(
     self, modes, degree=None, fields=torus.FIELDS, real=torus.ModeCalculus.mode_summaries
 ):
     rows = real(self, modes, fields=fields)
-    for r in rows:  # kernel 1, image 0, cohomology 0
-        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 0, 0, 0, 0, 0)
+    for r in rows:  # L_2 onto Lambda^5 (rank 21), so kernel 0, below image 1
+        r["split"] = torus._split_report(r["k"], degree, 0, {degree: 21, degree - 3: 1}, 0, 0, 0)
     return rows
 
 
@@ -355,8 +403,8 @@ def _unbalanced_split(
     self, modes, degree=None, fields=torus.FIELDS, real=torus.ModeCalculus.mode_summaries
 ):
     rows = real(self, modes, fields=fields)
-    for r in rows:  # cohomology 1 = kernel 1 - image 0, but no part holds the harmonic 1
-        r["split"] = torus.ModeCohomologyReport(tuple(r["k"]), degree, 1, 0, 1, 1, 0, 0, 0)
+    for r in rows:  # at a nonzero mode, no part holds the harmonic 1
+        r["split"] = torus._split_report((1,) + (0,) * 6, degree, 1, {}, 0, 0, 0)
     return rows
 
 
@@ -374,7 +422,7 @@ def _broken_assemble(deg_in, deg_out, image, zero=0):
         (
             torus.ModeCalculus, "mode_summaries", _inconsistent_split,
             ("torus-cohomology", "--degree", "2", "--max-freq", "0", "--jobs", "1"),
-            "fncalc: internal error: ValueError: cohomology must equal kernel minus image",
+            "fncalc: internal error: ValueError: negative cohomology dimension",
         ),
         (
             linalg, "int_matmul", _mismatched_matmul,

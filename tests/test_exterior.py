@@ -95,6 +95,42 @@ class TestWedge:
             assert wedge(a, b) == wedge(b, a).scale(sign)
 
 
+class TestCoefficientFunction:
+    # seeded oracles for the product and the derivative of scalar
+    # functions, which run on the form kernels `_wedge_terms` and
+    # `_deriv_terms`; a third of the samples carry Gaussian rationals
+    @staticmethod
+    def samples(space, seed, count=40):
+        rng = random.Random(seed)
+        c = GaussianRational(Fraction(1, 3), 1)
+        for n in range(count):
+            f, g = (random_coefficient(space, rng, 3) for _ in range(2))
+            yield rng, (f.scale(c) if n % 3 else f), g
+
+    def test_product_value_is_the_product_of_values(self):
+        for rng, f, g in self.samples(R4, 23):
+            p = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            assert (f * g).eval_exact(p) == f.eval_exact(p) * g.eval_exact(p)
+
+    def test_toroidal_product_keys_add(self):
+        for _, f, g in self.samples(T3, 24):
+            expected = {}
+            for k1, v1 in f.terms.items():
+                for k2, v2 in g.terms.items():
+                    key = tuple(a + b for a, b in zip(k1, k2))
+                    expected[key] = expected.get(key, 0) + v1 * v2
+            assert f * g == CoefficientFunction(T3, expected)
+
+    @pytest.mark.parametrize("space", [R4, T3], ids=str)
+    def test_deriv_obeys_leibniz_over_the_product(self, space):
+        for rng, f, g in self.samples(space, 25):
+            j = rng.randint(1, space.dim)
+            assert (f * g).deriv(j) == f.deriv(j) * g + f * g.deriv(j)
+        for j in (0, space.dim + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                f.deriv(j)
+
+
 class TestExteriorDerivative:
     def test_coordinate_differential(self):
         assert ext_deriv(DifferentialForm.from_scalar(x(R2, 1))) == e(R2, 1)

@@ -4,7 +4,6 @@ import copy
 import math
 import multiprocessing
 import random
-from dataclasses import replace
 from functools import cache, partial
 from itertools import product
 
@@ -288,6 +287,9 @@ def image_in_span(basis, D):
     return len(basis) + reference.rank(D) - reference.rank([b + d for b, d in zip(B, D)])
 
 
+HONEST_FIELDS = ("kernel", "image", "harmonic", "d_part", "dstar_part")  # of a split's dims
+
+
 def honest_decomposition(k):
     """The split report at every degree, recomputed from directly assembled
     exact blocks: the L ranks, and kernel bases of the harmonic stacks by
@@ -303,9 +305,9 @@ def honest_decomposition(k):
         dstar_part = image_in_span(bases[l], blk("dstar", l + 1))
         up_d_part = image_in_span(bases[l + 1], blk("d", l)) if l <= 6 else 0
         out.append({
-            "kernel_dim": space_dim(7, l) - reference.rank(blk("L", l)),
-            "image_dim": reference.rank(blk("L", l - 3)),
-            "harmonic_dim": len(bases[l]),
+            "kernel": space_dim(7, l) - reference.rank(blk("L", l)),
+            "image": reference.rank(blk("L", l - 3)),
+            "harmonic": len(bases[l]),
             "d_part": image_in_span(bases[l], blk("d", l - 1)),
             "dstar_part": dstar_part,
             "up_d_part": up_d_part,
@@ -502,16 +504,18 @@ class TestStructuralChecks:
 
 class TestDecomposition:
     def test_zero_mode_is_all_harmonic_forms(self):
-        rep = reference.mode_summary(CALC, K0, 2)["split"]
-        assert rep.harmonic_form_part == rep.harmonic_dim == 21
-        assert rep.d_part == rep.dstar_part == 0
+        dims = reference.mode_summary(CALC, K0, 2)["split"]
+        assert dims["split"]["harmonic_forms"] == dims["harmonic"] == 21
+        assert dims["split"]["d_part"] == dims["split"]["dstar_part"] == 0
 
     def test_nonzero_mode_splits(self):
         for l in (2, 3, 4, 5):
             summary = reference.mode_summary(CALC, K1, l)
-            rep = summary["split"]
-            assert rep.harmonic_form_part == 0
-            assert rep.harmonic_dim == rep.d_part + rep.dstar_part == summary["harmonic"][l]
+            dims = summary["split"]
+            assert dims["split"]["harmonic_forms"] == 0
+            parts = dims["split"]["d_part"] + dims["split"]["dstar_part"]
+            assert dims["harmonic"] == parts == summary["harmonic"][l]
+            assert dims["cohomology"] == dims["kernel"] - dims["image"] == summary["cohomology"][l]
             # the split rides on the same row as the sweep's own fields
             assert {**summary, "split": None} == {**reference.mode_summary(CALC, K1), "split": None}
 
@@ -522,15 +526,14 @@ class TestDecomposition:
             if not any(k):
                 continue
             for l in (2, 3):
-                rep = reference.mode_summary(CALC, k, l)["split"]  # built only if consistent
-                assert rep.harmonic_dim == rep.d_part + rep.dstar_part
+                dims = reference.mode_summary(CALC, k, l)["split"]  # built only if consistent
+                assert dims["harmonic"] == dims["split"]["d_part"] + dims["split"]["dstar_part"]
 
     def test_stacked_split_matches_honest_lane(self):
         rng = random.Random(14)
         modes = [K0] + UNITS
         modes += [random_mode(rng, 2) for _ in range(3)]
         honest = [honest_decomposition(k) for k in modes]
-        fields = ("kernel_dim", "image_dim", "harmonic_dim", "d_part", "dstar_part")
         # the repeated mixed list spans two stacks of _CHUNK modes
         reps = torus._CHUNK // len(modes) + 1
         assert torus._CHUNK < len(modes * reps) <= 2 * torus._CHUNK
@@ -538,22 +541,30 @@ class TestDecomposition:
             rows = torus.sweep_modes(partial(CALC.mode_summaries, degree=l), modes * reps, jobs=1)
             stacked = [r["split"] for r in rows]
             assert stacked == [reference.mode_summary(CALC, k, l)["split"] for k in modes] * reps
-            for k, rep, expected in zip(modes, stacked, honest):
+            for k, dims, expected in zip(modes, stacked, honest):
                 # d carries the coexact part one-to-one into degree l + 1
-                assert expected[l]["up_d_part"] == rep.dstar_part, (k, l)
-                assert {f: getattr(rep, f) for f in fields} == {f: expected[l][f] for f in fields}
+                assert expected[l]["up_d_part"] == dims["split"]["dstar_part"], (k, l)
+                flat = {**dims, **dims["split"]}
+                assert {f: flat[f] for f in HONEST_FIELDS} == {f: expected[l][f] for f in HONEST_FIELDS}
 
     def test_split_invariants_are_construction_checks(self):
         # a split whose parts miss the harmonic dimension, or whose coexact
         # part d does not carry one-to-one, is a broken invariant
         ranks = dict.fromkeys(range(5), 0)
-        assert torus._split_report(K1, 3, 1, ranks, 0, 1, 1).dstar_part == 1
+        assert torus._split_report(K1, 3, 1, ranks, 0, 1, 1)["split"]["dstar_part"] == 1
         with pytest.raises(ValueError, match="must add up to the harmonic dimension"):
             torus._split_report(K1, 3, 2, ranks, 0, 1, 1)
         with pytest.raises(ValueError, match="must map the coexact part isomorphically"):
             torus._split_report(K1, 3, 1, ranks, 0, 1, 0)
-        with pytest.raises(ValueError, match="must add up to the harmonic dimension"):
-            torus.ModeCohomologyReport(K0, 2, 1, 0, 1, 1, 0, 0, 0)
+
+    def test_negative_cohomology_is_a_broken_invariant(self):
+        # a kernel (35 - rank L_3) below the image (rank L_0) raises at every
+        # mode; at the zero mode the parts always add up, so only it can
+        dims = torus._split_report(K0, 3, 0, {3: 0, 0: 1}, 0, 0, 0)
+        assert (dims["kernel"], dims["image"], dims["cohomology"]) == (35, 1, 34)
+        for k in (K0, K1):
+            with pytest.raises(ValueError, match="negative cohomology dimension"):
+                torus._split_report(k, 3, 0, {3: 35, 0: 1}, 0, 0, 0)
 
     def test_large_frequency_splits_stay_exact(self):
         # c = 2**40 trips the guards of the product and the rank, and
@@ -563,8 +574,7 @@ class TestDecomposition:
             base = reference.mode_summary(CALC, k, l)["split"]
             for c in (2**40, 2**61):
                 big = tuple(c * x for x in k)
-                rep = reference.mode_summary(CALC, big, l)["split"]
-                assert replace(rep, frequency=k) == base, (c, l)
+                assert reference.mode_summary(CALC, big, l)["split"] == base, (c, l)
 
 
 class TestModeArithmetic:
@@ -732,8 +742,7 @@ def test_line_representatives_at_unit_frequency():
 @pytest.mark.parametrize("degree", [None, 2, 4])
 def test_a_mode_has_the_row_of_its_primitive_representative(psi, degree):
     # seeded modes up to |k|_inf <= 3 with their multiples 2k, 3k and -k:
-    # each row is its representative's with "k" and the split's frequency
-    # set to the mode's own
+    # each row is its representative's with "k" set to the mode's own
     calc = calculus(psi)
     rng = random.Random(21)
     base = [random_mode(rng, bound) for bound in (1, 1, 1, 2, 3, 3)]
@@ -748,9 +757,7 @@ def test_a_mode_has_the_row_of_its_primitive_representative(psi, degree):
         assert p == K0 or next(x for x in p if x) > 0
     rows = calc.mode_summaries(ks, degree)
     rep_rows = calc.mode_summaries(reps, degree)
-    assert rows == [torus._at_mode(row, k) for row, k in zip(rep_rows, ks)]
-    if degree is not None:
-        assert [r["split"].frequency for r in rows] == ks
+    assert rows == [{**row, "k": list(k)} for row, k in zip(rep_rows, ks)]
 
 
 @pytest.mark.parametrize(
