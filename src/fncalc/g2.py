@@ -415,16 +415,14 @@ def numeric_bracket_of_chi(structure: G2Structure, point, h: float = 1e-5) -> fl
 
 
 def chi_tensor_exact(structure: G2Structure) -> np.ndarray:
-    """Float tensor of the exact chi (for code-path comparisons)."""
+    """Float tensor of the exact chi of a constant structure (for code-path
+    comparisons)."""
     import numpy as np
 
     X = chi(structure)
     C = np.zeros((7, 7, 7, 7))
     for s in range(1, 8):
-        comp = {
-            (idx, ()): complex(c.constant_value()).real
-            for idx, c in X.components[s - 1].coefficients().items()
-        }
+        comp = {(idx, ()): float(v) for (idx, _), v in X.components[s - 1].terms.items()}
         C[:, :, :, s - 1] = _form_to_tensor(comp, 3)
     return C
 
@@ -523,13 +521,9 @@ def spin7_form() -> DifferentialForm:
     convention."""
     r8 = affine_space(8)
     phi7 = standard_phi().phi
-    phi8 = DifferentialForm(
-        r8, 3, {idx: _const(r8, c.constant_value()) for idx, c in phi7.coefficients().items()}
+    phi8, star8 = (
+        DifferentialForm._of(r8, a.degree, {(idx, (0,) * 8): v for (idx, _), v in a.terms.items()})
+        for a in (phi7, hodge_star(phi7))
     )
-    star7 = hodge_star(phi7)
-    star7_8 = DifferentialForm(
-        r8, 4, {idx: _const(r8, c.constant_value()) for idx, c in star7.coefficients().items()}
-    )
-    e8 = DifferentialForm.coframe(r8, (8,))
-    return wedge(e8, phi8) + star7_8
+    return wedge(DifferentialForm.coframe(r8, (8,)), phi8) + star8
 

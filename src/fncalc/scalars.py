@@ -90,16 +90,12 @@ class GaussianRational:
     def __sub__(self, other):
         if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
-        d1, d2 = self._d, other._d
-        return GaussianRational._norm(
-            self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
-        )
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
-        return other.__sub__(self)
+        return -self + other
 
     def __neg__(self):
         return GaussianRational._norm(-self._a, -self._b, self._d)

@@ -2,19 +2,18 @@
 
 Constant-coefficient first-order operators are block-diagonal over the
 Fourier modes exp(i<k,x>), and on each mode they restrict to finite
-matrices on Lambda^l C^7.  This module holds the integer templates of d,
-d*, the parallel-form differential L (the Nijenhuis-Lie derivative along
-the metric contraction of a parallel 4-form Psi, raising degree by 3), its
-formal adjoint L*, and the bracket differential on vector fields, and
-sweeps the modes for harmonic, cohomology, and regularity data.
-
-`ModeTemplates` builds every integer unit template, `ad` included, from
-the symbol formula without the form engine, as every block is i times an
-integer linear form in k; the sweep then runs in fraction-free integer
-elimination.  The test suite holds every template against an independent
-derivation, `tests/reference.py`, which assembles any mode's blocks (the
-Laplacian's too) from the exact maps on forms, and `ad` against
-`fn_bracket`.
+matrices on Lambda^l C^7.  One class, `ModeCalculus`, builds from the
+symbol formula, without the form engine, the integer templates of d, the
+parallel-form differential L (the Nijenhuis-Lie derivative along the
+metric contraction of a parallel 4-form Psi, raising degree by 3) and the
+bracket differential ad on vector fields, and sweeps the modes for
+harmonic, cohomology, and regularity data in fraction-free integer
+elimination.  Every block is i times an integer linear form in k, so the
+formal adjoints are L* = -L^T and d* = -d^T: they are never stored, and
+`_adjoint` alone forms them.  The test suite holds every template against
+an independent derivation, `tests/reference.py`, which assembles any
+mode's blocks (the Laplacian's too) from the exact maps on forms, and `ad`
+against `fn_bracket`.
 
 The sweep works on stacks of `_CHUNK` (64) modes at once, which spreads
 numpy's per-call cost over many of the small blocks (8 to 35 rows).  The
@@ -30,9 +29,8 @@ bound costs speed, never exactness.
 A sweep forms only the ranks of the row fields it is asked for:
 torus-cohomology asks for the harmonic and cohomology dimensions,
 symbol-check for the symbols and the regularity products L* L.  Rank L*_l
-is read off rank L_{l-3}, as L*(k) = -L(k)^T holds by construction.
-The split of the harmonic space at degree l into its exact and coexact
-parts needs no kernel basis: for the harmonic stack
+is rank L_{l-3}.  The split of the harmonic space at degree l into its
+exact and coexact parts needs no kernel basis: for the harmonic stack
 S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
 so each part comes from the stacks and pass of the harmonic dimensions.
 
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import product
 from math import gcd, lcm
 
@@ -111,28 +109,33 @@ def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# integer templates (the fast lane)
+# the mode calculus: integer templates (the fast lane) and per-mode dimensions
 # ---------------------------------------------------------------------------
 
 
-class ModeTemplates:
-    """Unit-frequency integer templates of the sweep operators, from the
+def _adjoint(T: np.ndarray) -> np.ndarray:
+    """The templates or blocks of the formal adjoint: -T^T on the last two axes."""
+    return -T.swapaxes(-1, -2)
+
+
+class ModeCalculus:
+    """All per-mode computations for one parallel 4-form psi on T^7, from
+    unit-frequency integer templates of the sweep operators built by the
     symbol formula: on the mode k, d = i eps_k with eps_k = k ^ ., and L =
     i (iota eps_k - eps_k iota) with iota: alpha -> sum_b psi_hat_b ^
-    iota_{e_b} alpha.  So block(k)/i = sum_j k_j T_j with T^d_j = eps_j,
-    T^L_j = iota eps_j - eps_j iota, T^{L*}_j = -(T^L_j)^T and T^{d*}_j =
-    -(T^d_j)^T (the adjoints are conjugate transposes), for psi scaled by
-    the lcm of its coefficient denominators, which changes no rank.  The
-    bracket differential v e^{i<k,x>} -> [psi_hat, v e^{i<k,x>}] on vector
-    fields has T^ad_j v with component s = v_s psi_hat_j - eps_j iota_v
-    psi_hat_s, a tangent-valued 3-form.  `L`, `Lstar`, `d` and `dstar` map
-    a domain degree m to one (7, rows, cols) array, and `ad` is one (7, 7 *
-    35, 7) array whose rows are component-major; each is int64 when its
-    entries fit and Python ints (`object`) otherwise, so the blocks of a
-    stack of modes K (s x 7) are `np.tensordot(K, T, 1)`."""
+    iota_{e_b} alpha.  So block(k)/i = sum_j k_j T_j with T^d_j = eps_j and
+    T^L_j = iota eps_j - eps_j iota, for psi scaled by the lcm of its
+    coefficient denominators (`_psi`; `psi` is kept as given), which
+    changes no rank.  The bracket differential v e^{i<k,x>} -> [psi_hat, v
+    e^{i<k,x>}] on vector fields has T^ad_j v with component s = v_s
+    psi_hat_j - eps_j iota_v psi_hat_s, a tangent-valued 3-form.  `L` and
+    `d` map a domain degree m to one (7, rows, cols) array, and `ad` is one
+    (7, 7 * 35, 7) array whose rows are component-major; each is int64 when
+    its entries fit and Python ints (`object`) otherwise, so the blocks of
+    a stack of modes K (s x 7) are `np.tensordot(K, T, 1)`."""
 
     def __init__(self, psi: DifferentialForm | None = None):
-        psi = star_phi_on_torus() if psi is None else psi
+        psi = self.psi = star_phi_on_torus() if psi is None else psi
         check_psi(psi)
         self._psi = psi.scale(lcm(*(val.real.denominator for val in psi.terms.values())))
         basis = lambda idx: {(idx, ()): 1}  # e^idx; integer constant maps carry the empty key
@@ -149,8 +152,6 @@ class ModeTemplates:
             for m in _domain(STEP)
         }
         self.d = {m: linalg._int_array(E) for m, E in eps.items()}
-        self.Lstar = {m + STEP: -T.swapaxes(1, 2) for m, T in self.L.items()}
-        self.dstar = {m + 1: -T.swapaxes(1, 2) for m, T in self.d.items()}
         # ad: component s of T_j v is v_s psi_hat_j - eps_j iota_v psi_hat_s,
         # with psi_hat_j = iota e^j, column j of iota on Lambda^1
         iota_hat = [_assemble(1, STEP - 1, lambda i: _insert_frame_terms(*i, h)) for h in hat]
@@ -171,24 +172,11 @@ class ModeTemplates:
             K = K.astype(np.int64)
         return K
 
-# ---------------------------------------------------------------------------
-# per-mode dimensions and checks
-# ---------------------------------------------------------------------------
-
-
-class ModeCalculus:
-    """All per-mode computations for one parallel even form on T^7."""
-
-    def __init__(self, psi: DifferentialForm | None = None):
-        self.psi = star_phi_on_torus() if psi is None else psi
-        self.templates = ModeTemplates(self.psi)
-
     def anticommutation_linear_check(self) -> bool:
         """The coefficient identities implying L d = -d L and L d* = -d* L
         at every frequency: all blocks are linear in k, so it suffices that
         the symmetrized unit-mode products cancel for every pair (a, b), on
         every Lambda^m; a template out of range is the zero map."""
-        tpl = self.templates
 
         def sym(left, right, a):
             # left[a] right[b] + left[b] right[a] for every b, one stack
@@ -196,12 +184,12 @@ class ModeCalculus:
                 list(left), [right[a]]
             )
 
-        for kind, shift in (("d", 1), ("dstar", -1)):  # L X + X L = 0
-            X = getattr(tpl, kind)
+        d_adjoint = {m + 1: _adjoint(T) for m, T in self.d.items()}
+        for X, shift in ((self.d, 1), (d_adjoint, -1)):  # L X + X L = 0
             for m in range(N + 1):
                 factors = [
                     (outer[i], inner[m])
-                    for outer, inner, i in ((tpl.L, X, m + shift), (X, tpl.L, m + STEP))
+                    for outer, inner, i in ((self.L, X, m + shift), (X, self.L, m + STEP))
                     if i in outer and m in inner
                 ]
                 for a in range(N):
@@ -219,28 +207,28 @@ class ModeCalculus:
         torus-cohomology asks for harmonic and cohomology, symbol-check for
         symbols and regular.  Only the blocks and ranks those fields need
         are formed, each once, and each kind of rank in one elimination.
-        Rank L*_l is rank L_{l-3}, and L*_l is -L_{l-3}^T, formed only for
-        a harmonic stack [L_l ; L*_l] (l = 3, 4), a split or a regularity
-        product."""
+        Rank L*_l is rank L_{l-3}, and L*_l, the `_adjoint` of L_{l-3}, is
+        formed only for a harmonic stack [L_l ; L*_l] (l = 3, 4), a split or
+        a regularity product."""
         modes = [tuple(k) for k in modes]
         if not modes:
             return []
-        tpl = self.templates
-        K = tpl.frequencies(modes)
+        K = self.frequencies(modes)
         dims = [space_dim(N, l) for l in range(N + 1)]
-        L = {m: np.tensordot(K, T, 1) for m, T in tpl.L.items()}  # domain degree
+        L = {m: np.tensordot(K, T, 1) for m, T in self.L.items()}  # domain degree
         rank_L = {m: linalg.int_ranks(S) for m, S in L.items()}
-        Ls = cache(lambda l: -L[l - STEP].swapaxes(1, 2))
+        adjoint_degrees = {m + STEP for m in L}  # the l with an L*_l
+        Ls = cache(lambda l: _adjoint(L[l - STEP]))
 
         @cache
         def S(l):  # the harmonic stack out of degree l, or its lone operator
-            if l in L and l in tpl.Lstar:
+            if l in L and l in adjoint_degrees:
                 return np.concatenate((L[l], Ls(l)), axis=1)
             return L[l] if l in L else Ls(l)
 
         want_h = "harmonic" in fields or degree is not None
         if want_h:  # dim Lambda^l minus rank S_l; a lone L_l or L*_l has rank L_l or L_{l-3}
-            stacked = {l: linalg.int_ranks(S(l)) for l in L if l in tpl.Lstar}
+            stacked = {l: linalg.int_ranks(S(l)) for l in L if l in adjoint_degrees}
             rank_S = [stacked.get(l, rank_L.get(l, rank_L.get(l - STEP))) for l in range(N + 1)]
         if "regular" in fields:
             # Lambda^l = ker(L*_l) (+) Im(L_{l-3}) iff rank(L* L) = rank L, as the
@@ -248,28 +236,26 @@ class ModeCalculus:
             # factors go to `int_matmul` as lists, which perfbench's tracer sizes.
             rank_LsL = {
                 l: linalg.int_ranks(linalg.int_matmul(list(Ls(l)), list(L[l - STEP])))
-                for l in tpl.Lstar
+                for l in adjoint_degrees
             }
         if "vector_kernel" in fields:
-            rank_ad = linalg.int_ranks(np.tensordot(K, tpl.ad, 1))
+            rank_ad = linalg.int_ranks(np.tensordot(K, self.ad, 1))
         if degree is not None:
             # dim(ker S_j cap Im D) = rank D - rank(S_j D): the exact part
-            # (D = d_{l-1}) and the coexact part (D = d*_{l+1}) at j = l,
-            # and the image of the coexact part under d (D = d_l) at j = l + 1.
-            # Rank d*_{l+1} is rank d_l, as d*_{l+1} = -d_l^T.
+            # (D = d_{l-1}) and the coexact part (D = d*_{l+1}, the adjoint
+            # of d_l, of equal rank) at j = l, and the image of the coexact
+            # part under d (D = d_l) at j = l + 1.
             l = degree
+            d = {m: np.tensordot(K, self.d[m], 1) for m in (l - 1, l) if m in self.d}
+            rank_d = {m: linalg.int_ranks(D) for m, D in d.items()}
             parts = []
-            rank_d = {}
-            for j, table, m in ((l, tpl.d, l - 1), (l, tpl.dstar, l + 1), (l + 1, tpl.d, l)):
-                if m not in table:
+            for j, m, adjoint in ((l, l - 1, False), (l, l, True), (l + 1, l, False)):
+                if m not in d:
                     parts.append([0] * len(modes))
                     continue
-                D = np.tensordot(K, table[m], 1)
-                base = m if table is tpl.d else m - 1
-                if base not in rank_d:
-                    rank_d[base] = linalg.int_ranks(D)
+                D = _adjoint(d[m]) if adjoint else d[m]
                 SD = linalg.int_matmul(list(S(j)), list(D))
-                parts.append([a - b for a, b in zip(rank_d[base], linalg.int_ranks(SD))])
+                parts.append([a - b for a, b in zip(rank_d[m], linalg.int_ranks(SD))])
 
         summaries = []
         for i, k in enumerate(modes):
@@ -388,6 +374,6 @@ def sweep_modes(summarize, modes, jobs: int | None = None) -> list[dict]:
     return [s for part in results for s in part]
 
 
-@lru_cache(maxsize=2)
+@cache
 def default_calculus() -> ModeCalculus:
     return ModeCalculus()

@@ -41,7 +41,7 @@ from fncalc.exterior import (
 from fncalc.g2 import G2_COMPONENTS, standard_phi
 from fncalc.multiindex import all_indices, index_position, space_dim
 from fncalc.scalars import ONE, GaussianRational
-from fncalc.torus import N, STEP, T7, _assemble, _domain
+from fncalc.torus import N, STEP, T7, _adjoint, _assemble, _domain
 
 # ---------------------------------------------------------------------------
 # field lane (exact scalar entries: ints and Gaussian rationals)
@@ -234,13 +234,26 @@ def _strip_i(M) -> list[list[int]]:
     return [[x.imag.numerator for x in row] for row in M]
 
 
-def template_block(tpl, kind: str, m: int, k) -> list[list[int]]:
+ADJOINT_OF = {"Lstar": ("L", STEP), "dstar": ("d", 1)}  # adjoint kind: (operator, its shift)
+
+
+def templates(calc, kind: str) -> dict:
+    """The unit templates of `kind` by domain degree, from a
+    `torus.ModeCalculus`; L* and d* are the `torus._adjoint` of the L or d
+    template at m - shift, as the sweep forms them."""
+    if kind in ADJOINT_OF:
+        op, shift = ADJOINT_OF[kind]
+        return {m + shift: _adjoint(T) for m, T in getattr(calc, op).items()}
+    return getattr(calc, kind)
+
+
+def template_block(calc, kind: str, m: int, k) -> list[list[int]]:
     """Stripped integer block of `kind` on Lambda^m at k from the templates
-    `tpl` of a `torus.ModeTemplates`; [] out of range."""
-    table = getattr(tpl, kind)
+    of a `torus.ModeCalculus`; [] out of range."""
+    table = templates(calc, kind)
     if m not in table:
         return []
-    return np.tensordot(tpl.frequencies([k])[0], table[m], 1).tolist()
+    return np.tensordot(calc.frequencies([k])[0], table[m], 1).tolist()
 
 
 def block(calc, kind: str, m: int, k) -> list[list[GaussianRational]]:
@@ -284,12 +297,12 @@ def one_form_kernel_check(calc, k, star_psi: DifferentialForm | None = None) -> 
     """Per-mode kernel characterization on 1-forms: ker(L on Lambda^1)
     = { alpha : Lie_{alpha-sharp}(*Psi) = 0 and d* alpha = 0 }.  The check
     strips i from blocks beside the templates, so *Psi defaults to the dual
-    of the templates' lcm-scaled psi (no rank changes)."""
+    of the calculus' lcm-scaled psi (no rank changes)."""
     k = tuple(k)
     if not any(k):
         return True  # both sides are all of Lambda^1 at the zero mode
-    star_psi = hodge_star(calc.templates._psi) if star_psi is None else star_psi
-    lhs = template_block(calc.templates, "L", 1, k)
+    star_psi = hodge_star(calc._psi) if star_psi is None else star_psi
+    lhs = template_block(calc, "L", 1, k)
     lie = mode_matrix(k, 1, star_psi.degree, lambda a: lie_vector_form(sharp(a), star_psi))
     rhs = _strip_i(lie + block(calc, "dstar", 1, k))
     r_lhs, r_rhs, r_both = (linalg.int_ranks([M])[0] for M in (lhs, rhs, lhs + rhs))

@@ -34,6 +34,7 @@ GOLDEN = [
     (("mc-check", "--psi", "star-phi"), 0, "995ee3e312569b4e04ff62ca9eda2f0ff083648df799a295a24abb84b5afc128"),
     (("mc-check", "--psi", "affine:2:1*x1 e{1,2}"), 1, "41dd61918693250e3738cc1d1c6b3cbc6aacd9e2385d1832c0c310d00595652c"),
     (("mc-check", "--psi", "kahler-squared"), 0, "fe622e2b6587f51f66ac1d548afb41a64ac95608295892988edff9075617b831"),
+    (("mc-check", "--psi", "spin7"), 0, "e372428f421d6c80e479d7b94c5293d243a3b195639e712ec6d6d079717787e3"),
     # witnesses that mix int, rational and imaginary values
     (("mc-check", "--psi", "toroidal:3:1*exp(i<1,0,0>) e{1,2}"), 1, "973d43d7c3577f9441f68e7a477518292254b16bb0974e72b1cfcae59161bea5"),
     (("mc-check", "--psi", "affine:4:1/2*x1^2 e{1,2} + 1/3*x2*x3 e{3,4} - 2 e{1,3}"), 1, "1e0db2a8fa618c8a1ec8c9ee31aebfc62570f68d55484b1a4f1f9afe71f9e759"),

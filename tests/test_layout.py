@@ -3,18 +3,23 @@ public definitions that only the tests reach.
 
 The scan reads the source, not the imported modules.  A definition is a
 public top-level `def` or `class`, or a public method of a class that is
-not a value type.  The value types are the classes perfbench's tracer
-leaves unwrapped (`VALUE_TYPES` in `perfbench/tracer.py`): their methods
-are per-term arithmetic, and equality, hashing and the operators reach
-them without naming them.  A definition is test-only when no module of
-`src/fncalc` other than `__init__.py` names it, as a name or an attribute.
+not a value type (`VALUE_TYPES`).  A definition is test-only when no
+module of `src/fncalc` other than `__init__.py` names it, as a name or an
+attribute.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "fncalc"
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+# The value types of the calculus, whose public methods the ratchet skips:
+# they are per-term arithmetic, and equality, hashing and the operators
+# reach them without naming them.
+VALUE_TYPES = {
+    "ModelSpace", "CoefficientFunction", "DifferentialForm", "VectorField",
+    "VectorValuedForm", "GaussianRational",
+}
 
 # Every test-only definition, with the reason it stays in `src/`: a
 # library operator of the public calculus, a step of ROADMAP item 3 that a
@@ -40,24 +45,16 @@ def _modules() -> dict:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _value_types() -> set:
-    """The classes the tracer leaves unwrapped, as bare class names."""
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["VALUE_TYPES"]:
-            return {name.split(".")[-1] for name in ast.literal_eval(node.value)}
-    raise LookupError("perfbench/tracer.py defines no VALUE_TYPES")
-
-
 def public_definitions(modules: dict) -> dict:
     """{module.name or module.Class.method: the bare name} of every public
     definition the ratchet counts."""
-    values, out = _value_types(), {}
+    out = {}
     for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             out[f"{mod}.{node.name}"] = node.name
-            if isinstance(node, ast.ClassDef) and node.name not in values:
+            if isinstance(node, ast.ClassDef) and node.name not in VALUE_TYPES:
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
                         out[f"{mod}.{node.name}.{sub.name}"] = sub.name
