@@ -18,8 +18,9 @@ from functools import partial
 from .grammar import FormSyntaxError
 from .suites import SuiteConfig, SuiteError, run_suite
 
-# a sweep computes one row per rational line but still lists and reports
-# all (2F+1)^7 modes: 78,125 rows and a 6.9 MB report at F = 2
+# the certified G2 sweep computes two rows at any F, but the report still
+# lists all (2F+1)^7 modes, 78,125 rows and 6.9 MB at F = 2: its size is the
+# cost the cap bounds
 MAX_FREQ = 2
 # the Jacobi checks grow steeply with the arity: about 10 s at 10, 41 s at 12
 MAX_ARITY = 8

@@ -4,7 +4,8 @@ integral after a global unit factor is stripped.
 
 The lane works on stacks: `int_ranks` runs one Bareiss elimination
 vectorized over many matrices at once, and `int_matmul` forms their
-products.  Both run on doubles behind explicit bounds and switch to
+products; `int_kernel` gives an integer basis of a small matrix's null
+space on Python ints.  The first two run on doubles behind explicit bounds and switch to
 Python-int (`object`) arrays when a bound fails, so both are exact: a
 double holds every integer below 2**53, and IEEE arithmetic rounds an
 exact integer result to itself.  Its references in the tests are the
@@ -13,6 +14,8 @@ scalars) and a Fraction elimination.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 import numpy as np
 
@@ -86,6 +89,13 @@ def int_ranks(stack) -> list[int]:
     if not (s and m and n):
         return ranks.tolist()
     A = np.array(A, dtype=float, order="C") if _max_abs(A) < _RANK_BOUND else _python_ints(A)
+    # every entry after step c is a minor of size at most c + 2, so by
+    # Hadamard's bound below R2^((c + 2) / 2), R2 the largest squared norm
+    # of a row along the loop axis: no step needs a check while
+    # R2^(c + 2) < 2**52.  Summed in doubles, R2 is exact below 2**52 (each
+    # partial sum is an integer below it), and 2**52 or more otherwise.
+    if A.dtype == float:
+        R2 = int(np.einsum("cij,cij->ij", A, A).max())
     work = np.empty_like(A)
     prev = np.ones(s, dtype=A.dtype)
     at = np.arange(s)
@@ -106,6 +116,44 @@ def int_ranks(stack) -> list[int]:
         rest -= tmp
         (np.true_divide if A.dtype == float else np.floor_divide)(rest, prev[:, None], out=rest)
         prev = pv
-        if A.dtype == float and _max_abs(rest) >= _RANK_BOUND:
+        if (
+            A.dtype == float
+            and R2 ** (c + 2) >= _RANK_BOUND**2
+            and _max_abs(rest) >= _RANK_BOUND
+        ):
             A, work, prev = _python_ints(A), np.empty(A.shape, object), _python_ints(prev)
     return ranks.tolist()
+
+
+def int_kernel(M) -> list[list[int]]:
+    """An integer basis of the null space {x : M x = 0} of an integer matrix
+    of shape (m, n), by fraction-free Gauss-Jordan elimination on Python
+    ints: one primitive vector (entries of gcd 1) per free column."""
+    A = _int_array(M)
+    rows = [[int(x) for x in row] for row in A.tolist()]
+    m, n = A.shape
+    pivots = []  # the pivot column of rows[0], rows[1], ...
+    for c in range(n):
+        top = len(pivots)
+        r = next((i for i in range(top, m) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        P = rows[top]
+        for i in range(m):
+            if i != top and rows[i][c]:
+                row = [P[c] * x - rows[i][c] * y for x, y in zip(rows[i], P)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g else row
+        pivots.append(c)
+    # row i reads p_i x_{c_i} + sum over free f of rows[i][f] x_f = 0
+    scale = lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[f] = scale
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][f] * scale // rows[i][c]
+        g = gcd(*x)
+        basis.append([v // g for v in x])
+    return basis

@@ -362,7 +362,10 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     by_key = {tuple(r["k"]): r for r in rows}
     coh_eq = all(r["harmonic"] == r["cohomology"] for r in rows)
     report.add("cohomology-equals-harmonic", coh_eq, samples=len(rows))
-    # h_l(k) = h_{7-l}(-k), one negated key per row
+    # h_l(k) = h_{7-l}(-k), one negated key per row.  Both rows are copies:
+    # under the orbit lane every nonzero row is E1's, so this compares
+    # h_l(E1) with h_{7-l}(E1); under the line lane, h_l(k) with h_{7-l}(k)
+    # of one line's row.  Either can fail; the -k half holds by construction
     duality_ok = all(
         r["harmonic"] == by_key[tuple(-x for x in r["k"])]["harmonic"][::-1] for r in rows
     )

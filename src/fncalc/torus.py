@@ -22,8 +22,9 @@ forms a block for every mode of the stack, and `linalg.int_ranks` runs one
 Bareiss elimination over the whole stack.  It and the product
 `linalg.int_matmul` run on doubles, which are exact there, only behind
 explicit bounds (entries below 2**26 before each elimination step, so every
-product and difference stays below 2**53; max|A| * max|B| * inner below
-2**53) and otherwise continue on Python ints (dtype `object`), so a failed
+product and difference stays below 2**53, read from the entries once
+Hadamard's bound on the minors no longer gives it; max|A| * max|B| * inner
+below 2**53) and otherwise continue on Python ints (dtype `object`), so a failed
 bound costs speed, never exactness.
 
 A sweep forms only the ranks of the row fields it is asked for:
@@ -34,23 +35,56 @@ exact and coexact parts needs no kernel basis: for the harmonic stack
 S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
 so each part comes from the stacks and pass of the harmonic dimensions.
 
-`ModeCalculus.sweep` computes one row per rational line through the origin,
-at its primitive representative (k / gcd(k), first nonzero entry positive),
-and copies it to every mode on the line.  This is exact, not a sample:
-every block is linear in k, so block(c k) = c block(k), and every product
-of blocks is c^2 times its value at k, so for c != 0 no rank, and hence no
-field of a row, changes.  Only "k" names the mode itself, and the split
-reads k only through `any(k)`.  At |k|_inf <= 1 that is 1,094 rows for
-2,187 modes, at |k|_inf <= 2 37,970 for 78,125.
+`ModeCalculus.sweep` computes each row once per class of modes and copies
+it to every mode of the class with that mode's own "k"; only "k" names the
+mode itself, and the split reads k only through `any(k)`.  The zero mode is
+its own class.  For the other modes there are two lanes.
+
+The orbit lane: when the calculus is `orbit_certified`, every nonzero mode
+is in the class of E1 = (1, 0, ..., 0), so a sweep at |k|_inf >= 1 computes
+two rows, K0 and E1, in one stack and forks no pool.  The certificate is
+exact, on integers, and computed once per calculus at its first sweep past
+the zero mode:
+1. A rational basis X_1, ..., X_r of h = stab(psi) cap so(N) is the integer
+   kernel of X -> rho(X) psi, where rho_m(X) = sum_ab X_ab eps_a eps_b^T is
+   the derivation action on Lambda^m (eps_a, the unit template of d, is
+   e^a ^ .).
+2. Each X_i satisfies the intertwining identity of every template family
+   T_j: Lambda^a -> Lambda^b, sum_i X_ij T_i = rho_b(X) T_j - T_j rho_a(X),
+   for L (b = a + STEP), d (b = a + 1) and ad (X on the vector field; X on
+   the component index plus rho_STEP(X) on the rows).
+3. The orbit tangent {X E1 : X in h} has rank N - 1.
+Why that suffices.  h is the Lie algebra of the closed subgroup stab(psi)
+cap SO(N); its identity component G is compact and connected.  The identity
+is linear in X, so it holds on h, and since block(k) / i = sum_j k_j T_j it
+integrates to T(g k) = rho_b(g) T(k) rho_a(g)^-1 for g in G, with rho(g) =
+Lambda^m g orthogonal.  So L* = -L^T and d* = -d^T transform the same way,
+and every block, stack and product S D of a row at g k is conjugate to the
+one at k, by orthogonal matrices: every rank in the row is the same.  By 3,
+G E1 is open in S^(N-1); being compact it is also closed, so it is the
+whole sphere, and every k != 0 is |k| g E1 for some g in G.  Scaling by
+|k| > 0 changes no rank, and the rank of an integer matrix over Q is its
+rank over R.  So every nonzero mode has E1's row.  For the G2 form *phi,
+h = g2 has dimension 14 and G2 is transitive on S^6 (Bryant, "Some remarks
+on G_2-structures", arXiv:math/0305124).  Nothing above uses N = 7 or
+STEP = 3.
+
+The line lane, for a psi that fails the certificate: one row per rational
+line through the origin, at its primitive representative (k / gcd(k),
+first nonzero entry positive).  This is exact, not a sample: every block is
+linear in k, so block(c k) = c block(k), and every product of blocks is
+c^2 times its value at k, so for c != 0 no rank changes.  At |k|_inf <= 1
+that is 1,094 rows for 2,187 modes, at |k|_inf <= 2 37,970 for 78,125.
+
 `sweep_modes` over every mode stays the exhaustive lane, and the tests hold
-the two equal.
+all three equal.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from math import gcd, lcm
 
@@ -111,6 +145,12 @@ def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
 # ---------------------------------------------------------------------------
 # the mode calculus: integer templates (the fast lane) and per-mode dimensions
 # ---------------------------------------------------------------------------
+
+
+def _mul(A, B) -> np.ndarray:
+    """The exact product of two integer matrices; as lists, which perfbench's
+    tracer sizes, to `int_matmul`."""
+    return linalg.int_matmul([A], [B])[0]
 
 
 def _adjoint(T: np.ndarray) -> np.ndarray:
@@ -286,18 +326,84 @@ class ModeCalculus:
             summaries.append(summary)
         return summaries
 
+    def _rho(self, X: np.ndarray, m: int) -> np.ndarray:
+        """X in gl(N) acting on Lambda^m as a derivation: sum_ab X_ab eps_a
+        eps_b^T, with eps_a the unit template of d into degree m."""
+        if m == 0:
+            return np.zeros((1, 1), dtype=np.int64)
+        E = self.d[m - 1]
+        W = _mul(X, E.reshape(N, -1)).reshape(E.shape)  # W_a = sum_b X_ab eps_b
+        return linalg.int_matmul(list(E), list(W.swapaxes(1, 2))).sum(axis=0)
+
+    def _stabilizer(self) -> list[np.ndarray]:
+        """A rational basis of stab(psi) cap so(N), as integer matrices: the
+        integer kernel of X -> rho(X) psi on the basis E_ab - E_ba, a < b,
+        where rho(E_ab) psi = eps_a eps_b^T psi."""
+        E = self.d[STEP]  # eps_a into Lambda^{STEP+1}, psi's degree
+        pos = index_position(N, STEP + 1)
+        psi = [[0] for _ in pos]
+        for (idx, _), val in self._psi.terms.items():
+            psi[pos[idx]][0] = val
+        V = linalg.int_matmul(list(E.swapaxes(1, 2)), [psi])[:, :, 0]  # V_b = eps_b^T psi
+        U = linalg.int_matmul(list(E), [V.T])  # U[a][:, b] = eps_a V_b
+        pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
+        gens = []
+        for x in linalg.int_kernel(np.stack([U[a][:, b] - U[b][:, a] for a, b in pairs], axis=1)):
+            X = [[0] * N for _ in range(N)]
+            for c, (a, b) in zip(x, pairs):
+                X[a][b], X[b][a] = c, -c
+            gens.append(linalg._int_array(X))
+        return gens
+
+    @cached_property
+    def orbit_certified(self) -> bool:
+        """Whether every nonzero mode has the row of E1 (module docstring):
+        the orbit tangent {X E1} of the `_stabilizer` has rank N - 1, and
+        each generator X intertwines every unit template of L, d and ad.
+        Exact, on integers; computed at the first sweep that needs it."""
+        gens = self._stabilizer()
+        if linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(N)]]) != [N - 1]:
+            return False
+        eye = np.eye(space_dim(N, STEP), dtype=np.int64)
+        for X in gens:  # one generator at a time, which keeps the peak memory low
+            rho = [self._rho(X, m) for m in range(N + 1)]
+            families = [(T, rho[m], rho[m + STEP]) for m, T in self.L.items()]
+            families += [(T, rho[m], rho[m + 1]) for m, T in self.d.items()]
+            # ad: X on the vector field; on its values, X on the component
+            # index and rho_STEP on each component's form (component-major)
+            out = np.kron(X, eye) + np.kron(np.eye(N, dtype=np.int64), rho[STEP])
+            families.append((self.ad, X, out))
+            for T, rho_in, rho_out in families:  # sum_i X_ij T_i = rho_out T_j - T_j rho_in
+                lhs = _mul(X.T, T.reshape(N, -1)).reshape(T.shape)
+                rhs = linalg.int_matmul([rho_out], list(T)) - linalg.int_matmul(list(T), [rho_in])
+                if (lhs != rhs).any():
+                    return False
+        return True
+
     def sweep(
         self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None, fields=FIELDS
     ) -> list[dict]:
         """`mode_summaries` of every mode with |k|_inf <= max_freq, in
-        lexicographic order, each computed once per rational line: at the
-        line's `_primitive` representative, with "k" then set to the
-        mode's own."""
-        line = {k: _primitive(k) for k in product(range(-max_freq, max_freq + 1), repeat=N)}
-        reps = sorted(set(line.values()))
+        lexicographic order, each computed once per class, at its
+        representative, with "k" then set to the mode's own: the zero mode
+        and, when the calculus is `orbit_certified`, E1 for every other
+        mode; otherwise one class per rational line, at its `_primitive`
+        representative."""
+        modes = product(range(-max_freq, max_freq + 1), repeat=N)
+        rep = _orbit if max_freq >= 1 and self.orbit_certified else _primitive
+        rep_of = {k: rep(k) for k in modes}
+        reps = sorted(set(rep_of.values()))
         summarize = partial(self.mode_summaries, degree=degree, fields=fields)
         rows = dict(zip(reps, sweep_modes(summarize, reps, jobs)))
-        return [{**rows[p], "k": list(k)} for k, p in line.items()]
+        return [{**rows[p], "k": list(k)} for k, p in rep_of.items()]
+
+
+E1 = (1,) + (0,) * (N - 1)
+
+
+def _orbit(k: tuple[int, ...]) -> tuple[int, ...]:
+    """The representative of k's orbit class: E1 for a nonzero mode."""
+    return E1 if any(k) else k
 
 
 def _primitive(k: tuple[int, ...]) -> tuple[int, ...]:

@@ -416,6 +416,11 @@ def _broken_assemble(deg_in, deg_out, image, zero=0):
     raise ValueError("template assembly broke")
 
 
+@property
+def _broken_certificate(self):
+    raise ValueError("orbit certificate broke")
+
+
 @pytest.mark.parametrize(
     "target, name, stub, argv, line",
     [
@@ -441,6 +446,12 @@ def _broken_assemble(deg_in, deg_out, image, zero=0):
             "fncalc: internal error: ValueError: the split's parts must add up to the"
             " harmonic dimension",
         ),
+        (
+            # a certificate that breaks stops the sweep, whatever the lane
+            torus.ModeCalculus, "orbit_certified", _broken_certificate,
+            ("torus-cohomology", "--max-freq", "1", "--jobs", "1"),
+            "fncalc: internal error: ValueError: orbit certificate broke",
+        ),
     ],
 )
 def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, name, stub, argv, line):
@@ -458,13 +469,15 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     [
         # torus-cohomology reports no regularity: its sweep forms no product
         (("torus-cohomology", "--max-freq", "1", "--jobs", "1"), 0),
-        # symbol-check keeps its five L* L products on each of the
-        # ceil(1094 / _CHUNK) stacks: one mode per rational line
-        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5 * -(-1094 // torus._CHUNK)),
+        # symbol-check keeps its five L* L products on its one stack: the
+        # certified G2 orbit sweeps the zero mode and E1 only
+        (("symbol-check", "--max-freq", "1", "--jobs", "1"), 5),
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
-    torus.default_calculus()  # built before counting: its templates use int_matmul
+    # built and certified before counting: the templates and the
+    # certificate use int_matmul, once per calculus
+    assert torus.default_calculus().orbit_certified
     counts = {"sweep": 0, "other": 0, "ad": 0}
     in_sweep = []
     real_summaries, real_matmul = torus.ModeCalculus.mode_summaries, linalg.int_matmul

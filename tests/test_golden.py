@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from fncalc import torus
 from fncalc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +64,11 @@ GOLDEN = [
     # the serial sweep prints the same bytes as the pooled one
     (("symbol-check", "--max-freq", "1", "--jobs", "1"), 0, "3c51c7044af1878efa4223fed779facf3d28f539e7005dd45b933375ac65f558"),
     (("symbol-check", "--max-freq", "0"), 0, "a5e3848840f4652da2dfc3bd2f6142a75dacef0f4376eb5aa8825dfac0bee135"),
+    # |k|_inf <= 2, hashed before the orbit lane, which computes their rows
+    # from the zero mode and E1 alone
+    (("torus-cohomology", "--max-freq", "2", "--jobs", "2"), 0, "ec123be16569d944dd090f96ab1fd3e65b7978498ef98d232948deca0cfb3cb2"),
+    (("torus-cohomology", "--degree", "3", "--max-freq", "2", "--jobs", "2"), 0, "479a14ea874a9e6b0a9dfc620b1e7ecd4b7906de4f70ab83661f89cab5d920a6"),
+    (("symbol-check", "--max-freq", "2", "--jobs", "2"), 0, "e1c4e1216a3bb8be76f3b1e320f88a58a18563529dd1c25a56056afdb8f9696d"),
     # a toroidal psi beyond the G2 default, with a non-unit coefficient;
     # degrees 1 and 6 do not vanish for it
     (("torus-cohomology", "--psi", "toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}", "--max-freq", "1", "--jobs", "1"), 1, "122a69ed30cf4106ab95b77b1198b0a1948f1cf67887856895510b4dd5316590"),
@@ -75,6 +81,17 @@ def test_stdout_is_byte_identical(capsys, argv, status, sha256):
     assert main(list(argv)) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_the_line_lane_prints_the_golden_bytes(monkeypatch, capsys):
+    # without the orbit certificate the sweep computes one row per rational
+    # line, and the report is the same
+    monkeypatch.setattr(torus.ModeCalculus, "orbit_certified", property(lambda self: False))
+    swept, real = [], torus.sweep_modes
+    monkeypatch.setattr(torus, "sweep_modes", lambda f, modes, jobs: swept.append(len(modes)) or real(f, modes, jobs))
+    argv = ("torus-cohomology", "--max-freq", "1", "--jobs", "1")
+    test_stdout_is_byte_identical(capsys, argv, *next(g[1:] for g in GOLDEN if g[0] == argv))
+    assert swept == [1094]
 
 
 PINNED = {

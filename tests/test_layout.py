@@ -102,7 +102,9 @@ def test_the_scan_sees_a_new_test_only_definition():
 def test_linalg_is_the_integer_lane_only():
     tree = _modules()["linalg"]
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined == {"int_ranks", "int_matmul", "_max_abs", "_int_array", "_python_ints"}
+    assert defined == {
+        "int_ranks", "int_matmul", "int_kernel", "_max_abs", "_int_array", "_python_ints"
+    }
 
 
 def test_lanes_import_only_what_they_run():

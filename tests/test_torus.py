@@ -680,8 +680,9 @@ def calculus(psi):
 
 
 def exhaustive_equals_lines(psi, degree, fields, jobs_list=(1, 2)):
-    """Whether `sweep`, at one mode per rational line, gives the exhaustive
-    lane's rows at |k|_inf <= 1 for each `jobs`."""
+    """Whether `sweep`, at one mode per orbit (a certified psi) or per
+    rational line, gives the exhaustive lane's rows at |k|_inf <= 1 for
+    each `jobs`."""
     calc = calculus(psi)
     summarize = partial(calc.mode_summaries, degree=degree, fields=fields)
     exhaustive = torus.sweep_modes(summarize, ALL_MODES, jobs=2)
@@ -751,3 +752,128 @@ def test_a_wrong_line_map_fails_the_equivalence(monkeypatch, line):
     monkeypatch.setattr(torus, "_cpus", lambda: 2)
     monkeypatch.setattr(torus, "_primitive", line)
     assert not exhaustive_equals_lines(PAIR, None, ("harmonic", "cohomology"), jobs_list=(1,))
+
+
+# -- the orbit certificate ----------------------------------------------------
+
+
+def line_lane(calc, max_freq, degree=None, fields=torus.FIELDS, jobs=1):
+    """The rows of every mode at |k|_inf <= max_freq, each computed at its
+    rational line's `_primitive` representative: the sweep without the
+    orbit certificate."""
+    modes = list(product(range(-max_freq, max_freq + 1), repeat=7))
+    reps = sorted({torus._primitive(k) for k in modes})
+    summarize = partial(calc.mode_summaries, degree=degree, fields=fields)
+    rows = dict(zip(reps, torus.sweep_modes(summarize, reps, jobs)))
+    return [{**rows[torus._primitive(k)], "k": list(k)} for k in modes]
+
+
+def orbit_tangent_rank(calc):
+    gens = calc._stabilizer()
+    return linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(7)]])[0]
+
+
+def cayley(A):
+    """(I - A)^-1 (I + A), a rational rotation, for a skew integer A."""
+    I_minus, I_plus = (
+        [[GaussianRational(int(i == j) + sign * x) for j, x in enumerate(row)] for i, row in enumerate(A)]
+        for sign in (-1, 1)
+    )
+    return reference.matmul(reference.invert(I_minus), I_plus, 0)
+
+
+def moved_psi(psi, g):
+    """psi re-expanded in the coframe that the rotation g moves, through the
+    minors of g (`exterior.transform_terms`)."""
+    return DifferentialForm._of(psi.space, psi.degree, exterior.transform_terms(psi.space, psi.terms, g))
+
+
+SIGNED_PERMUTATION = [[(-1) ** i * int(j == (3 * i + 2) % 7) for j in range(7)] for i in range(7)]
+SKEW = [[0] * 7 for _ in range(7)]
+for (a, b), v in {(0, 1): 1, (1, 2): 1, (2, 3): 1}.items():  # rotated, *phi has 29 terms, not 7
+    SKEW[a][b], SKEW[b][a] = v, -v
+ROTATIONS = {"signed-permutation": SIGNED_PERMUTATION, "cayley": cayley(SKEW)}
+
+
+@cache
+def rotated(name):
+    return torus.ModeCalculus(moved_psi(CALC.psi, ROTATIONS[name]))
+
+
+def test_the_g2_orbit_is_certified():
+    # stab(*phi) is g2, of dimension 14, and its orbit tangent at E1 has rank 6
+    assert len(CALC._stabilizer()) == 14 and orbit_tangent_rank(CALC) == 6
+    assert CALC.orbit_certified
+
+
+@pytest.mark.parametrize("psi, dim, rank", [(PAIR, 9, 3), (TOROIDAL, 2, 0)], ids=["pair", "toroidal"])
+def test_a_psi_without_a_transitive_stabilizer_is_not_certified(psi, dim, rank):
+    calc = calculus(psi)
+    assert len(calc._stabilizer()) == dim and orbit_tangent_rank(calc) == rank
+    assert not calc.orbit_certified
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_a_rotated_star_phi_is_certified_and_its_orbit_rows_equal_the_line_lane(name):
+    g = ROTATIONS[name]
+    assert reference.matmul(g, reference.transpose(g), 0) == reference.identity(7, 1, 0)
+    calc = rotated(name)
+    assert calc.psi != CALC.psi
+    assert len(calc._stabilizer()) == 14 and calc.orbit_certified
+    for degree, fields in ((None, ("harmonic", "cohomology")), (3, ("harmonic",))):
+        assert calc.sweep(1, 1, degree, fields) == line_lane(calc, 1, degree, fields)
+    fields = ("symbols", "regular", "vector_kernel")
+    assert calc.sweep(1, 1, None, fields) == line_lane(calc, 1, None, fields)
+
+
+def test_a_huge_psi_scale_keeps_the_certificate():
+    # Python-int (object) templates and generators give the same verdicts
+    assert torus.ModeCalculus(CALC.psi.scale(2**70)).orbit_certified
+    assert not torus.ModeCalculus(named_psi(PAIR).scale(2**70)).orbit_certified
+
+
+@pytest.mark.parametrize(
+    "kind, m, entry",
+    [
+        ("L", 0, (2, 5, 0)),
+        ("L", 2, (4, 0, 7)),
+        ("L", 4, (0, 0, 3)),
+        ("d", 0, (0, 0, 0)),
+        ("d", 3, (5, 1, 2)),
+        ("d", 6, (3, 0, 0)),
+        ("ad", None, (6, 100, 2)),
+        ("ad", None, (0, 0, 0)),
+    ],
+    ids=["L0", "L2", "L4", "d0", "d3", "d6", "ad", "ad-origin"],
+)
+def test_a_changed_template_entry_fails_the_certificate(kind, m, entry):
+    # adding 1 to one entry breaks the intertwining identity, and the sweep
+    # falls back to one row per rational line
+    calc = torus.ModeCalculus()
+    T = getattr(calc, kind) if m is None else getattr(calc, kind)[m]
+    T[entry] += 1
+    assert not calc.orbit_certified
+    fields = ("harmonic", "cohomology")
+    assert calc.sweep(1, 1, None, fields) == line_lane(calc, 1, None, fields)
+
+
+def test_the_certificate_is_computed_at_the_first_sweep_past_the_zero_mode(monkeypatch):
+    # lazily: not at the build, nor by a sweep at max_freq 0
+    calc = torus.ModeCalculus()
+    calc.sweep(0, 1, None, ("harmonic",))
+    assert "orbit_certified" not in vars(calc)
+    seen, pools = [], []
+    real = calc.mode_summaries
+    monkeypatch.setattr(calc, "mode_summaries", lambda modes, **kw: seen.append(modes) or real(modes, **kw))
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", pools.append)
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
+    rows = calc.sweep(1, 2, None, ("harmonic",))
+    assert vars(calc)["orbit_certified"] is True
+    # one stack, the zero mode and E1, for all 2,187 modes, and no pool
+    assert seen == [[K0, torus.E1]] and pools == [] and len(rows) == 3**7
+
+
+def test_the_orbit_lane_equals_the_line_lane_at_frequency_two(monkeypatch):
+    monkeypatch.setattr(torus, "_cpus", lambda: 2)
+    fields = ("harmonic", "cohomology")
+    assert CALC.sweep(2, 2, None, fields) == line_lane(CALC, 2, None, fields, jobs=2)
