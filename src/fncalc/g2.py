@@ -36,8 +36,9 @@ Lambda^2_7 + Lambda^2_14 and Lambda^3 = Lambda^3_1 + Lambda^3_7 +
 Lambda^3_27 is spanned by pairwise-orthogonal forms of one squared norm c
 (i_{e_i} phi, phi, i_{e_i} *phi: c = 3, 7, 4), so its projection is
 P(a) = c^{-1} sum_s <a, s> s, and the 14 and the 27 are the complements.
-multisymplectic_check takes the same Bareiss determinant as the metric,
-of the integer Gram matrix of the contractions of the lcm-scaled form.
+One fraction-free elimination on Python ints, `_eliminate`, gives _det,
+and, on a constant real form's lcm-scaled terms, multisymplectic_check (a
+pivot count) and `stabilizer` (a kernel), stab(psi) cap so(n).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
-from math import lcm
+from math import gcd, lcm
 
 from .exterior import (
     CoefficientFunction,
@@ -172,22 +173,54 @@ def _over_lcm(values: list[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
-def _det(M: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so all entries stay integers."""
+def _eliminate(M: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on Python ints, with Bareiss
+    division (Math. Comp. 22, 1968): the reduced rows, the pivot column of
+    each leading row and the sign of the row swaps.  Every other row goes
+    x -> (p x - x_c y) // prev for the pivot p of row y and the pivot prev
+    before it; each entry is then a minor of M, so the division is exact,
+    and every pivot entry ends equal to the last pivot."""
     rows = [list(r) for r in M]
-    sign, prev = 1, 1
-    while rows:
-        p = next((i for i, r in enumerate(rows) if r[0]), None)
-        if p is None:
-            return 0
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        r = next((i for i in range(top, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        if r != top:
+            rows[top], rows[r] = rows[r], rows[top]
             sign = -sign
-        (pv, *head), *rest = rows
-        rows = [[(pv * x - r[0] * y) // prev for x, y in zip(r[1:], head)] for r in rest]
-        prev = pv
-    return sign * prev
+        y, p = rows[top], rows[top][c]
+        rows = [
+            row if i == top else [(p * x - row[c] * v) // prev for x, v in zip(row, y)]
+            for i, row in enumerate(rows)
+        ]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, sign
+
+
+def _det(M: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: sign times the last pivot (1
+    for the empty matrix), or 0 short of a pivot in every row."""
+    rows, pivots, sign = _eliminate(M)
+    return sign * (rows or [[1]])[-1][-1] if len(pivots) == len(rows) else 0
+
+
+def _kernel(M: list[list[int]], n: int) -> list[list[int]]:
+    """A primitive integer basis of {x in Z^n : M x = 0}: per free column f,
+    x_f = p, the common pivot, and x_{c_i} = -rows[i][f], over their gcd
+    signed to leave x_f > 0."""
+    rows, pivots, _ = _eliminate(M)
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [p if c == f else 0 for c in range(n)]
+        for row, c in zip(rows, pivots):
+            x[c] = -row[f]
+        g = gcd(*x) if p > 0 else -gcd(*x)
+        basis.append([v // g for v in x])
+    return basis
 
 
 def metric_from_3form(structure: G2Structure, point=(0,) * 7) -> PointwiseMetric:
@@ -432,19 +465,41 @@ def chi_tensor_exact(structure: G2Structure) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _integer_terms(psi: DifferentialForm) -> dict:
+    """A constant real form's terms {(multi-index, ()): int}, scaled by the
+    lcm of their denominators, which changes no kernel or rank."""
+    if not psi.is_constant() or any(x.imag for x in psi.terms.values()):
+        raise ValueError("the integer algebra of forms expects constant real coefficients")
+    ints, _ = _over_lcm([x.real for x in psi.terms.values()])
+    return {(idx, ()): n for (idx, _), n in zip(psi.terms, ints)}
+
+
+def _columns(maps: list[dict]) -> list[list[int]]:
+    """The integer matrix whose columns are the flat maps."""
+    keys = dict.fromkeys(key for m in maps for key in m)
+    return [[m.get(key, 0) for m in maps] for key in keys]
+
+
 def multisymplectic_check(psi: DifferentialForm) -> bool:
     """Whether v -> i_v psi is injective, for a constant real form: whether
-    the integer Gram matrix G_ij = <i_{e_i} psi, i_{e_j} psi> of psi scaled
-    by the lcm of its denominators is nonsingular (G = M^T M, with M the
-    matrix of v -> i_v psi, so rank G = rank M)."""
-    if not psi.is_constant():
-        raise ValueError("multi-symplectic check expects constant coefficients")
-    if any(x.imag for x in psi.terms.values()):
-        raise ValueError("multi-symplectic check expects real coefficients")
-    ints, _ = _over_lcm([x.real for x in psi.terms.values()])
-    terms = dict(zip(psi.terms, ints))
-    rows = [_insert_frame_terms(i, terms) for i in range(1, psi.space.dim + 1)]
-    return _det([[sum(v * w.get(t, 0) for t, v in r.items()) for w in rows] for r in rows]) != 0
+    the matrix of the i_{e_i} psi has a pivot in every column."""
+    terms, n = _integer_terms(psi), psi.space.dim
+    _, pivots, _ = _eliminate(_columns([_insert_frame_terms(i, terms) for i in range(1, n + 1)]))
+    return len(pivots) == n
+
+
+def stabilizer(psi: DifferentialForm) -> list[list[list[int]]]:
+    """A primitive integer basis of stab(psi) cap so(n), for a constant real
+    form psi, as antisymmetric matrices: the `_kernel` of X -> X.psi on the
+    E_ab - E_ba, a < b, where (E_ab - E_ba).psi = e^a ^ i_b psi - e^b ^ i_a psi."""
+    terms, n = _integer_terms(psi), psi.space.dim
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    ins = {b: _insert_frame_terms(b, terms) for b in range(1, n + 1)}  # i_b psi
+    e = lambda a: {((a,), ()): 1}  # e^a
+    images = [_wedge_terms(e(b), ins[a], _wedge_terms(e(a), ins[b]), True) for a, b in pairs]
+    gens = [dict(zip(pairs, x)) for x in _kernel(_columns(images), len(pairs))]
+    span = range(1, n + 1)
+    return [[[X.get((a, b), 0) - X.get((b, a), 0) for b in span] for a in span] for X in gens]
 
 
 G2_COMPONENTS = {"2_7": (2, 0), "2_14": (2, 1), "3_1": (3, 0), "3_7": (3, 1), "3_27": (3, 2)}

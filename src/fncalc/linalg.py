@@ -4,18 +4,17 @@ integral after a global unit factor is stripped.
 
 The lane works on stacks: `int_ranks` runs one Bareiss elimination
 vectorized over many matrices at once, and `int_matmul` forms their
-products; `int_kernel` gives an integer basis of a small matrix's null
-space on Python ints.  The first two run on doubles behind explicit bounds and switch to
+products.  Both run on doubles behind explicit bounds and switch to
 Python-int (`object`) arrays when a bound fails, so both are exact: a
 double holds every integer below 2**53, and IEEE arithmetic rounds an
-exact integer result to itself.  Its references in the tests are the
-field lane of `tests/reference.py` (Gaussian elimination over the exact
-scalars) and a Fraction elimination.
+exact integer result to itself.  The elimination of one small matrix on
+Python ints (a determinant, a rank, an integer kernel) is `g2._eliminate`.
+The lane's references in the tests are the field lane of
+`tests/reference.py` (Gaussian elimination over the exact scalars) and a
+Fraction elimination.
 """
 
 from __future__ import annotations
-
-from math import gcd, lcm
 
 import numpy as np
 
@@ -123,37 +122,3 @@ def int_ranks(stack) -> list[int]:
         ):
             A, work, prev = _python_ints(A), np.empty(A.shape, object), _python_ints(prev)
     return ranks.tolist()
-
-
-def int_kernel(M) -> list[list[int]]:
-    """An integer basis of the null space {x : M x = 0} of an integer matrix
-    of shape (m, n), by fraction-free Gauss-Jordan elimination on Python
-    ints: one primitive vector (entries of gcd 1) per free column."""
-    A = _int_array(M)
-    rows = [[int(x) for x in row] for row in A.tolist()]
-    m, n = A.shape
-    pivots = []  # the pivot column of rows[0], rows[1], ...
-    for c in range(n):
-        top = len(pivots)
-        r = next((i for i in range(top, m) if rows[i][c]), None)
-        if r is None:
-            continue
-        rows[top], rows[r] = rows[r], rows[top]
-        P = rows[top]
-        for i in range(m):
-            if i != top and rows[i][c]:
-                row = [P[c] * x - rows[i][c] * y for x, y in zip(rows[i], P)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g else row
-        pivots.append(c)
-    # row i reads p_i x_{c_i} + sum over free f of rows[i][f] x_f = 0
-    scale = lcm(*(rows[i][c] for i, c in enumerate(pivots)))
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        x = [0] * n
-        x[f] = scale
-        for i, c in enumerate(pivots):
-            x[c] = -rows[i][f] * scale // rows[i][c]
-        g = gcd(*x)
-        basis.append([v // g for v in x])
-    return basis

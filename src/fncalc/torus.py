@@ -45,10 +45,9 @@ is in the class of E1 = (1, 0, ..., 0), so a sweep at |k|_inf >= 1 computes
 two rows, K0 and E1, in one stack and forks no pool.  The certificate is
 exact, on integers, and computed once per calculus at its first sweep past
 the zero mode:
-1. A rational basis X_1, ..., X_r of h = stab(psi) cap so(N) is the integer
-   kernel of X -> rho(X) psi, where rho_m(X) = sum_ab X_ab eps_a eps_b^T is
-   the derivation action on Lambda^m (eps_a, the unit template of d, is
-   e^a ^ .).
+1. A rational basis X_1, ..., X_r of h = stab(psi) cap so(N) is
+   `g2.stabilizer(psi)`; on Lambda^m, X acts as the derivation rho_m(X) =
+   sum_ab X_ab eps_a eps_b^T (eps_a, the unit template of d, is e^a ^ .).
 2. Each X_i satisfies the intertwining identity of every template family
    T_j: Lambda^a -> Lambda^b, sum_i X_ij T_i = rho_b(X) T_j - T_j rho_a(X),
    for L (b = a + STEP), d (b = a + 1) and ad (X on the vector field; X on
@@ -86,7 +85,7 @@ import multiprocessing
 import os
 from functools import cache, cached_property, partial
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -99,7 +98,7 @@ from .exterior import (
     hodge_star,
     torus_space,
 )
-from .g2 import standard_phi
+from .g2 import _integer_terms, stabilizer, standard_phi
 from .multiindex import all_indices, index_position, space_dim
 
 T7 = torus_space(7)
@@ -129,13 +128,13 @@ def _domain(shift: int) -> range:
     return range(max(0, -shift), N + 1 - max(0, shift))
 
 
-def _assemble(deg_in: int, deg_out: int, image, zero=0) -> list[list]:
+def _assemble(deg_in: int, deg_out: int, image) -> list[list]:
     """The matrix on the frame basis of Lambda^deg_in whose column idx holds
     image(idx), a flat {(multi-index, key): entry} map into Lambda^deg_out
     with one key per index."""
     pos = index_position(N, deg_out)
     cols = all_indices(N, deg_in)
-    M = [[zero] * len(cols) for _ in range(space_dim(N, deg_out))]
+    M = [[0] * len(cols) for _ in range(space_dim(N, deg_out))]
     for c, idx in enumerate(cols):
         for (out_idx, _), val in image(idx).items():
             M[pos[out_idx]][c] = val
@@ -165,9 +164,9 @@ class ModeCalculus:
     i (iota eps_k - eps_k iota) with iota: alpha -> sum_b psi_hat_b ^
     iota_{e_b} alpha.  So block(k)/i = sum_j k_j T_j with T^d_j = eps_j and
     T^L_j = iota eps_j - eps_j iota, for psi scaled by the lcm of its
-    coefficient denominators (`_psi`; `psi` is kept as given), which
-    changes no rank.  The bracket differential v e^{i<k,x>} -> [psi_hat, v
-    e^{i<k,x>}] on vector fields has T^ad_j v with component s = v_s
+    coefficient denominators (`g2._integer_terms`; `psi` is kept as given),
+    which changes no rank.  The bracket differential v e^{i<k,x>} ->
+    [psi_hat, v e^{i<k,x>}] on vector fields has T^ad_j v with component s = v_s
     psi_hat_j - eps_j iota_v psi_hat_s, a tangent-valued 3-form.  `L` and
     `d` map a domain degree m to one (7, rows, cols) array, and `ad` is one
     (7, 7 * 35, 7) array whose rows are component-major; each is int64 when
@@ -177,9 +176,8 @@ class ModeCalculus:
     def __init__(self, psi: DifferentialForm | None = None):
         psi = self.psi = star_phi_on_torus() if psi is None else psi
         check_psi(psi)
-        self._psi = psi.scale(lcm(*(val.real.denominator for val in psi.terms.values())))
         basis = lambda idx: {(idx, ()): 1}  # e^idx; integer constant maps carry the empty key
-        terms = {(idx, ()): val for (idx, _), val in self._psi.terms.items()}  # real ints
+        terms = _integer_terms(psi)
         hat = [_insert_frame_terms(b, terms) for b in range(1, N + 1)]
         iota = lambda idx: _insert_terms(hat, basis(idx))  # sum_b psi_hat_b ^ iota_{e_b} e^idx
         wedge_j = [partial(_wedge_terms, basis((j,))) for j in range(1, N + 1)]
@@ -335,33 +333,13 @@ class ModeCalculus:
         W = _mul(X, E.reshape(N, -1)).reshape(E.shape)  # W_a = sum_b X_ab eps_b
         return linalg.int_matmul(list(E), list(W.swapaxes(1, 2))).sum(axis=0)
 
-    def _stabilizer(self) -> list[np.ndarray]:
-        """A rational basis of stab(psi) cap so(N), as integer matrices: the
-        integer kernel of X -> rho(X) psi on the basis E_ab - E_ba, a < b,
-        where rho(E_ab) psi = eps_a eps_b^T psi."""
-        E = self.d[STEP]  # eps_a into Lambda^{STEP+1}, psi's degree
-        pos = index_position(N, STEP + 1)
-        psi = [[0] for _ in pos]
-        for (idx, _), val in self._psi.terms.items():
-            psi[pos[idx]][0] = val
-        V = linalg.int_matmul(list(E.swapaxes(1, 2)), [psi])[:, :, 0]  # V_b = eps_b^T psi
-        U = linalg.int_matmul(list(E), [V.T])  # U[a][:, b] = eps_a V_b
-        pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
-        gens = []
-        for x in linalg.int_kernel(np.stack([U[a][:, b] - U[b][:, a] for a, b in pairs], axis=1)):
-            X = [[0] * N for _ in range(N)]
-            for c, (a, b) in zip(x, pairs):
-                X[a][b], X[b][a] = c, -c
-            gens.append(linalg._int_array(X))
-        return gens
-
     @cached_property
     def orbit_certified(self) -> bool:
         """Whether every nonzero mode has the row of E1 (module docstring):
-        the orbit tangent {X E1} of the `_stabilizer` has rank N - 1, and
+        the orbit tangent {X E1} of `g2.stabilizer(psi)` has rank N - 1, and
         each generator X intertwines every unit template of L, d and ad.
         Exact, on integers; computed at the first sweep that needs it."""
-        gens = self._stabilizer()
+        gens = [linalg._int_array(X) for X in stabilizer(self.psi)]
         if linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(N)]]) != [N - 1]:
             return False
         eye = np.eye(space_dim(N, STEP), dtype=np.int64)

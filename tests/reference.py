@@ -16,6 +16,7 @@ each fast lane of `fncalc` is compared against.
 from __future__ import annotations
 
 from functools import cache, lru_cache, partial
+from math import lcm
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def mode_matrix(k, deg_in: int, deg_out: int, op) -> list[list[GaussianRational]
     """Exact matrix of a mode-preserving operator on the mode-k basis."""
     k = tuple(k)
     image = lambda idx: _mode_terms(k, op(mode_form(k, idx)))
-    return _assemble(deg_in, deg_out, image, GaussianRational(0))
+    return _assemble(deg_in, deg_out, image)
 
 
 def _strip_i(M) -> list[list[int]]:
@@ -293,6 +294,12 @@ def anticommutation_check(calc, k) -> bool:
     return True
 
 
+def integral_psi(calc) -> DifferentialForm:
+    """The calculus' psi scaled by the lcm of its coefficients' denominators,
+    the form that its integer templates hold."""
+    return calc.psi.scale(lcm(*(val.real.denominator for val in calc.psi.terms.values())))
+
+
 def one_form_kernel_check(calc, k, star_psi: DifferentialForm | None = None) -> bool:
     """Per-mode kernel characterization on 1-forms: ker(L on Lambda^1)
     = { alpha : Lie_{alpha-sharp}(*Psi) = 0 and d* alpha = 0 }.  The check
@@ -301,7 +308,7 @@ def one_form_kernel_check(calc, k, star_psi: DifferentialForm | None = None) -> 
     k = tuple(k)
     if not any(k):
         return True  # both sides are all of Lambda^1 at the zero mode
-    star_psi = hodge_star(calc._psi) if star_psi is None else star_psi
+    star_psi = hodge_star(integral_psi(calc)) if star_psi is None else star_psi
     lhs = template_block(calc, "L", 1, k)
     lie = mode_matrix(k, 1, star_psi.degree, lambda a: lie_vector_form(sharp(a), star_psi))
     rhs = _strip_i(lie + block(calc, "dstar", 1, k))

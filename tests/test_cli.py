@@ -412,7 +412,7 @@ def _mismatched_matmul(A, B, real=linalg.int_matmul):
     return real(A, A)
 
 
-def _broken_assemble(deg_in, deg_out, image, zero=0):
+def _broken_assemble(deg_in, deg_out, image):
     raise ValueError("template assembly broke")
 
 
@@ -557,7 +557,7 @@ def test_g2_suite_runs_without_the_exact_linear_algebra():
 
 
 def test_g2_type_checks_run_without_numpy_or_the_integer_lane():
-    # the closed-form type projections, their traces and the Gram-determinant
+    # the closed-form type projections, their traces and the pivot-counting
     # multisymplectic check need neither numpy nor fncalc.linalg
     script = (
         "import sys\n"

@@ -3,13 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 import reference
-from fncalc import g2
+from fncalc import g2, linalg
 from fncalc.bracket import fn_bracket, mc_check, nijenhuis_lie
 from fncalc.dolbeault import dc
 from fncalc.exterior import (
@@ -128,6 +128,21 @@ def field_det(M):
     return det
 
 
+def assert_spans_the_field_kernel(basis, M):
+    """The integer vectors are primitive and as many as the field lane's
+    kernel vectors of M, and each of those, scaled to integers, lies in
+    their span."""
+    field = reference.nullspace(M)
+    assert len(basis) == len(field)
+    for v in basis:
+        assert all(type(x) is int for x in v) and gcd(*v) == 1
+    for w in field:
+        w = [Fraction(x) if isinstance(x, int) else x.real for x in w]
+        scale = lcm(*(x.denominator for x in w))
+        scaled = [int(x * scale) for x in w]
+        assert linalg.int_ranks([basis + [scaled]]) == [len(basis)]
+
+
 def honest_metric(phi, point=(0,) * 7):
     """The normalized metric from honest_gram and field_det, each float
     converted from its exact rational."""
@@ -222,12 +237,44 @@ class TestIntegerLane:
         mats.append([[0, 1], [1, 0]])  # one swap: det -1
         mats.append([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular
         mats.append([[0, 0], [3, 4]])  # no pivot in the first column
-        mats += [g2.gram_matrix(p.phi, (0,) * 7)[0] for p in seeded_pullbacks(6, 2)]
+        mats.append([])  # 0 x 0: det 1
+        zero_column = [[1, 0, 2], [3, 0, 4], [5, 0, 6]]
+        mats.append(zero_column)
+        cycle = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+        mats.append(cycle)  # three swaps: det -1
+        grams = [g2.gram_matrix(p.phi, (0,) * 7)[0] for p in seeded_pullbacks(6, 2)]
+        mats += grams + [[[2**70 * x for x in row] for row in M] for M in grams]
         for M in mats:
             det = g2._det(M)
             assert type(det) is int
             assert det == field_det(M), M
         assert g2._det([[1, 2], [3, 4]]) == -2
+        assert (g2._det([]), g2._det(zero_column), g2._det(cycle)) == (1, 0, -1)
+        for M in grams:  # one more swap flips the sign; a 2**70 scale multiplies by 2**490
+            assert g2._det([M[1], M[0], *M[2:]]) == -g2._det(M) != 0
+            assert g2._det([[2**70 * x for x in row] for row in M]) == 2**490 * g2._det(M)
+
+    def test_kernel_spans_the_field_kernel(self):
+        # seeded integer matrices, a zero and a full-rank one among them: the
+        # integer basis has the field lane's size, is primitive and annihilated,
+        # and each field-lane vector, scaled to integers, lies in its span
+        rng = random.Random(29)
+        cases = [[[0] * 4 for _ in range(3)], [[2, 0, 1], [0, 3, 1], [1, 1, 0]], [[5, -3, 7, 0, 2]]]
+        for _ in range(150):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            M = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.3 and m >= 2:
+                M[rng.randrange(m)] = [2 * x for x in M[rng.randrange(m)]]
+            cases.append(M)
+        for M in cases:
+            n = len(M[0])
+            basis = g2._kernel(M, n)
+            assert_spans_the_field_kernel(basis, [[GaussianRational(x) for x in row] for row in M])
+            assert len(basis) == n - linalg.int_ranks([M])[0]
+            for v in basis:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
+        assert g2._kernel([[1, 0], [0, 1]], 2) == []
+        assert g2._kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_metric_floats_are_those_of_the_exact_rationals(self):
         # a wrong power of D in either float conversion changes these bits
@@ -598,6 +645,66 @@ class TestCompanionStructures:
         phi8 = g2.spin7_form()
         assert phi8.degree == 4 and phi8.space.dim == 8
         assert len(phi8.coefficients()) == 14
+
+
+def stabilizer_matrix(psi):
+    """The matrix of X -> X.psi on the basis E_ab - E_ba, a < b, by the
+    exact form operations: column (a, b) holds e^a ^ i_b psi - e^b ^ i_a psi
+    on the frame basis of psi's degree."""
+    n, pos = psi.space.dim, index_position(psi.space.dim, psi.degree)
+    e = lambda a: DifferentialForm.coframe(psi.space, (a,))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    M = [[GaussianRational(0)] * len(pairs) for _ in range(space_dim(n, psi.degree))]
+    for c, (a, b) in enumerate(pairs):
+        image = wedge(e(a), insert_frame(b, psi)) - wedge(e(b), insert_frame(a, psi))
+        for (idx, _), val in image.terms.items():
+            M[pos[idx]][c] = val
+    return M
+
+
+def acting(X, psi):
+    """X.psi = sum_ab X_ab e^a ^ i_b psi, by the exact form operations."""
+    out = DifferentialForm.zero(psi.space, psi.degree)
+    for a, row in enumerate(X, 1):
+        for b, x in enumerate(row, 1):
+            if x:
+                out = out + wedge(DifferentialForm.coframe(psi.space, (a,)), insert_frame(b, psi)).scale(x)
+    return out
+
+
+def stabilizer_cases():
+    from fncalc.suites import named_psi
+
+    return [
+        pytest.param(lambda: hodge_star(STANDARD.phi), 14, id="star-phi"),
+        pytest.param(lambda: STANDARD.phi, 14, id="phi"),
+        pytest.param(lambda: g2.kahler_form(2), 4, id="kahler-r4"),
+        pytest.param(lambda: g2.kahler_form(3), 9, id="kahler-r6"),
+        pytest.param(g2.spin7_form, 21, id="spin7-r8"),
+        pytest.param(lambda: named_psi("toroidal:7:e{1,2,3,4} + e{1,2,3,5}"), 9, id="torus-pair"),
+        pytest.param(
+            lambda: named_psi("toroidal:7:e{1,2,3,4} - e{1,5,6,7} + 2 e{2,4,6,7}"), 2, id="toroidal"
+        ),
+    ]
+
+
+class TestStabilizer:
+    @pytest.mark.parametrize("form, dim", stabilizer_cases())
+    def test_a_primitive_basis_of_the_stabilizer_in_so_n(self, form, dim):
+        psi = form()
+        n = psi.space.dim
+        gens = g2.stabilizer(psi)
+        assert len(gens) == dim
+        for X in gens:
+            assert all(X[a][b] == -X[b][a] for a in range(n) for b in range(n))
+            assert not acting(X, psi)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert_spans_the_field_kernel([[X[a][b] for a, b in pairs] for X in gens], stabilizer_matrix(psi))
+
+    def test_a_rational_form_has_the_stabilizer_of_its_integer_multiple(self):
+        psi = hodge_star(STANDARD.phi)
+        gens = g2.stabilizer(psi.scale(Fraction(2, 3)))
+        assert len(gens) == 14 and gens == g2.stabilizer(psi.scale(2**70))
 
 
 class TestComplexDifferential:

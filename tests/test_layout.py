@@ -22,7 +22,7 @@ VALUE_TYPES = {
 }
 
 # Every test-only definition, with the reason it stays in `src/`: a
-# library operator of the public calculus, a step of ROADMAP item 3 that a
+# library operator of the public calculus, a step of ROADMAP item 2 that a
 # report will carry, or an oracle that tests hold a fast lane against.
 TEST_ONLY = {
     "bracket.vf_bracket": "library operator: the Lie bracket of vector fields",
@@ -31,9 +31,9 @@ TEST_ONLY = {
     "exterior.laplacian": "oracle: the Laplacian block of the reference torus lane",
     "exterior.sharp": "library operator: the musical isomorphism on 1-forms",
     "exterior.volume_form": "library operator: the volume form of a model space",
-    "g2.multisymplectic_check": "ROADMAP item 3 report step: multisymplecticity",
+    "g2.multisymplectic_check": "ROADMAP item 2 report step: multisymplecticity",
     "g2.numeric_bracket_of_chi": "oracle: the finite-difference probe of [chi, chi]",
-    "g2.projection_matrix_rank": "ROADMAP item 3 report step: the G2 type ranks",
+    "g2.projection_matrix_rank": "ROADMAP item 2 report step: the G2 type ranks",
     "grammar.parse_vvform": "library operator: the parser of tangent-valued forms",
     "linfty.FlatAssociativeModel.ambient": "library operator: the model's ambient space",
     "scalars.imaginary": "library operator: the constructor of i * num / den",
@@ -103,7 +103,7 @@ def test_linalg_is_the_integer_lane_only():
     tree = _modules()["linalg"]
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined == {
-        "int_ranks", "int_matmul", "int_kernel", "_max_abs", "_int_array", "_python_ints"
+        "int_ranks", "int_matmul", "_max_abs", "_int_array", "_python_ints"
     }
 
 
@@ -120,3 +120,12 @@ def test_the_reference_lanes_left_the_mode_calculus():
     (calc,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ModeCalculus"]
     methods = {n.name for n in calc.body if isinstance(n, ast.FunctionDef)}
     assert not methods & {"block", "anticommutation_check", "one_form_kernel_check", "mode_summary"}
+
+
+def test_the_stabilizer_of_a_constant_form_is_g2_structure_algebra():
+    # the orbit certificate takes it from g2, on g2's one Python-int elimination
+    modules = _modules()
+    (calc,) = [n for n in modules["torus"].body if isinstance(n, ast.ClassDef) and n.name == "ModeCalculus"]
+    assert "_stabilizer" not in {n.name for n in calc.body if isinstance(n, ast.FunctionDef)}
+    g2 = {node.name for node in modules["g2"].body if isinstance(node, ast.FunctionDef)}
+    assert {"_eliminate", "stabilizer"} <= g2

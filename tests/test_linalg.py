@@ -1,7 +1,6 @@
 """Cross-validation of the exact elimination lanes: the field lane of the
 test-side `reference`, the stacked integer lane and a Fraction reference."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -60,39 +59,6 @@ def test_integer_nullspace_annihilates():
             assert any(v)
             for row in M:
                 assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def as_fraction(x):
-    return Fraction(x) if isinstance(x, int) else x.real
-
-
-def test_int_kernel_spans_the_field_kernel():
-    # seeded integer matrices, a zero and a full-rank one among them: the
-    # integer basis has the field lane's size, is primitive and annihilated,
-    # and each field-lane vector, scaled to integers, lies in its span
-    rng = random.Random(29)
-    cases = [[[0] * 4 for _ in range(3)], [[2, 0, 1], [0, 3, 1], [1, 1, 0]], [[5, -3, 7, 0, 2]]]
-    for _ in range(150):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        M = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
-        if rng.random() < 0.3 and m >= 2:
-            M[rng.randrange(m)] = [2 * x for x in M[rng.randrange(m)]]
-        cases.append(M)
-    for M in cases:
-        n = len(M[0])
-        basis = linalg.int_kernel(M)
-        field = reference.nullspace([[GaussianRational(x) for x in row] for row in M])
-        assert len(basis) == len(field) == n - linalg.int_ranks([M])[0]
-        for v in basis:
-            assert all(type(x) is int for x in v) and math.gcd(*v) == 1
-            assert py_matmul(M, [[x] for x in v]) == [[0]] * len(M)
-        for w in field:
-            w = [as_fraction(x) for x in w]
-            scale = math.lcm(*(x.denominator for x in w))
-            scaled = [int(x * scale) for x in w]
-            assert linalg.int_ranks([basis + [scaled]]) == [len(basis)]
-    assert linalg.int_kernel([[1, 0], [0, 1]]) == []
-    assert linalg.int_kernel(np.zeros((0, 3), dtype=np.int64)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_field_nullspace_with_complex_entries():
