@@ -51,7 +51,11 @@ the zero mode:
 2. Each X_i satisfies the intertwining identity of every template family
    T_j: Lambda^a -> Lambda^b, sum_i X_ij T_i = rho_b(X) T_j - T_j rho_a(X),
    for L (b = a + STEP), d (b = a + 1) and ad (X on the vector field; X on
-   the component index plus rho_STEP(X) on the rows).
+   the component index plus rho_STEP(X) on the rows).  The rho_m of every
+   generator come from two products per m, and the generators then go
+   through the identities `_GROUP` (4) at a time, each term of a family's
+   identity one product of the stack against all N templates (`_act`); a
+   larger stack saves little time and raises the peak memory.
 3. The orbit tangent {X E1 : X in h} has rank N - 1.
 Why that suffices.  h is the Lie algebra of the closed subgroup stab(psi)
 cap SO(N); its identity component G is compact and connected.  The identity
@@ -81,7 +85,6 @@ all three equal.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import cache, cached_property, partial
 from itertools import product
@@ -104,6 +107,7 @@ from .multiindex import all_indices, index_position, space_dim
 T7 = torus_space(7)
 N = 7
 STEP = 3  # a parallel 4-form's differential raises degree by 3
+_GROUP = 4  # stabilizer generators per stack of the orbit certificate; more raise its peak memory
 
 
 def star_phi_on_torus() -> DifferentialForm:
@@ -146,15 +150,32 @@ def _assemble(deg_in: int, deg_out: int, image) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _mul(A, B) -> np.ndarray:
-    """The exact product of two integer matrices; as lists, which perfbench's
-    tracer sizes, to `int_matmul`."""
-    return linalg.int_matmul([A], [B])[0]
-
-
 def _adjoint(T: np.ndarray) -> np.ndarray:
     """The templates or blocks of the formal adjoint: -T^T on the last two axes."""
     return -T.swapaxes(-1, -2)
+
+
+def _act(M: np.ndarray, T: np.ndarray, axis: int) -> np.ndarray:
+    """Each matrix of a stack M (g, p, q) applied to one axis of T, of length
+    q, in one exact product: the result has g first, then T's axes with p
+    at `axis`.  The operands go to `int_matmul` as lists of one matrix,
+    which perfbench's tracer sizes."""
+    g, p, q = M.shape
+    rest = [*range(axis), *range(axis + 1, T.ndim)]
+    P = linalg.int_matmul([M.reshape(-1, q)], [T.transpose(axis, *rest).reshape(q, -1)])
+    P = P.reshape(g, p, *(T.shape[i] for i in rest))
+    return P.transpose(0, *range(2, axis + 2), 1, *range(axis + 2, T.ndim + 1))
+
+
+def _cancels(outer, inner) -> bool:
+    """Whether P[a, b] + P[b, a] = 0 for every pair (a, b), where P[a, b] is
+    the sum of outer_a inner_b over the factor pairs (outer, inner) of
+    shapes (N, r, n) and (N, n, c), n per pair: one product, of the outer
+    factors side by side on the inner ones stacked, forms P at once.  P
+    dies on return, before the next identity's product, which keeps the
+    check's peak memory to one P."""
+    P = _act(np.concatenate(outer, axis=2), np.concatenate(inner, axis=1), 1)
+    return not (P + P.swapaxes(0, 1)).any()
 
 
 class ModeCalculus:
@@ -213,15 +234,10 @@ class ModeCalculus:
     def anticommutation_linear_check(self) -> bool:
         """The coefficient identities implying L d = -d L and L d* = -d* L
         at every frequency: all blocks are linear in k, so it suffices that
-        the symmetrized unit-mode products cancel for every pair (a, b), on
-        every Lambda^m; a template out of range is the zero map."""
-
-        def sym(left, right, a):
-            # left[a] right[b] + left[b] right[a] for every b, one stack
-            return linalg.int_matmul([left[a]], list(right)) + linalg.int_matmul(
-                list(left), [right[a]]
-            )
-
+        P[a, b] + P[b, a] = 0 for every pair (a, b), on every Lambda^m, where
+        P[a, b] is the sum of the unit-mode products outer_a inner_b over the
+        factor pairs (L X and X L) in range; a template out of range is the
+        zero map."""
         d_adjoint = {m + 1: _adjoint(T) for m, T in self.d.items()}
         for X, shift in ((self.d, 1), (d_adjoint, -1)):  # L X + X L = 0
             for m in range(N + 1):
@@ -230,9 +246,8 @@ class ModeCalculus:
                     for outer, inner, i in ((self.L, X, m + shift), (X, self.L, m + STEP))
                     if i in outer and m in inner
                 ]
-                for a in range(N):
-                    if factors and sum(sym(P, Q, a) for P, Q in factors).any():
-                        return False
+                if factors and not _cancels(*zip(*factors)):
+                    return False
         return True
 
     def mode_summaries(self, modes, degree: int | None = None, fields=FIELDS) -> list[dict]:
@@ -324,15 +339,6 @@ class ModeCalculus:
             summaries.append(summary)
         return summaries
 
-    def _rho(self, X: np.ndarray, m: int) -> np.ndarray:
-        """X in gl(N) acting on Lambda^m as a derivation: sum_ab X_ab eps_a
-        eps_b^T, with eps_a the unit template of d into degree m."""
-        if m == 0:
-            return np.zeros((1, 1), dtype=np.int64)
-        E = self.d[m - 1]
-        W = _mul(X, E.reshape(N, -1)).reshape(E.shape)  # W_a = sum_b X_ab eps_b
-        return linalg.int_matmul(list(E), list(W.swapaxes(1, 2))).sum(axis=0)
-
     @cached_property
     def orbit_certified(self) -> bool:
         """Whether every nonzero mode has the row of E1 (module docstring):
@@ -342,21 +348,35 @@ class ModeCalculus:
         gens = [linalg._int_array(X) for X in stabilizer(self.psi)]
         if linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(N)]]) != [N - 1]:
             return False
-        eye = np.eye(space_dim(N, STEP), dtype=np.int64)
-        for X in gens:  # one generator at a time, which keeps the peak memory low
-            rho = [self._rho(X, m) for m in range(N + 1)]
-            families = [(T, rho[m], rho[m + STEP]) for m, T in self.L.items()]
-            families += [(T, rho[m], rho[m + 1]) for m, T in self.d.items()]
-            # ad: X on the vector field; on its values, X on the component
-            # index and rho_STEP on each component's form (component-major)
-            out = np.kron(X, eye) + np.kron(np.eye(N, dtype=np.int64), rho[STEP])
-            families.append((self.ad, X, out))
-            for T, rho_in, rho_out in families:  # sum_i X_ij T_i = rho_out T_j - T_j rho_in
-                lhs = _mul(X.T, T.reshape(N, -1)).reshape(T.shape)
-                rhs = linalg.int_matmul([rho_out], list(T)) - linalg.int_matmul(list(T), [rho_in])
-                if (lhs != rhs).any():
+        gens = np.stack(gens)
+        # rho_m(X) = sum_ab X_ab eps_a eps_b^T on Lambda^m, with eps_a the unit
+        # template of d into degree m, for every generator: two products per m
+        rho = [np.zeros((len(gens), 1, 1), dtype=np.int64)]
+        for E in self.d.values():
+            r = E.shape[1]
+            F = _act(E, E.swapaxes(1, 2), 1).reshape(N * N, -1)  # eps_a eps_b^T at row (a, b)
+            rho.append(linalg.int_matmul([gens.reshape(len(gens), -1)], [F]).reshape(-1, r, r))
+        families = [(T, m, m + STEP) for m, T in self.L.items()]
+        families += [(T, m, m + 1) for m, T in self.d.items()]
+
+        def intertwined(X, rho):  # for a stack X of generators and their rho_m
+            XT = X.swapaxes(1, 2)
+            for T, a, b in families:  # sum_i X_ij T_i = rho_b T_j - T_j rho_a
+                if (
+                    _act(XT, T, 0) - _act(rho[b], T, 1) + _act(rho[a].swapaxes(1, 2), T, 2)
+                ).any():
                     return False
-        return True
+            # ad, axes (j, s, row, v): X on the component index s plus rho_STEP
+            # on each component's rows, less X on the vector field v
+            ad = self.ad.reshape(N, N, -1, N)
+            return not (
+                _act(XT, ad, 0) - _act(X, ad, 1) - _act(rho[STEP], ad, 2) + _act(XT, ad, 3)
+            ).any()
+
+        return all(  # a few generators per stack
+            intertwined(gens[start : start + _GROUP], [R[start : start + _GROUP] for R in rho])
+            for start in range(0, len(gens), _GROUP)
+        )
 
     def sweep(
         self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None, fields=FIELDS
@@ -448,6 +468,8 @@ def sweep_modes(summarize, modes, jobs: int | None = None) -> list[dict]:
     jobs = min(cpus if jobs is None else jobs, cpus, len(chunks))
     if jobs <= 1:
         return [s for chunk in chunks for s in summarize(chunk)]
+    import multiprocessing  # only a sweep that forks pays for the import
+
     _WORKER_SUMMARIES = summarize
     try:
         ctx = multiprocessing.get_context("fork")

@@ -7,6 +7,8 @@ each fast lane of `fncalc` is compared against.
   forms that `operators` lists once (d, d*, L, L*, the Laplacian), the
   per-mode anticommutation identities from direct matrix products, and
   the 1-form kernel characterization through the Cartan formula.
+* The orbit certificate one stabilizer generator at a time, against which
+  the stacked `ModeCalculus.orbit_certified` is held.
 * `lie_vector_form`, the Cartan formula L_X = iota_X d + d iota_X, the
   oracle for `nijenhuis_lie` along a vector field.
 * The Gram projections onto the G2 type pieces, inverted in the field
@@ -39,7 +41,7 @@ from fncalc.exterior import (
     laplacian,
     sharp,
 )
-from fncalc.g2 import G2_COMPONENTS, standard_phi
+from fncalc.g2 import G2_COMPONENTS, stabilizer, standard_phi
 from fncalc.multiindex import all_indices, index_position, space_dim
 from fncalc.scalars import ONE, GaussianRational
 from fncalc.torus import N, STEP, T7, _adjoint, _assemble, _domain
@@ -290,6 +292,46 @@ def anticommutation_check(calc, k) -> bool:
             terms = [M for M in terms if M]
             # the sum of the equally shaped nonzero terms must vanish
             if any(sum(xs, zero) for rows in zip(*terms) for xs in zip(*rows)):
+                return False
+    return True
+
+
+def _mul(A, B) -> np.ndarray:
+    """The exact product of two integer matrices; as lists, which perfbench's
+    tracer sizes, to `int_matmul`."""
+    return linalg.int_matmul([A], [B])[0]
+
+
+def _rho(calc, X: np.ndarray, m: int) -> np.ndarray:
+    """X in gl(N) acting on Lambda^m as a derivation: sum_ab X_ab eps_a
+    eps_b^T, with eps_a the unit template of d into degree m."""
+    if m == 0:
+        return np.zeros((1, 1), dtype=np.int64)
+    E = calc.d[m - 1]
+    W = _mul(X, E.reshape(N, -1)).reshape(E.shape)  # W_a = sum_b X_ab eps_b
+    return linalg.int_matmul(list(E), list(W.swapaxes(1, 2))).sum(axis=0)
+
+
+def orbit_certified(calc) -> bool:
+    """The verdict of `ModeCalculus.orbit_certified`, one generator at a
+    time: the orbit tangent {X E1} of `g2.stabilizer(psi)` has rank N - 1,
+    and each generator X intertwines every unit template of L, d and ad."""
+    gens = [linalg._int_array(X) for X in stabilizer(calc.psi)]
+    if linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(N)]]) != [N - 1]:
+        return False
+    eye = np.eye(space_dim(N, STEP), dtype=np.int64)
+    for X in gens:
+        rho = [_rho(calc, X, m) for m in range(N + 1)]
+        families = [(T, rho[m], rho[m + STEP]) for m, T in calc.L.items()]
+        families += [(T, rho[m], rho[m + 1]) for m, T in calc.d.items()]
+        # ad: X on the vector field; on its values, X on the component
+        # index and rho_STEP on each component's form (component-major)
+        out = np.kron(X, eye) + np.kron(np.eye(N, dtype=np.int64), rho[STEP])
+        families.append((calc.ad, X, out))
+        for T, rho_in, rho_out in families:  # sum_i X_ij T_i = rho_out T_j - T_j rho_in
+            lhs = _mul(X.T, T.reshape(N, -1)).reshape(T.shape)
+            rhs = linalg.int_matmul([rho_out], list(T)) - linalg.int_matmul(list(T), [rho_in])
+            if (lhs != rhs).any():
                 return False
     return True
 

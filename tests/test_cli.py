@@ -506,8 +506,9 @@ def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, arg
     assert counts["sweep"] == sweep_products
     assert counts["ad"] == 0  # neither suite reports the vector-field kernel
     if argv[0] == "torus-cohomology":
-        # only the linear anticommutation check multiplies templates
-        assert counts["other"] == 252
+        # only the linear anticommutation check multiplies templates: one
+        # product per identity and degree with a factor in range, 10 in all
+        assert counts["other"] == 10
 
 
 def test_package_has_no_assert_statements():
@@ -536,6 +537,28 @@ def test_exact_suites_start_without_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_a_certified_torus_sweep_starts_without_a_process_pool():
+    # the certified G2 sweep computes one stack in-process, so a fresh
+    # interpreter that runs it never imports multiprocessing; an uncertified
+    # psi has a stack per 64 lines, and with two jobs it forks and imports it
+    script = (
+        "import contextlib, io, sys\n"
+        "from fncalc import cli, torus\n"
+        "torus._cpus = lambda: 2\n"
+        "sweep = ['torus-cohomology', '--max-freq', '1', '--jobs']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main([*sweep, '1'])\n"
+        "    loaded = 'multiprocessing' in sys.modules\n"
+        "    pair = cli.main([*sweep, '2', '--psi', 'toroidal:7:e{1,2,3,4} + e{1,2,3,5}'])\n"
+        "print(code, loaded, pair, 'multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "0 False 1 True"
 
 
 def test_g2_suite_runs_without_the_exact_linear_algebra():

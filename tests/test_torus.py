@@ -4,6 +4,7 @@ import copy
 import math
 import multiprocessing
 import random
+import tracemalloc
 from functools import cache, partial
 from itertools import product
 
@@ -387,6 +388,18 @@ class TestStructuralChecks:
 
     def test_anticommutation_linear_identity_all_frequencies(self):
         assert CALC.anticommutation_linear_check()
+
+    def test_anticommutation_linear_check_fails_on_each_changed_l_entry(self):
+        # adding 1 to entry (a, 0, 0) of any L template breaks a symmetrized
+        # product P[a, b] + P[b, a] for some pair: all 35 changes fail
+        passed = []
+        for m, a in product(CALC.L, range(7)):
+            calc = copy.copy(CALC)
+            calc.L = {**CALC.L, m: CALC.L[m].copy()}
+            calc.L[m][a, 0, 0] += 1
+            if calc.anticommutation_linear_check():
+                passed.append((m, a))
+        assert len(CALC.L) * 7 == 35 and passed == []
 
     @pytest.mark.parametrize(
         "kept, ones",
@@ -833,7 +846,9 @@ def test_a_huge_psi_scale_keeps_the_certificate():
     assert not torus.ModeCalculus(named_psi(PAIR).scale(2**70)).orbit_certified
 
 
-@pytest.mark.parametrize(
+# single-entry template changes (kind, domain degree, entry), each of which
+# breaks the intertwining identity
+TEMPLATE_CHANGES = pytest.mark.parametrize(
     "kind, m, entry",
     [
         ("L", 0, (2, 5, 0)),
@@ -847,15 +862,59 @@ def test_a_huge_psi_scale_keeps_the_certificate():
     ],
     ids=["L0", "L2", "L4", "d0", "d3", "d6", "ad", "ad-origin"],
 )
-def test_a_changed_template_entry_fails_the_certificate(kind, m, entry):
-    # adding 1 to one entry breaks the intertwining identity, and the sweep
-    # falls back to one row per rational line
+
+
+def changed_calculus(kind, m, entry):
+    """A fresh G2 calculus with 1 added to one entry of one template."""
     calc = torus.ModeCalculus()
     T = getattr(calc, kind) if m is None else getattr(calc, kind)[m]
     T[entry] += 1
+    return calc
+
+
+@TEMPLATE_CHANGES
+def test_a_changed_template_entry_fails_the_certificate(kind, m, entry):
+    # adding 1 to one entry breaks the intertwining identity, and the sweep
+    # falls back to one row per rational line
+    calc = changed_calculus(kind, m, entry)
     assert not calc.orbit_certified
     fields = ("harmonic", "cohomology")
     assert calc.sweep(1, 1, None, fields) == line_lane(calc, 1, None, fields)
+
+
+CERTIFICATE_CASES = {
+    "star-phi": lambda: CALC,
+    **{name: partial(rotated, name) for name in ROTATIONS},
+    "pair": partial(calculus, PAIR),
+    "toroidal": partial(calculus, TOROIDAL),
+    "star-phi-2**70": lambda: torus.ModeCalculus(CALC.psi.scale(2**70)),
+    "pair-2**70": lambda: torus.ModeCalculus(named_psi(PAIR).scale(2**70)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+def test_the_stacked_certificate_gives_the_per_generator_verdict(name):
+    calc = CERTIFICATE_CASES[name]()
+    assert calc.orbit_certified == reference.orbit_certified(calc)
+
+
+@TEMPLATE_CHANGES
+def test_a_changed_template_entry_fails_the_per_generator_certificate(kind, m, entry):
+    calc = changed_calculus(kind, m, entry)
+    assert reference.orbit_certified(calc) is False and calc.orbit_certified is False
+
+
+def test_the_certificate_peak_memory_stays_low():
+    # the generators go through the identities a few at a time: the traced
+    # peak is 1.8 MB, and all 14 in one stack would take 4.7 MB
+    calc = torus.ModeCalculus()
+    tracemalloc.start()
+    try:
+        assert calc.orbit_certified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_500_000
 
 
 def test_the_certificate_is_computed_at_the_first_sweep_past_the_zero_mode(monkeypatch):
