@@ -45,6 +45,8 @@ def _int_array(X) -> np.ndarray:
 
 def _python_ints(X: np.ndarray) -> np.ndarray:
     """The integers of X (int64, object, or doubles below 2**53) as Python ints."""
+    if X.dtype == object:  # its entries may be numpy integers, which would wrap
+        return np.frompyfunc(int, 1, 1)(X, order="C")
     return (X.astype(np.int64) if X.dtype == float else X).astype(object, order="C")
 
 

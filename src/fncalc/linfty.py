@@ -218,6 +218,11 @@ def shuffles(k: int, l: int):
         yield first, second
 
 
+def sign(p: int) -> int:
+    """(-1)^p."""
+    return -1 if p % 2 else 1
+
+
 def koszul_sign(parities, permutation) -> int:
     """Sign of a permutation of homogeneous elements under the rule that
     transposing elements of parities p, q contributes (-1)^{pq}."""
@@ -269,17 +274,14 @@ def strict_identity_n3(model, a, b, c) -> NormalValuedForm:
     m2 = lambda x, y: multibracket(model, [x, y])
     m3 = lambda x, y, z: multibracket(model, [x, y, z])
 
-    def sgn(p):
-        return -1 if p % 2 else 1
-
     ab, bb, cb = a.parity, b.parity, c.parity
     total = d(m3(a, b, c))
     total = total + m2(m2(a, b), c)
-    total = total + m2(m2(a, c), b).scale(sgn(bb * cb))
-    total = total + m2(m2(b, c), a).scale(sgn(ab * (bb + cb)))
+    total = total + m2(m2(a, c), b).scale(sign(bb * cb))
+    total = total + m2(m2(b, c), a).scale(sign(ab * (bb + cb)))
     total = total + m3(d(a), b, c)
-    total = total + m3(d(b), a, c).scale(sgn(ab * bb))
-    total = total + m3(d(c), a, b).scale(sgn((ab + bb) * cb))
+    total = total + m3(d(b), a, c).scale(sign(ab * bb))
+    total = total + m3(d(c), a, b).scale(sign((ab + bb) * cb))
     return total
 
 

@@ -10,6 +10,7 @@ without them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
@@ -131,10 +132,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _sign(p: int) -> int:
-    return -1 if p % 2 else 1
-
-
 def _suite_gla(config: SuiteConfig, report: SuiteReport) -> None:
     rng = Random(config.seed)
     skew_fail = jacobi_fail = 0
@@ -144,16 +141,16 @@ def _suite_gla(config: SuiteConfig, report: SuiteReport) -> None:
             K1 = random_vvform(space, rng)
             K2 = random_vvform(space, rng)
             K3 = random_vvform(space, rng)
-            s12 = _sign(K1.degree * K2.degree)
+            s12 = linfty.sign(K1.degree * K2.degree)
             b12 = fn_bracket(K1, K2)
             defect = b12 + fn_bracket(K2, K1).scale(s12)
             if defect:
                 skew_fail += 1
                 skew_witness = skew_witness or serialize_vvform(defect)
             p1, p2, p3 = K1.degree, K2.degree, K3.degree
-            total = fn_bracket(K1, fn_bracket(K2, K3)).scale(_sign(p1 * p3))
-            total = total + fn_bracket(K2, fn_bracket(K3, K1)).scale(_sign(p2 * p1))
-            total = total + fn_bracket(K3, b12).scale(_sign(p3 * p2))
+            total = fn_bracket(K1, fn_bracket(K2, K3)).scale(linfty.sign(p1 * p3))
+            total = total + fn_bracket(K2, fn_bracket(K3, K1)).scale(linfty.sign(p2 * p1))
+            total = total + fn_bracket(K3, b12).scale(linfty.sign(p3 * p2))
             if total:
                 jacobi_fail += 1
                 jacobi_witness = jacobi_witness or serialize_vvform(total)
@@ -171,7 +168,7 @@ def _suite_fn_action(config: SuiteConfig, report: SuiteReport) -> None:
             K2 = random_vvform(space, rng, max_degree=2)
             a = random_form(space, rng.randint(0, 2), rng)
             lhs = nijenhuis_lie(fn_bracket(K1, K2), a)
-            s = _sign(K1.degree * K2.degree)
+            s = linfty.sign(K1.degree * K2.degree)
             rhs = nijenhuis_lie(K1, nijenhuis_lie(K2, a)) - nijenhuis_lie(
                 K2, nijenhuis_lie(K1, a)
             ).scale(s)
@@ -353,23 +350,21 @@ def _torus_calculus(psi_name: str) -> torus.ModeCalculus:
 
 def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     calc = _torus_calculus(config.psi)
-    rows = calc.sweep(config.max_freq, config.jobs, config.degree, ("harmonic", "cohomology"))
+    rep_of, rows = calc.sweep(config.max_freq, config.jobs, config.degree, ("harmonic", "cohomology"))
     degrees = range(8) if config.degree is None else [config.degree]
-    totals = {
-        l: sum(r["harmonic"][l] for r in rows if any(r["k"])) for l in degrees
-    }
-    zero_mode = next(r for r in rows if not any(r["k"]))
-    by_key = {tuple(r["k"]): r for r in rows}
-    coh_eq = all(r["harmonic"] == r["cohomology"] for r in rows)
-    report.add("cohomology-equals-harmonic", coh_eq, samples=len(rows))
-    # h_l(k) = h_{7-l}(-k), one negated key per row.  Both rows are copies:
-    # under the orbit lane every nonzero row is E1's, so this compares
-    # h_l(E1) with h_{7-l}(E1); under the line lane, h_l(k) with h_{7-l}(k)
-    # of one line's row.  Either can fail; the -k half holds by construction
+    count = Counter(rep_of.values())
+    totals = {l: sum(n * rows[p]["harmonic"][l] for p, n in count.items() if any(p)) for l in degrees}
+    coh_eq = all(r["harmonic"] == r["cohomology"] for r in rows.values())
+    report.add("cohomology-equals-harmonic", coh_eq, samples=len(rep_of))
+    # h_l(k) = h_{7-l}(-k) once per class p: on both lanes -k is in the
+    # class of -p for every k in p's class, so this is the per-mode check.
+    # It compares h_l(p) with h_{7-l}(p), p = E1 on the orbit lane; that can
+    # fail, while the -k half holds by construction
     duality_ok = all(
-        r["harmonic"] == by_key[tuple(-x for x in r["k"])]["harmonic"][::-1] for r in rows
+        r["harmonic"] == rows[rep_of[tuple(-x for x in p)]]["harmonic"][::-1]
+        for p, r in rows.items()
     )
-    report.add("hodge-duality", duality_ok, samples=len(rows))
+    report.add("hodge-duality", duality_ok, samples=len(rep_of))
     for l in (0, 1, 6, 7):
         if config.degree is None or config.degree == l:
             report.add(f"nonzero-modes-vanish-degree-{l}", totals.get(l, 0) == 0, total=totals.get(l, 0))
@@ -380,20 +375,19 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
     report.add(
         "linear-anticommutation-identities", calc.anticommutation_linear_check()
     )
-    if config.degree is None:
-        modes_payload = [
-            {"k": r["k"], "harmonic": r["harmonic"], "cohomology": r["cohomology"]} for r in rows
-        ]
-    else:
-        modes_payload = [
-            {"k": r["k"], "degree": config.degree, "dims": r["split"]} for r in rows
-        ]
+    # each mode's own k is its tuple key, which JSON prints as a list
+    modes_payload = [
+        {"k": k, "harmonic": rows[p]["harmonic"], "cohomology": rows[p]["cohomology"]}
+        if config.degree is None
+        else {"k": k, "degree": config.degree, "dims": rows[p]["split"]}
+        for k, p in rep_of.items()
+    ]
     report.extras["psi"] = config.psi
     report.extras["max_freq"] = config.max_freq
     report.extras["modes"] = modes_payload
     report.extras["totals"] = {
         "harmonic_nonzero_modes_complex": {str(l): totals[l] for l in totals},
-        "harmonic_zero_mode": {str(l): zero_mode["harmonic"][l] for l in degrees},
+        "harmonic_zero_mode": {str(l): rows[(0,) * 7]["harmonic"][l] for l in degrees},
         "real_dimension_note": (
             "over a negation-closed mode set the real total equals the complex"
             " total; per-pair real dimension is dim(k)+dim(-k)"
@@ -404,18 +398,19 @@ def _suite_torus_cohomology(config: SuiteConfig, report: SuiteReport) -> None:
 def _suite_symbol_check(config: SuiteConfig, report: SuiteReport) -> None:
     calc = _torus_calculus(config.psi)
     rng = Random(config.seed)
-    rows = calc.sweep(config.max_freq, jobs=config.jobs, fields=("symbols", "regular"))
-    nonzero = [r for r in rows if any(r["k"])]
-    ok3 = all(r["symbol_3"] == "injective" for r in nonzero)
-    ok7 = all(r["symbol_7"] == "surjective" for r in nonzero)
+    rep_of, rows = calc.sweep(config.max_freq, jobs=config.jobs, fields=("symbols", "regular"))
+    nonzero = [p for p in rep_of.values() if any(p)]  # each nonzero mode's class, in order
+    classes = [r for p, r in rows.items() if any(p)]
+    ok3 = all(r["symbol_3"] == "injective" for r in classes)
+    ok7 = all(r["symbol_7"] == "surjective" for r in classes)
     report.add("symbol-injective-degree-3", ok3, samples=len(nonzero))
     report.add("symbol-surjective-degree-7", ok7, samples=len(nonzero))
     sample = [nonzero[rng.randrange(len(nonzero))] for _ in range(min(20, len(nonzero)))]
-    ok4 = all(r["symbol_4"] == "injective" for r in sample)
+    ok4 = all(rows[p]["symbol_4"] == "injective" for p in sample)
     report.add("symbol-injective-degree-4", ok4, samples=len(sample))
-    regular = all(all(r["regular"]) for r in rows)
-    report.add("per-mode-regularity-split", regular, samples=len(rows))
-    report.extras["modes_checked"] = len(rows)
+    regular = all(all(r["regular"]) for r in rows.values())
+    report.add("per-mode-regularity-split", regular, samples=len(rep_of))
+    report.extras["modes_checked"] = len(rep_of)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +485,7 @@ def _bracket_checks(model, rng: Random, config: SuiteConfig, report: SuiteReport
         i = rng.randrange(len(args) - 1)
         swapped = list(args)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        s = _sign(args[i].parity * args[i + 1].parity)
+        s = linfty.sign(args[i].parity * args[i + 1].parity)
         if linfty.multibracket(model, swapped).scale(s) != base:
             sym_fails += 1
     report.add("graded-symmetry", sym_fails == 0, samples=count)

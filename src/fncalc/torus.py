@@ -35,10 +35,10 @@ exact and coexact parts needs no kernel basis: for the harmonic stack
 S = [L_l ; L*_l] and a block D, dim(ker S cap Im D) = rank D - rank(S D),
 so each part comes from the stacks and pass of the harmonic dimensions.
 
-`ModeCalculus.sweep` computes each row once per class of modes and copies
-it to every mode of the class with that mode's own "k"; only "k" names the
-mode itself, and the split reads k only through `any(k)`.  The zero mode is
-its own class.  For the other modes there are two lanes.
+`ModeCalculus.sweep` computes one row per class of modes, at its
+representative, and returns the classes; the split reads k only through
+`any(k)`, so the row is every member's.  The zero mode is its own class.
+For the other modes there are two lanes.
 
 The orbit lane: when the calculus is `orbit_certified`, every nonzero mode
 is in the class of E1 = (1, 0, ..., 0), so a sweep at |k|_inf >= 1 computes
@@ -380,20 +380,19 @@ class ModeCalculus:
 
     def sweep(
         self, max_freq: int = 1, jobs: int | None = None, degree: int | None = None, fields=FIELDS
-    ) -> list[dict]:
-        """`mode_summaries` of every mode with |k|_inf <= max_freq, in
-        lexicographic order, each computed once per class, at its
-        representative, with "k" then set to the mode's own: the zero mode
-        and, when the calculus is `orbit_certified`, E1 for every other
-        mode; otherwise one class per rational line, at its `_primitive`
-        representative."""
+    ) -> tuple[dict, dict]:
+        """The classes of the modes with |k|_inf <= max_freq: `rep_of` maps
+        each mode, in lexicographic order, to its class representative, and
+        `rows` each representative to its `mode_summaries` row.  The zero
+        mode is its own class; when the calculus is `orbit_certified`, E1
+        represents every other mode, and otherwise each rational line is a
+        class, at its `_primitive` representative."""
         modes = product(range(-max_freq, max_freq + 1), repeat=N)
         rep = _orbit if max_freq >= 1 and self.orbit_certified else _primitive
         rep_of = {k: rep(k) for k in modes}
         reps = sorted(set(rep_of.values()))
         summarize = partial(self.mode_summaries, degree=degree, fields=fields)
-        rows = dict(zip(reps, sweep_modes(summarize, reps, jobs)))
-        return [{**rows[p], "k": list(k)} for k, p in rep_of.items()]
+        return rep_of, dict(zip(reps, sweep_modes(summarize, reps, jobs)))
 
 
 E1 = (1,) + (0,) * (N - 1)

@@ -271,6 +271,14 @@ def mode_summary(calc, k, degree: int | None = None) -> dict:
     return calc.mode_summaries([k], degree)[0]
 
 
+def expand(classes) -> list[dict]:
+    """The per-mode rows of a `ModeCalculus.sweep`'s classes (rep_of, rows),
+    in its mode order: each mode gets its representative's row with "k" set
+    to the mode's own."""
+    rep_of, rows = classes
+    return [{**rows[p], "k": list(k)} for k, p in rep_of.items()]
+
+
 def anticommutation_check(calc, k) -> bool:
     """Exact per-mode identities L d = -d L, L d* = -d* L and
     L lap = lap L on every Lambda^m, from direct matrix products of the

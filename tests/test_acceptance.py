@@ -40,7 +40,7 @@ def sweep_rows():
     # the gate sees every mode: the sweep's rows, one computed per rational
     # line, equal the exhaustive lane's over all 2187 modes
     calc = torus.default_calculus()
-    rows = calc.sweep(max_freq=1, jobs=2)
+    rows = reference.expand(calc.sweep(max_freq=1, jobs=2))
     modes = sorted(product((-1, 0, 1), repeat=7))
     assert rows == torus.sweep_modes(calc.mode_summaries, modes, jobs=2)
     return calc, rows

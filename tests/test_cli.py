@@ -464,6 +464,62 @@ def test_internal_errors_exit_three_with_one_line(monkeypatch, capsys, target, n
     assert err.splitlines() == [line]
 
 
+def test_a_huge_psi_coefficient_sweeps_on_python_ints(capsys):
+    # its stabilizer mixes int64 and Python-int generators, and numpy
+    # integers inside the Python-int lane once overflowed (exit 3)
+    psi = "toroidal:7:99999999999999999999999 e{1,2,3,4} + e{1,2,3,5}"
+    code, out, err = run_cli(capsys, "torus-cohomology", "--psi", psi, "--max-freq", "1", "--jobs", "1")
+    assert code == 1 and "internal error" not in err
+    failed = {c["check"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert failed == {f"nonzero-modes-vanish-degree-{l}" for l in (0, 1, 6, 7)}
+
+
+def _raise_degree_2(row):  # h_2 != h_5, and cohomology still equals harmonic
+    row["harmonic"][2] += 1
+    row["cohomology"][2] += 1
+
+
+def _shift_cohomology(row):
+    row["cohomology"][3] += 1
+
+
+def _zero_degrees_3_and_4(row):  # still palindromic, and cohomology still harmonic
+    for dims in (row["harmonic"], row["cohomology"]):
+        dims[3] = dims[4] = 0
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["orbit-lane", "line-lane"])
+@pytest.mark.parametrize(
+    "change, every_nonzero, failed",
+    [
+        (_raise_degree_2, False, {"hodge-duality"}),
+        (_shift_cohomology, False, {"cohomology-equals-harmonic"}),
+        # one line's row cannot zero a total over 1,093 lines, so this change
+        # goes to every nonzero class; the orbit lane has one, E1
+        (_zero_degrees_3_and_4, True, {"positive-total-degree-3", "positive-total-degree-4"}),
+    ],
+    ids=["non-palindromic", "cohomology-not-harmonic", "zeroed-degree-3"],
+)
+def test_a_changed_class_row_fails_its_check(monkeypatch, capsys, certified, change, every_nonzero, failed):
+    # the checks read one row per class: a change to the row of E1, a class
+    # on both lanes, fails exactly the checks it breaks
+    real = torus.ModeCalculus.mode_summaries
+
+    def changed(self, modes, degree=None, fields=torus.FIELDS):
+        rows = real(self, modes, degree, fields)
+        for r in rows:
+            if r["k"] == list(torus.E1) or (every_nonzero and any(r["k"])):
+                change(r)
+        return rows
+
+    monkeypatch.setattr(torus.ModeCalculus, "mode_summaries", changed)
+    if not certified:
+        monkeypatch.setattr(torus.ModeCalculus, "orbit_certified", property(lambda self: False))
+    code, out, _ = run_cli(capsys, "torus-cohomology", "--max-freq", "1", "--jobs", "1")
+    assert code == 1
+    assert {c["check"] for c in json.loads(out)["checks"] if c["status"] == "fail"} == failed
+
+
 @pytest.mark.parametrize(
     "argv, sweep_products",
     [

@@ -297,6 +297,15 @@ def test_integer_kernels_read_nested_lists_past_int64_exactly(big):
     assert linalg.int_matmul([[[big**20]]], [[[0]]]).tolist() == [[[0]]]
 
 
+def test_numpy_integers_in_an_object_array_compute_on_python_ints():
+    # an object array may hold int64 scalars, which wrap: the Python-int
+    # lane once gave rank 1 for 2**32 I and 0 for 2**40 * 2**40
+    big = np.int64(2**32)
+    assert linalg.int_ranks(np.array([[[big, 0], [0, big]]], dtype=object)) == [2]
+    A = np.array([[np.int64(2**40)]], dtype=object)
+    assert linalg.int_matmul(A, A).tolist() == [[2**80]]
+
+
 def test_stacked_ranks_of_empty_shapes():
     assert linalg.int_ranks(np.zeros((3, 0, 4), dtype=np.int64)) == [0, 0, 0]
     assert linalg.int_ranks(np.zeros((0, 5, 4), dtype=np.int64)) == []
