@@ -7,8 +7,10 @@ each fast lane of `fncalc` is compared against.
   forms that `operators` lists once (d, d*, L, L*, the Laplacian), the
   per-mode anticommutation identities from direct matrix products, and
   the 1-form kernel characterization through the Cartan formula.
-* The orbit certificate one stabilizer generator at a time, against which
-  the stacked `ModeCalculus.orbit_certified` is held.
+* The intertwining defect of a generator X with every template family
+  (`intertwining_defects`), which proves the step of the orbit certificate
+  that `ModeCalculus.orbit_certified` does not compute, and the verdict
+  with that step computed, against which `orbit_certified` is held.
 * `lie_vector_form`, the Cartan formula L_X = iota_X d + d iota_X, the
   oracle for `nijenhuis_lie` along a vector field.
 * The Gram projections onto the G2 type pieces, inverted in the field
@@ -320,28 +322,36 @@ def _rho(calc, X: np.ndarray, m: int) -> np.ndarray:
     return linalg.int_matmul(list(E), list(W.swapaxes(1, 2))).sum(axis=0)
 
 
+def intertwining_defects(calc, X: np.ndarray) -> dict:
+    """The defect rho_out(X) T_j - T_j rho_in(X) - sum_i X_ij T_i of each
+    template family of the calculus, for X in gl(N), as one array over j:
+    ("L", m) and ("d", m) by domain degree, and ("ad", None), where X acts
+    on the vector field and, on its values, on the component index and by
+    rho_STEP on each component's form (component-major).  The L and ad
+    templates may carry axes between j and the matrix axes, a stack of
+    calculi, whose defects then come in one product per term."""
+    rho = [_rho(calc, X, m) for m in range(N + 1)]
+    families = {("L", m): (T, rho[m], rho[m + STEP]) for m, T in calc.L.items()}
+    families |= {("d", m): (T, rho[m], rho[m + 1]) for m, T in calc.d.items()}
+    eye = np.eye(space_dim(N, STEP), dtype=np.int64)
+    out = np.kron(X, eye) + np.kron(np.eye(N, dtype=np.int64), rho[STEP])
+    families["ad", None] = (calc.ad, X, out)
+    return {
+        key: linalg.int_matmul(rho_out, T)
+        - linalg.int_matmul(T, rho_in)
+        - _mul(X.T, T.reshape(N, -1)).reshape(T.shape)
+        for key, (T, rho_in, rho_out) in families.items()
+    }
+
+
 def orbit_certified(calc) -> bool:
-    """The verdict of `ModeCalculus.orbit_certified`, one generator at a
-    time: the orbit tangent {X E1} of `g2.stabilizer(psi)` has rank N - 1,
-    and each generator X intertwines every unit template of L, d and ad."""
+    """The verdict of `ModeCalculus.orbit_certified` with its intertwining
+    step computed: the orbit tangent {X E1} of `g2.stabilizer(psi)` has rank
+    N - 1, and each generator X has no defect on any template family."""
     gens = [linalg._int_array(X) for X in stabilizer(calc.psi)]
     if linalg.int_ranks([[[X[i, 0] for X in gens] for i in range(N)]]) != [N - 1]:
         return False
-    eye = np.eye(space_dim(N, STEP), dtype=np.int64)
-    for X in gens:
-        rho = [_rho(calc, X, m) for m in range(N + 1)]
-        families = [(T, rho[m], rho[m + STEP]) for m, T in calc.L.items()]
-        families += [(T, rho[m], rho[m + 1]) for m, T in calc.d.items()]
-        # ad: X on the vector field; on its values, X on the component
-        # index and rho_STEP on each component's form (component-major)
-        out = np.kron(X, eye) + np.kron(np.eye(N, dtype=np.int64), rho[STEP])
-        families.append((calc.ad, X, out))
-        for T, rho_in, rho_out in families:  # sum_i X_ij T_i = rho_out T_j - T_j rho_in
-            lhs = _mul(X.T, T.reshape(N, -1)).reshape(T.shape)
-            rhs = linalg.int_matmul([rho_out], list(T)) - linalg.int_matmul(list(T), [rho_in])
-            if (lhs != rhs).any():
-                return False
-    return True
+    return not any(D.any() for X in gens for D in intertwining_defects(calc, X).values())
 
 
 def integral_psi(calc) -> DifferentialForm:

@@ -531,8 +531,8 @@ def test_a_changed_class_row_fails_its_check(monkeypatch, capsys, certified, cha
     ],
 )
 def test_each_torus_suite_computes_only_what_it_reports(monkeypatch, capsys, argv, sweep_products):
-    # built and certified before counting: the templates and the
-    # certificate use int_matmul, once per calculus
+    # built and certified before counting: the template build uses
+    # int_matmul, once per calculus, and the certificate uses no linalg
     assert torus.default_calculus().orbit_certified
     counts = {"sweep": 0, "other": 0, "ad": 0}
     in_sweep = []
